@@ -53,6 +53,10 @@ WORK = ROOT / ".perfbench"
 #: so that the samples split evenly over the 2 CPUs they rotate across.
 SETUP_SAMPLES = 8
 
+#: Seconds a busy process stays on one CPU before :class:`CpuRotation`
+#: moves it to the next.
+ROTATION_PERIOD_S = 0.2
+
 #: Runner counters read before and after each timed section.
 _COUNTERS = (
     "cache_hits",
@@ -99,6 +103,65 @@ def _cpu_s() -> float:
     return own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
 
 
+def _reset_peak_rss() -> None:
+    """Lower this process's peak-RSS mark to its current RSS, so that
+    :func:`_peak_rss_mb` covers only what runs from here on."""
+    Path("/proc/self/clear_refs").write_text("5")
+
+
+def _peak_rss_mb() -> float:
+    """Peak RSS of this process since the last :func:`_reset_peak_rss`."""
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) / 1024.0
+    raise BenchError("no VmHWM in /proc/self/status")
+
+
+def _in_child(fn, *args):
+    """``fn(*args)`` in a forked child process; returns its result."""
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_send_result, args=(send, fn, args))
+    child.start()
+    send.close()
+    try:
+        ok, value = receive.recv()
+    except EOFError:
+        ok, value = False, "child process died"
+    finally:
+        receive.close()
+        child.join()
+    if not ok:
+        raise BenchError(value)
+    return value
+
+
+def _send_result(send, fn, args) -> None:
+    try:
+        send.send((True, fn(*args)))
+    except Exception as err:
+        send.send((False, f"{type(err).__name__}: {err}"))
+
+
+def _fill_warm_cache(seed: int, document: dict, cache_dir: Path) -> str:
+    """Run ``paper-quick`` and ``fleet-faults`` cold into ``cache_dir``,
+    check both outputs, and return the digest warm-replay must match."""
+    from repro.sim.batch import BatchRunner
+
+    from perfbench import check, workloads
+
+    shutil.rmtree(cache_dir, ignore_errors=True)
+    with BatchRunner(jobs=2, cache_dir=cache_dir) as runner:
+        cold = [
+            workloads.paper_quick(seed, runner),
+            workloads.fleet_faults(document, runner),
+        ]
+    for part, text in zip(("paper-quick", "fleet-faults"), cold):
+        if check.sha256(text) != check.reference_digest(part, seed, ROOT):
+            raise BenchError(f"warm-replay: cold {part} output is wrong")
+    return check.sha256("".join(cold))
+
+
 @dataclass
 class Pass:
     """One timed repetition of a workload."""
@@ -116,7 +179,7 @@ class Pass:
 
 class CpuRotation:
     """Moves the busy threads of a pass across the usable CPUs every
-    ``period_s`` while the block runs.
+    :data:`ROTATION_PERIOD_S` while the block runs.
 
     On a shared host each CPU has its own neighbours: one may run a pass
     twice as fast as the other for minutes at a time.  Left alone, the
@@ -124,14 +187,13 @@ class CpuRotation:
     would wait on whichever worker sat on the slow CPU.  Rotating makes
     every pass sample all CPUs alike.  Targets are process ids: this
     process (``0``) for serial passes, the pool's workers (forked before
-    the block starts) for pooled ones, a set-up probe for set-up.  The
-    rotation runs from an interval timer's signal handler, so no thread
-    exists while workers fork.
+    the block starts) for pooled ones, a serial set-up probe for set-up.
+    The rotation runs from an interval timer's signal handler, so no
+    thread exists while workers fork.
     """
 
-    def __init__(self, targets: list[int], period_s: float = 0.2):
+    def __init__(self, targets: list[int]):
         self.targets = targets
-        self.period_s = period_s
         self.cpus = sorted(os.sched_getaffinity(0))
         self.turn = 0
         self.active = len(self.cpus) > 1 and bool(targets)
@@ -157,7 +219,7 @@ class CpuRotation:
             self._place()
             self._previous_handler = signal.signal(signal.SIGALRM, self._tick)
             signal.siginterrupt(signal.SIGALRM, False)  # restart syscalls
-            signal.setitimer(signal.ITIMER_REAL, self.period_s, self.period_s)
+            signal.setitimer(signal.ITIMER_REAL, ROTATION_PERIOD_S, ROTATION_PERIOD_S)
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -195,30 +257,20 @@ class Workload:
 
     def prepare(self) -> None:
         """Resolve the reference digest; fill the warm cache for
-        ``warm-replay`` and check the cold outputs it will re-serve."""
+        ``warm-replay`` and check the cold outputs it will re-serve.
+
+        The work runs in a child process, so what it leaves in memory
+        does not count towards the passes' ``peak_rss_mb``."""
         from perfbench import check, workloads
 
         if self.name in workloads.USES_PACKS:
             self.document = workloads.fleet_faults_document(self.seed)
-        if self.name != "warm-replay":
-            self.expected = check.reference_digest(self.name, self.seed, ROOT)
-            return
-        from repro.sim.batch import BatchRunner
-
-        shutil.rmtree(self.warm_cache, ignore_errors=True)
-        with BatchRunner(jobs=2, cache_dir=self.warm_cache) as runner:
-            cold = [
-                workloads.paper_quick(self.seed, runner),
-                workloads.fleet_faults(self.document, runner),
-            ]
-        # The cold outputs are checked against the recorded digests when
-        # this seed has them; recomputing missing references is left to
-        # the paper-quick and fleet-faults runs, which check them anyway.
-        for part, text in zip(("paper-quick", "fleet-faults"), cold):
-            expected = check.recorded_digest(part, self.seed)
-            if expected is not None and check.sha256(text) != expected:
-                raise BenchError(f"warm-replay: cold {part} output is wrong")
-        self.expected = check.sha256("".join(cold))
+        if self.name == "warm-replay":
+            self.expected = _in_child(
+                _fill_warm_cache, self.seed, self.document, self.warm_cache
+            )
+        else:
+            self.expected = _in_child(check.reference_digest, self.name, self.seed, ROOT)
 
     def runner(self):
         """A fresh runner for one pass (its set-up is not timed)."""
@@ -299,6 +351,10 @@ class Workload:
         it may pay for writing bytecode caches)."""
         from perfbench.workloads import USES_PACKS
 
+        # A pooled probe is not rotated: the workers it forks would
+        # inherit its one-CPU mask, where users' and the passes' workers
+        # each get a CPU of their own.
+        serial = self.jobs == 1
         samples = []
         probe_cache = WORK / "probe-cache"
         env = dict(os.environ)
@@ -315,7 +371,7 @@ class Workload:
                 command, cwd=ROOT, env=env, stdout=subprocess.PIPE
             ) as proc:
                 try:
-                    with CpuRotation([proc.pid]):
+                    with CpuRotation([proc.pid] if serial else []):
                         stdout, _ = proc.communicate(timeout=120)
                 except subprocess.TimeoutExpired:
                     proc.kill()
@@ -335,16 +391,20 @@ def measure(workload: Workload, seconds: float, trace: bool) -> dict:
 
     setup = [] if trace else workload.setup_samples()
     workload.prepare()
+    gc.collect()
+    # Peak RSS covers the passes only: not the cache fill or reference
+    # run of prepare(), nor a workload that ran before under ``all``.
+    _reset_peak_rss()
     passes: list[Pass] = []
     start = time.perf_counter()
-    kinds_needed = {False, True} if trace else {False}
     while True:
         # Traced runs alternate: untraced, traced, untraced, ...
         passes.append(workload.run_pass(trace and len(passes) % 2 == 1))
         elapsed = time.perf_counter() - start
-        have_all = {p.traced for p in passes} == kinds_needed
+        # A traced run needs two traced passes to check that counts repeat.
+        enough = sum(p.traced for p in passes) >= 2 if trace else True
         # Stop when one more pass of average length would overrun.
-        if have_all and elapsed * (len(passes) + 1) / len(passes) > seconds:
+        if enough and elapsed * (len(passes) + 1) / len(passes) > seconds:
             break
 
     bad = check.mismatches([p.output for p in passes], workload.expected)
@@ -384,7 +444,7 @@ def measure(workload: Workload, seconds: float, trace: bool) -> dict:
             "intervals_per_s": sum(p.intervals for p in untraced) / timed,
             "specs_per_s": sum(p.requests for p in untraced) / timed,
             "setup_s": statistics.median(setup),
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "peak_rss_mb": _peak_rss_mb(),
         }
     return {
         "workload": workload.name,

@@ -39,7 +39,7 @@ _clock = time.perf_counter
 class Recorder:
     """Per-process span and counter store (see the module docstring)."""
 
-    def __init__(self, spill_dir: Path | None = None):
+    def __init__(self, spill_dir: Path):
         self.spill_dir = spill_dir
         self.in_worker = False
         self.reset()
@@ -193,8 +193,6 @@ class Recorder:
 
     def spill(self) -> None:
         """Append this worker's records to its spill file and forget them."""
-        if self.spill_dir is None:
-            return
         record = {
             "pid": os.getpid(),
             "totals": self.totals,
@@ -211,8 +209,6 @@ class Recorder:
         """Fold every worker spill file into this recorder; returns the
         peak worker RSS in KiB (0 when no worker recorded anything)."""
         peak = 0
-        if self.spill_dir is None:
-            return peak
         for path in sorted(self.spill_dir.glob("worker-*.jsonl")):
             for line in path.read_text().splitlines():
                 record = json.loads(line)
@@ -230,9 +226,8 @@ class Recorder:
 
     def clear_spill(self) -> None:
         """Drop spill files left by work that is not being measured."""
-        if self.spill_dir is not None:
-            for path in self.spill_dir.glob("worker-*.jsonl"):
-                path.unlink()
+        for path in self.spill_dir.glob("worker-*.jsonl"):
+            path.unlink()
 
     # -- reading --------------------------------------------------------
 

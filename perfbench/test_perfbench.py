@@ -258,6 +258,16 @@ class TestProbes:
         assert rec.entries("fleet.expand") == 1
 
 
+def test_preparation_runs_in_a_child_process():
+    import os
+
+    from perfbench.run import BenchError, _in_child
+
+    assert _in_child(os.getpid) != os.getpid()
+    with pytest.raises(BenchError, match="ValueError"):
+        _in_child(int, "not a number")
+
+
 def test_benchmark_refuses_to_run_without_the_program(tmp_path):
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__"))
