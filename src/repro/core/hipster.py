@@ -132,6 +132,8 @@ class Hipster(TaskManager):
         self._phase = Phase.LEARNING
         self._phase_elapsed_s = 0.0
         self._configs: tuple[Configuration, ...] = ()
+        self._action_of: dict[Configuration, int] = {}
+        self._decisions: tuple[Decision, ...] = ()
         self._table: LookupTable | None = None
         self._machine = None
         self._bucketizer: LoadBucketizer | None = None
@@ -152,6 +154,18 @@ class Hipster(TaskManager):
         self._configs = enumerate_configurations(
             platform, max_total_cores=self.params.max_total_cores
         )
+        self._action_of = {config: i for i, config in enumerate(self._configs)}
+        # Run constants, resolved once: each action's decision (the
+        # collocate flag cannot change mid-run) and the reward's
+        # platform normalizers.
+        collocate = self.variant is Variant.COLLOCATED and ctx.batch_present
+        self._decisions = tuple(
+            resolve_decision(platform, config, collocate_batch=collocate)
+            for config in self._configs
+        )
+        self._tdp_w = platform.tdp_w
+        self._max_ips_big = platform.big.max_microbench_ips()
+        self._max_ips_small = platform.small.max_microbench_ips()
         self._table = LookupTable(
             n_actions=len(self._configs),
             alpha=self.params.alpha,
@@ -217,13 +231,10 @@ class Hipster(TaskManager):
     # ------------------------------------------------------------------
 
     def decide(self) -> Decision:
-        config, action = self._choose()
+        action = self._choose()
         self._pending = (self._current_bucket, action)
         self._last_action = action
-        collocate = (
-            self.variant is Variant.COLLOCATED and self.ctx.batch_present
-        )
-        return resolve_decision(self.ctx.platform, config, collocate_batch=collocate)
+        return self._decisions[action]
 
     def stable_horizon(self, offered_loads) -> int:
         # The learner consumes rewards (and rng during exploration) every
@@ -231,16 +242,16 @@ class Hipster(TaskManager):
         # charge (explicit pin of the TaskManager default).
         return 1
 
-    def _choose(self) -> tuple[Configuration, int]:
+    def _choose(self) -> int:
+        """The action (index into the configuration space) to apply."""
         assert self._table is not None and self._machine is not None
         bucket = self._current_bucket
         if self._phase is Phase.LEARNING or not self._table.state_visited(bucket):
-            config = self._machine.current
-            return config, self._configs.index(config)
+            return self._action_of[self._machine.current]
         if self.params.epsilon > 0 and self.ctx.rng.random() < self.params.epsilon:
             explored = self._explore()
             if explored is not None:
-                return self._configs[explored], explored
+                return explored
         action, best_value = self._table.best_action(bucket, tie_break=self._tie_order)
         incumbent = self._last_action
         if (
@@ -251,7 +262,7 @@ class Hipster(TaskManager):
             >= best_value - self.params.switch_margin
         ):
             action = incumbent
-        return self._configs[action], action
+        return action
 
     def _explore(self) -> int | None:
         """Pick a capacity-plausible neighbour of the incumbent, if any."""
@@ -279,7 +290,6 @@ class Hipster(TaskManager):
     def observe(self, observation: "IntervalObservation") -> None:
         assert self._table is not None and self._machine is not None
         workload = self.ctx.workload
-        platform = self.ctx.platform
         next_bucket = self._bucketizer.bucket(observation.measured_load)
 
         batch_active = (
@@ -292,12 +302,12 @@ class Hipster(TaskManager):
                 qos_curr_ms=observation.tail_latency_ms,
                 qos_target_ms=workload.target_latency_ms,
                 power_w=observation.power_w,
-                tdp_w=platform.tdp_w,
+                tdp_w=self._tdp_w,
                 batch_present=batch_active,
                 big_ips=observation.big_ips,
                 small_ips=observation.small_ips,
-                max_ips_big=platform.big.max_microbench_ips(),
-                max_ips_small=platform.small.max_microbench_ips(),
+                max_ips_big=self._max_ips_big,
+                max_ips_small=self._max_ips_small,
             ),
             self.ctx.rng,
             qos_danger=self.params.qos_danger,

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.experiments.reporting import ascii_table, series_block
 from repro.experiments.runner import DEFAULT_SEED
 from repro.metrics.summary import PolicySummary, summarize
@@ -37,15 +39,14 @@ class Fig5Result:
         Octopus-Man can never produce these; Hipster's heuristic does --
         the paper's Figure 5 bottom panels.
         """
-        return sum(
-            1
-            for o in self.runs[policy]
-            if o.decision.config.n_big > 0 and o.decision.config.n_small > 0
+        mixed = self.runs[policy].table.decision_values(
+            lambda d: d.config.n_big > 0 and d.config.n_small > 0
         )
+        return int(np.count_nonzero(mixed))
 
     def distinct_big_freqs(self, policy: str) -> int:
         """DVFS points the policy actually used on the big cluster."""
-        return len({o.big_freq_ghz for o in self.runs[policy]})
+        return len(set(self.runs[policy].table.column("big_freq_ghz").tolist()))
 
     def render(self) -> str:
         blocks = [f"Figure 5 -- heuristic policies on {self.workload_name}"]
@@ -53,15 +54,12 @@ class Fig5Result:
             blocks.append(f"\n--- {name} ---")
             blocks.append(series_block("tail latency (ms)", run_result.tails_ms))
             blocks.append(series_block("throughput (rps)", run_result.arrival_rps))
+            table = run_result.table
+            blocks.append(series_block("big DVFS (GHz)", table.column("big_freq_ghz")))
             blocks.append(
                 series_block(
-                    "big DVFS (GHz)",
-                    [o.big_freq_ghz for o in run_result],
-                )
-            )
-            blocks.append(
-                series_block(
-                    "LC cores", [o.decision.config.total_cores for o in run_result]
+                    "LC cores",
+                    table.decision_values(lambda d: d.config.total_cores),
                 )
             )
         blocks.append("")

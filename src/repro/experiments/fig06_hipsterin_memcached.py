@@ -59,9 +59,10 @@ class HipsterTraceResult:
                 f"Figure 6/7 -- HipsterIn on {self.workload_name}",
                 series_block("tail latency (ms)", result.tails_ms),
                 series_block("throughput (rps)", result.arrival_rps),
-                series_block("big DVFS (GHz)", [o.big_freq_ghz for o in result]),
+                series_block("big DVFS (GHz)", result.table.column("big_freq_ghz")),
                 series_block(
-                    "LC cores", [o.decision.config.total_cores for o in result]
+                    "LC cores",
+                    result.table.decision_values(lambda d: d.config.total_cores),
                 ),
                 ascii_table(
                     ["metric", "learning", "exploitation"],

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -256,15 +256,35 @@ class FleetSpec:
         jitter = rng.uniform(-1.0, 1.0, self.n_nodes)
         return np.round(1.0 + self.capacity_spread * jitter, 6)
 
+    def _memo(self, name: str, compute: Callable[[], Any]) -> Any:
+        """``compute()`` once per instance, kept in ``__dict__``.
+
+        The spec is frozen, so every derivation below is a pure function
+        of its fields; equality, hashing and fingerprints read only the
+        fields, so a memoized instance stays interchangeable with a
+        fresh equal one.  Arrays are returned read-only, since every
+        caller shares the one copy.
+        """
+        cached = self.__dict__.get(name)
+        if cached is None:
+            cached = compute()
+            if isinstance(cached, np.ndarray):
+                cached.flags.writeable = False
+            object.__setattr__(self, name, cached)
+        return cached
+
     def fleet_loads(self) -> np.ndarray:
         """Fleet offered load per interval (sampled at interval midpoints,
-        matching the engine's own trace sampling)."""
+        matching the engine's own trace sampling).  Memoized, read-only."""
+        return self._memo("_fleet_loads_memo", self._sample_fleet_loads)
+
+    def _sample_fleet_loads(self) -> np.ndarray:
         trace = self.trace.build()
         n = trace.n_intervals(self.interval_s)
         if n <= 0:
             raise ValueError("the fleet trace is shorter than one interval")
         mids = (np.arange(n) + 0.5) * self.interval_s
-        return np.array([trace.load_at(t) for t in mids])
+        return trace.load_at_many(mids)
 
     def node_seed(self, index: int) -> int:
         """The run seed of node ``index``."""
@@ -329,7 +349,11 @@ class FleetSpec:
         A pure function of ``(faults, seed, n_nodes, trace length)`` --
         computed in the parent process before any node run dispatches,
         so serial and parallel executions see the same schedule.
+        Memoized.
         """
+        return self._memo("_fault_schedule_memo", self._lower_faults)
+
+    def _lower_faults(self) -> tuple[FaultEvent, ...]:
         if not self.faults:
             return ()
         n_intervals = len(self.fleet_loads())
@@ -359,17 +383,15 @@ class FleetSpec:
         on the instance -- re-dispatching a warm fleet through the batch
         runner's in-memory tier costs cache lookups, not a balancer run.
         """
-        cached = self.__dict__.get("_node_specs_memo")
-        if cached is not None:
-            return cached
-        specs = self._expand_node_specs()
-        object.__setattr__(self, "_node_specs_memo", specs)
-        return specs
+        return self._memo("_node_specs_memo", self._expand_node_specs)
 
     def planned_levels(self) -> np.ndarray:
         """The ``(n_intervals, n_nodes)`` offered-load plan the
         expansion encodes into each node's sampled trace (before
-        rounding)."""
+        rounding).  Memoized, read-only."""
+        return self._memo("_planned_levels_memo", self._split_levels)
+
+    def _split_levels(self) -> np.ndarray:
         capacities = self.node_capacities()
         balancer = build_balancer(self.balancer, self.balancer_params)
         events = self.fault_schedule()

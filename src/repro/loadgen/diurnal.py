@@ -90,3 +90,7 @@ class DiurnalTrace(LoadTrace):
         """Offered load fraction at time ``t``, linearly interpolated."""
         t = self._check(t)
         return float(np.interp(t, np.arange(len(self._samples)), self._samples))
+
+    def load_at_many(self, times) -> np.ndarray:
+        t = self._check_many(times)
+        return np.interp(t, np.arange(len(self._samples)), self._samples)

@@ -63,6 +63,9 @@ class ScenarioRegistry:
 
     def __init__(self) -> None:
         self._factories: dict[str, Callable[..., Any]] = {}
+        #: Each factory's accepted keywords, read once at registration
+        #: (``build`` validates against them on every call).
+        self._accepted: dict[str, tuple[str, ...] | None] = {}
 
     def register(self, name: str, factory: Callable[..., Any] | None = None):
         """Register a factory under ``name`` (usable as a decorator)."""
@@ -71,6 +74,7 @@ class ScenarioRegistry:
             if name in self._factories:
                 raise ValueError(f"scenario family {name!r} already registered")
             self._factories[name] = fn
+            self._accepted[name] = _keyword_params(fn)
             return fn
 
         return _add(factory) if factory is not None else _add
@@ -91,7 +95,7 @@ class ScenarioRegistry:
             raise UnknownNameError(
                 "scenario family", name, self.names()
             ) from None
-        accepted = self.family_params(name)
+        accepted = self._accepted[name]
         if accepted is not None:
             unknown = sorted(set(kwargs) - set(accepted))
             if unknown:
@@ -105,25 +109,11 @@ class ScenarioRegistry:
         when its factory takes ``**kwargs`` (nothing to validate against).
         """
         try:
-            factory = self._factories[name]
+            return self._accepted[name]
         except KeyError:
             raise UnknownNameError(
                 "scenario family", name, self.names()
             ) from None
-        params = inspect.signature(factory).parameters
-        if any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-        ):
-            return None
-        return tuple(
-            n
-            for n, p in params.items()
-            if p.kind
-            in (
-                inspect.Parameter.KEYWORD_ONLY,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            )
-        )
 
     def names(self) -> tuple[str, ...]:
         """Registered family names, sorted."""
@@ -134,6 +124,23 @@ class ScenarioRegistry:
 
     def __len__(self) -> int:
         return len(self._factories)
+
+
+def _keyword_params(factory: Callable[..., Any]) -> tuple[str, ...] | None:
+    """The keyword parameters ``factory`` accepts, or ``None`` when it
+    takes ``**kwargs``."""
+    params = inspect.signature(factory).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+        return None
+    return tuple(
+        n
+        for n, p in params.items()
+        if p.kind
+        in (
+            inspect.Parameter.KEYWORD_ONLY,
+            inspect.Parameter.POSITIONAL_OR_KEYWORD,
+        )
+    )
 
 
 DEFAULT_REGISTRY = ScenarioRegistry()

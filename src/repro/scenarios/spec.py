@@ -49,12 +49,14 @@ def freeze_params(params: ParamsLike) -> Params:
 
 
 def _freeze_value(value: Any) -> Any:
-    if isinstance(value, Mapping):
-        return freeze_params(value)
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze_value(v) for v in value)
+    # Scalars first: sampled node traces freeze thousands of floats, and
+    # the Mapping test is a comparatively slow ABC instance check.
     if isinstance(value, (str, int, float, bool, type(None))):
         return value
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze_value(v) for v in value)
+    if isinstance(value, Mapping):
+        return freeze_params(value)
     raise TypeError(
         f"scenario parameters must be plain data, got {type(value).__name__}: "
         f"{value!r}"

@@ -378,7 +378,7 @@ class DiskCache:
         (idempotent): compact the pack if it crossed the dead-bytes
         threshold, and sweep per-key pickles stranded by a cache-format
         version bump (their retired keys are never looked up again, so
-        the delete-corrupt-on-detection path can never reclaim them)."""
+        the quarantine-on-detection path never sees them)."""
         try:
             self._maybe_compact()
         except OSError:  # pragma: no cover - best-effort maintenance
@@ -864,8 +864,8 @@ class BatchRunner:
         pickles plus the append-only manifest pack); ``None`` keeps
         results only in the in-process LRU.  Corrupt, unreadable or
         legacy-format entries are treated as misses, and a corrupt
-        per-key file is deleted on detection so it is never re-parsed on
-        the next warm start.
+        entry is moved to ``<cache_dir>/quarantine/`` on detection so it
+        is never re-parsed on the next warm start.
     memory_entries:
         Capacity of the in-process LRU tier; 0 disables it (every lookup
         then goes to disk, and duplicate specs across ``run()`` calls

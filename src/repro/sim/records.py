@@ -41,7 +41,7 @@ the outcome cache treats as a miss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -382,6 +382,11 @@ class ObservationTable:
     def label_at(self, i: int) -> str:
         """The decoded configuration label of row ``i``."""
         return self._label_pool[self._cols["config_label"][i]]
+
+    def decision_values(self, fn: Callable[["Decision"], object]) -> np.ndarray:
+        """``fn(decision)`` per row, evaluated once per pooled decision."""
+        pooled = np.array([fn(decision) for decision in self._decision_pool])
+        return pooled[self._cols["decision"]]
 
     def labels(self) -> tuple[str, ...]:
         """Decoded configuration labels, one per row."""

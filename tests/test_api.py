@@ -155,6 +155,48 @@ class TestRunPackFacade:
         assert result.summary()["source"].endswith("p.yaml")
 
 
+#: A small resilient pack: one two-rack fleet with a detected rack death.
+RESILIENT_PACK = {
+    "name": "warm-path",
+    "scenarios": [{
+        "fleet": {
+            "workload": "memcached", "manager": "static-big", "n_nodes": 4,
+            "balancer": "least-loaded", "seed": 3,
+            "topology": {"rackA": 2, "rackB": 2},
+            "trace": {"kind": "diurnal", "duration_s": 60, "seed": 4},
+            "faults": [{
+                "kind": "rack-death", "probability": 0.5,
+                "earliest_s": 10, "latest_s": 30,
+                "detection_s": 4, "repair_s": 15,
+            }],
+        },
+    }],
+}
+
+
+class TestWarmPath:
+    @staticmethod
+    def renders(runner) -> tuple[str, ...]:
+        from repro.experiments import EXPERIMENTS
+
+        return (
+            EXPERIMENTS["fig5"].run("memcached", quick=True, runner=runner).render(),
+            EXPERIMENTS["fig6"].run(quick=True, runner=runner).render(),
+            run_pack(RESILIENT_PACK, runner=runner).render(),
+        )
+
+    def test_warm_renders_match_cold_byte_for_byte(self, tmp_path):
+        with open_runner(cache_dir=tmp_path) as cold:
+            cold_renders = self.renders(cold)
+        assert cold.cache_misses > 0
+        with open_runner(cache_dir=tmp_path) as warm:
+            warm_renders = self.renders(warm)
+        assert warm.cache_misses == 0
+        assert warm.disk_hits > 0
+        assert warm_renders == cold_renders
+        assert "blast radius" in warm_renders[2]
+
+
 class TestSurface:
     def test_facade_all_exports_exist(self):
         for name in api.__all__:

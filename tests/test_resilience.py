@@ -628,6 +628,101 @@ class TestResilienceReport:
 
 
 # ----------------------------------------------------------------------
+# memoized expansion: each derivation runs once per spec instance
+# ----------------------------------------------------------------------
+
+
+#: A pack holding one fleet equal to ``resilient_fleet()``.
+RESILIENT_FLEET_PACK = {
+    "name": "one-fleet",
+    "scenarios": [
+        {
+            "fleet": {
+                "workload": "memcached",
+                "manager": "static-big",
+                "n_nodes": 8,
+                "balancer": "least-loaded",
+                "seed": 3,
+                "topology": {"rackA": 4, "rackB": 4},
+                "faults": list(CORRELATED_FAULTS),
+                "trace": {"kind": "constant", "level": 0.6, "duration_s": 60},
+            }
+        }
+    ],
+}
+
+
+class TestExpansionMemo:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of fault lowerings and timeline splits."""
+        import repro.fleet.spec as fleet_spec
+
+        counts = {"lower_faults": 0, "split_with_timeline": 0}
+        for name in counts:
+            original = getattr(fleet_spec, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(fleet_spec, name, counting)
+        return counts
+
+    def test_run_report_render_lower_and_split_once(self, calls):
+        spec = resilient_fleet()
+        outcome = spec.run()
+        assert outcome.resilience_report() is not None
+        outcome.render()
+        outcome.render()
+        assert calls == {"lower_faults": 1, "split_with_timeline": 1}
+        # A fresh equal instance derives its own copy.
+        resilient_fleet().node_specs()
+        assert calls == {"lower_faults": 2, "split_with_timeline": 2}
+
+    def test_pack_run_summary_render_lower_and_split_once(self, calls):
+        from repro.packs import run_pack
+
+        result = run_pack(RESILIENT_FLEET_PACK)
+        assert result.pack.items[0].spec == resilient_fleet()
+        assert "resilience" in result.summary()["items"][0]
+        assert "blast radius" in result.render()
+        assert calls == {"lower_faults": 1, "split_with_timeline": 1}
+
+    def test_derived_arrays_are_shared_and_read_only(self):
+        for spec in (resilient_fleet(), plain_fleet()):
+            for derive in (spec.fleet_loads, spec.planned_levels):
+                array = derive()
+                assert derive() is array
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    def test_expanded_spec_interchangeable_with_fresh(self):
+        expanded = resilient_fleet()
+        expanded.node_specs()
+        expanded.planned_levels()
+        fresh = resilient_fleet()
+        assert expanded == fresh
+        assert hash(expanded) == hash(fresh)
+        assert expanded.fingerprint() == fresh.fingerprint()
+        assert {fresh: "found"}[expanded] == "found"
+
+    def test_pickled_expanded_spec_keeps_node_fingerprints(self):
+        import pickle
+
+        expanded = resilient_fleet()
+        before = [spec.fingerprint() for spec in expanded.node_specs()]
+        clone = pickle.loads(pickle.dumps(expanded))
+        assert clone == expanded
+        assert clone.fingerprint() == expanded.fingerprint()
+        assert [spec.fingerprint() for spec in clone.node_specs()] == before
+        assert [
+            spec.fingerprint() for spec in resilient_fleet().node_specs()
+        ] == before
+
+
+# ----------------------------------------------------------------------
 # satellites: quarantine bound, env warnings, journal truncation
 # ----------------------------------------------------------------------
 

@@ -43,6 +43,23 @@ class TestParams:
         with pytest.raises(TypeError, match="plain data"):
             freeze_params({"rng": np.random.default_rng(0)})
 
+    @pytest.mark.parametrize(
+        "value, type_name",
+        [
+            ({1, 2}, "set"),
+            (object(), "object"),
+            (np.array([0.1, 0.2]), "ndarray"),
+            ([0.5, {"inner": {3}}], "set"),
+        ],
+    )
+    def test_freeze_names_the_rejected_type(self, value, type_name):
+        with pytest.raises(TypeError, match=f"plain data, got {type_name}: "):
+            freeze_params({"bad": value})
+
+    def test_freeze_mappings_nested_in_lists(self):
+        frozen = freeze_params({"a": [{"y": 1, "x": 2.5}, (3, [None, "s"])]})
+        assert frozen == (("a", ((("x", 2.5), ("y", 1)), (3, (None, "s")))),)
+
     def test_freeze_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             freeze_params([("a", 1), ("a", 2)])
