@@ -67,12 +67,13 @@ from repro.hardware.soc import KernelConfig, Platform
 from repro.loadgen.traces import LoadTrace
 from repro.policies.base import Decision, ManagerContext, TaskManager
 from repro.sim.contention import ContentionModel, aggregate_pressure_indexed
-from repro.sim.latency import linear_quantile
+from repro.sim.latency import linear_quantile, linear_quantile_sorted
 from repro.sim.queueing import (
     _SCALAR_SERVER_LIMIT,
     DispatchQueue,
     DrawnInterval,
     IntervalQueueStats,
+    exact_row_sums,
 )
 from repro.sim.records import ExperimentResult, ObservationTable
 from repro.workloads.base import LatencyCriticalWorkload, lc_server_speeds_array
@@ -448,15 +449,16 @@ class IntervalSimulator:
         # Batch execution and perf counters (dense, core-indexed).  The
         # per-server utilizations scatter into the dense core vectors by
         # fancy index; with unique targets this assigns the identical
-        # floats the old element loop did.
+        # floats the old element loop did.  Only an armed perf-counter
+        # bug reads the per-core IPS vector; otherwise the batch sums are
+        # the decision-state constants.
         lc_index = state.lc_index_arr
         u_arr = np.asarray(stats.utilizations)[: lc_index.size]
-        true_ips = state.true_ips_base.copy()
-        true_ips[lc_index] = state.lc_coeff_arr * u_arr
+        garbage = False
         if self._counters_armed:
+            true_ips = state.true_ips_base.copy()
+            true_ips[lc_index] = state.lc_coeff_arr * u_arr
             counter_vec, garbage = self._counters.read_array(true_ips, self._rng)
-        else:
-            counter_vec, garbage = true_ips, False
         if garbage:
             big_batch = sum(float(counter_vec[i]) for i in state.batch_big_index)
             small_batch = sum(float(counter_vec[i]) for i in state.batch_small_index)
@@ -536,8 +538,8 @@ class IntervalSimulator:
         next one is drawn, so the stream never runs ahead of a decision
         the scalar path would also have made (no rollback exists, none is
         needed).  Only the arithmetic is deferred and batched: the queue
-        kernel, the latency summaries (per-interval slices of one
-        concatenated buffer, reduced at their exact lengths), the power
+        kernel, the latency summaries (rows of one padded matrix,
+        reduced at their exact lengths), the power
         law (column-sequential accumulation in core order) and the
         observation rows (one bulk ``extend``).  ``observe`` is replayed
         per interval at commit, in order, for managers that define it.
@@ -552,58 +554,56 @@ class IntervalSimulator:
         sampler = self._demand_sampler
         loads = self._loads
 
+        # Draw and validate interval by interval; everything else about
+        # the drawn intervals is derived in bulk below.  The column
+        # expressions are the scalar path's, elementwise.
+        draw = queue.draw_interval
+        epoch_continue = manager.epoch_continue
+        loads_l = loads[start : start + horizon].tolist()
         drawn: list[DrawnInterval] = []
-        t0s: list[float] = []
-        t1s: list[float] = []
-        offered: list[float] = []
-        measured: list[float] = []
-        arrival_rps: list[float] = []
-        n_requests: list[int] = []
         budget = _EPOCH_REQUEST_BUDGET
         for j in range(horizon):
-            index = start + j
-            t0 = index * dt
-            t1 = t0 + dt
-            load = float(loads[index])
-            d = queue.draw_interval(t0, t1, load * max_rps / scale, sampler)
-            arrivals_real = d.n * scale
-            rps = arrivals_real / dt
+            t0 = (start + j) * dt
+            d = draw(t0, t0 + dt, loads_l[j] * max_rps / scale, sampler)
             drawn.append(d)
-            t0s.append(t0)
-            t1s.append(t1)
-            offered.append(load)
-            measured.append(min(rps / max_rps, 1.0))
-            arrival_rps.append(rps)
-            n_requests.append(int(arrivals_real))
             budget -= d.n
-            if budget <= 0:
+            if budget <= 0 or j + 1 == horizon:
                 break
-            if j + 1 < horizon and not manager.epoch_continue(measured[-1]):
+            if not epoch_continue(min(d.n * scale / dt / max_rps, 1.0)):
                 break
         n_epoch = len(drawn)
+        index = np.arange(start, start + n_epoch)
+        t0s = index * dt
+        t1s = t0s + dt
+        arrivals_real = np.asarray([d.n for d in drawn]) * scale
+        arrival_rps = arrivals_real / dt
+        measured = arrival_rps / max_rps
+        measured = np.where(1.0 < measured, 1.0, measured)
 
         stats = queue.run_epoch_drawn(t0s, t1s, drawn)
 
         # Latency summaries.  reported_latency_ms is elementwise, so one
         # call over the concatenated sojourn times produces the identical
-        # floats; each interval's mean/quantile then reduces its own
-        # contiguous slice at its exact length (the mean first --
-        # linear_quantile partitions the slice in place).
+        # floats.  The non-empty intervals then become the rows of one
+        # +inf-padded matrix: each mean reduces its row at the exact
+        # length, and one row-wise sort yields every quantile's order
+        # statistics.
         latencies_ms = self.workload.reported_latency_ms(stats.latencies_s)
-        offsets = stats.offsets
-        idle_ms = self._idle_latency_ms
-        percentile = self._qos_percentile
-        tails = np.empty(n_epoch)
-        means = np.empty(n_epoch)
-        for j in range(n_epoch):
-            lo = offsets[j]
-            hi = offsets[j + 1]
-            if hi == lo:
-                tails[j] = means[j] = idle_ms
-            else:
-                seg = latencies_ms[lo:hi]
-                means[j] = np.add.reduce(seg) / seg.size
-                tails[j] = linear_quantile(seg, percentile, destructive=True)
+        counts = np.asarray(stats.counts)
+        tails = np.full(n_epoch, self._idle_latency_ms)
+        means = tails.copy()
+        busy = np.flatnonzero(counts)
+        if busy.size:
+            busy_counts = counts[busy]
+            rows = np.repeat(np.arange(busy.size), busy_counts)
+            cols = np.arange(rows.size) - stats.offsets[busy][rows]
+            padded = np.full((busy.size, int(busy_counts.max())), np.inf)
+            padded[rows, cols] = latencies_ms
+            means[busy] = exact_row_sums(padded, busy_counts) / busy_counts
+            padded.sort(axis=1)
+            tails[busy] = linear_quantile_sorted(
+                padded, busy_counts, self._qos_percentile
+            )
 
         # Power and energy over the whole epoch.  utils rows scatter into
         # copies of the decision's dense base vector exactly as the
@@ -628,13 +628,13 @@ class IntervalSimulator:
             n_epoch,
             decision=decision,
             config_label=state.config_label,
-            index=np.arange(start, start + n_epoch),
-            t_start_s=np.asarray(t0s),
+            index=index,
+            t_start_s=t0s,
             duration_s=dt,
-            offered_load=np.asarray(offered),
-            measured_load=np.asarray(measured),
-            arrival_rps=np.asarray(arrival_rps),
-            n_requests=np.asarray(n_requests),
+            offered_load=loads[start : start + n_epoch],
+            measured_load=measured,
+            arrival_rps=arrival_rps,
+            n_requests=arrivals_real.astype(np.int64),
             tail_latency_ms=tails,
             mean_latency_ms=means,
             qos_met=tails <= self._target_ms,

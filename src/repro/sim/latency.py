@@ -69,6 +69,31 @@ def linear_quantile(
     return float(a + diff * gamma)
 
 
+def linear_quantile_sorted(
+    sorted_rows: np.ndarray, counts: np.ndarray, q: float
+) -> np.ndarray:
+    """:func:`linear_quantile` of every row of a row-sorted 2-D array.
+
+    Row ``i`` holds ``counts[i] >= 1`` values, sorted ascending, ahead of
+    any padding.  The bracketing order statistics are read directly and
+    numpy's interpolation formula (with its ``gamma >= 0.5`` rewrite) is
+    applied elementwise, so each row gets the float
+    :func:`linear_quantile` returns for its values.
+    """
+    virtual = q * (counts - 1)
+    lower = virtual.astype(np.intp)
+    gamma = virtual - lower
+    rows = np.arange(len(counts))
+    a = sorted_rows[rows, lower]
+    b = sorted_rows[rows, lower + (gamma != 0.0)]
+    diff = b - a
+    return np.where(
+        gamma == 0.0,
+        a,
+        np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma),
+    )
+
+
 def summarize_latencies(
     latencies_ms: np.ndarray, percentile: float, *, idle_latency_ms: float = 0.0
 ) -> LatencySample:

@@ -101,6 +101,31 @@ def lindley_completion_times_reference(
     return completion
 
 
+def exact_row_sums(padded: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(row[:count])`` for every row of a padded matrix.
+
+    numpy's pairwise summation tree depends on the operand length, so a
+    padded row sum is not the exact-length reduce once rows reach eight
+    entries.  Rows are therefore stacked by count and each equal-count
+    block reduces its ``count``-wide view (an axis-1 reduce runs the 1-D
+    routine per row); rows without entries sum to 0.0.
+    """
+    order = np.argsort(counts, kind="stable")
+    sorted_counts = counts[order]
+    stacked = padded[order]
+    sums = np.zeros(len(order))
+    cuts = np.flatnonzero(np.diff(sorted_counts)) + 1
+    lo = 0
+    for hi in cuts.tolist() + [len(order)]:
+        c = int(sorted_counts[lo])
+        if c:
+            sums[lo:hi] = np.add.reduce(stacked[lo:hi, :c], axis=1)
+        lo = hi
+    out = np.empty_like(sums)
+    out[order] = sums
+    return out
+
+
 class DrawnInterval(NamedTuple):
     """One interval's arrival randomness, drawn ahead of evaluation.
 
@@ -132,9 +157,9 @@ class EpochQueueStats(NamedTuple):
     offsets: np.ndarray
     counts: list[int]
     utilizations: np.ndarray
-    mean_utilization: list[float]
-    shed_work_s: list[float]
-    backlog_s: list[float]
+    mean_utilization: np.ndarray
+    shed_work_s: np.ndarray
+    backlog_s: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -548,94 +573,94 @@ class DispatchQueue:
             )
 
         # Cross-interval scan: carry each server's free time across the
-        # epoch with the scalar path's own per-boundary operations.  The
-        # scan runs on plain Python floats -- array values are hoisted
-        # out through tolist() first -- because per-element ndarray
-        # indexing would cost more than the whole batched kernel; the
-        # arithmetic is the identical IEEE sequence either way.
-        scan: list[tuple | None] = []
+        # epoch with the scalar path's own per-boundary operations -- the
+        # Lindley carry, then the shed clamp.  Servers couple only through
+        # the per-interval shed and backlog *sums*, so each server scans
+        # alone, on plain Python floats (array values are hoisted out
+        # through tolist() first, because per-element ndarray indexing
+        # would cost more than the whole batched kernel); the arithmetic
+        # is the identical IEEE sequence either way.
+        t0_arr = np.asarray(t0s, dtype=float)
+        t1_arr = np.asarray(t1s, dtype=float)
+        max_backlog = self.max_backlog_s
+        if max_backlog is None:
+            bounds = [np.inf] * n_epoch
+        else:
+            bounds = (t1_arr + max_backlog).tolist()
+        free = self._free
+        free_l = free.tolist()
+        free_start = np.empty((n_epoch, k))
+        free_end = np.empty((n_epoch, k))
+        shed_work = np.zeros(n_epoch)
+        service_sums: list[np.ndarray | float] = []
         for s in range(k):
             data = per_server[s]
             if data is None:
-                scan.append(None)
-                continue
-            cnt, service = data[3], data[4]
-            if service.shape[1] < _SCALAR_SERVER_LIMIT:
-                # Narrow rows reduce sequentially (no pairwise split) and
-                # the pads only ever add +0.0 to a positive running sum,
-                # so the padded row sums are the exact per-row reduces.
-                sums = service.sum(axis=1).tolist()
+                cnt_l = [0] * n_epoch
+                runmax_l = cum_last_l = cnt_l
+                service_sums.append(0.0)
             else:
-                # Wide rows reduce pairwise, where the tree shape depends
-                # on the operand length: batch rows of equal request count
-                # so each row still sums exactly its own c-length slice
-                # (an axis-1 sum runs the same pairwise routine per row
-                # as the scalar kernel's 1-D reduce).
-                sums_arr = np.zeros(n_epoch)
-                for c in np.unique(cnt):
-                    if c:
-                        rows_c = np.flatnonzero(cnt == c)
-                        sums_arr[rows_c] = service[rows_c, :c].sum(axis=1)
-                sums = sums_arr.tolist()
-            scan.append((cnt.tolist(), data[8].tolist(), data[9].tolist(), sums))
-        free = self._free
-        free_l = free.tolist()
-        free_rows: list[list[float]] = []
-        utils_rows: list[list[float]] = []
-        mean_utilization: list[float] = []
-        shed_work: list[float] = []
-        backlog: list[float] = []
-        max_backlog = self.max_backlog_s
-        for i in range(n_epoch):
-            t0 = t0s[i]
-            t1 = t1s[i]
-            dt = t1 - t0
-            n_i = counts[i]
-            util_sum = 0.0
-            row_free: list[float] = []
-            row_utils: list[float] = []
-            for s in range(k):
-                f = free_l[s]
-                row_free.append(f)
-                lists = scan[s]
-                c = lists[0][i] if lists is not None else 0
-                if c:
-                    free_l[s] = lists[2][i] + max(f, lists[1][i])
-                if n_i != 0 and f >= t1:
-                    # Fully carried-over interval: carried == dt, so
-                    # min((dt + service_sum) / dt, 1.0) is exactly 1.0
-                    # for any non-negative service sum -- the reduce's
-                    # value cannot reach the observation.
-                    util = 1.0
+                cnt, service = data[3], data[4]
+                cnt_l = cnt.tolist()
+                runmax_l = data[8].tolist()
+                cum_last_l = data[9].tolist()
+                if service.shape[1] < _SCALAR_SERVER_LIMIT:
+                    # Narrow rows reduce sequentially (no pairwise split)
+                    # and the pads only ever add +0.0 to a positive
+                    # running sum, so the padded row sums are the exact
+                    # per-row reduces.
+                    service_sums.append(service.sum(axis=1))
                 else:
-                    carried = max(min(f, t1) - t0, 0.0)
-                    service_sum = lists[3][i] if c else 0.0
-                    if n_i == 0:
-                        util = min(carried / dt, 1.0)
-                    else:
-                        util = min((carried + service_sum) / dt, 1.0)
-                row_utils.append(util)
-                util_sum += util
-            free_rows.append(row_free)
-            utils_rows.append(row_utils)
-            mean_utilization.append(util_sum / k)
-            shed = 0.0
-            if max_backlog is not None:
-                bound = t1 + max_backlog
-                for s in range(k):
-                    f = free_l[s]
-                    if f > bound:
-                        shed += f - bound
-                        free_l[s] = bound
-            shed_work.append(shed)
-            total_backlog = 0.0
-            for f in free_l:
-                if f > t1:
-                    total_backlog += f - t1
-            backlog.append(total_backlog)
+                    service_sums.append(exact_row_sums(service, cnt))
+            f = free_l[s]
+            starts: list[float] = []
+            ends: list[float] = []
+            sheds: list[float] = []
+            for c, runmax, cum_last, bound in zip(cnt_l, runmax_l, cum_last_l, bounds):
+                starts.append(f)
+                if c:
+                    f = cum_last + max(f, runmax)
+                if f > bound:
+                    sheds.append(f - bound)
+                    f = bound
+                else:
+                    sheds.append(0.0)
+                ends.append(f)
+            free_l[s] = f
+            free_start[:, s] = starts
+            free_end[:, s] = ends
+            # shed = 0.0, then += each clamped server's excess in server
+            # order: adding +0.0 for unclamped servers leaves the
+            # non-negative running sum bit-identical.
+            shed_work += sheds
         free[:] = free_l
-        free_start = np.asarray(free_rows)
-        utils = np.asarray(utils_rows)
+
+        # Per-interval bookkeeping, column by column in server order: the
+        # scalar branch of run_drawn expression by expression, with
+        # Python's min/max written as the equivalent np.where selections
+        # (which keep their tie and signed-zero behaviour exactly).
+        dt = t1_arr - t0_arr
+        busy = np.asarray(counts) != 0
+        utils = np.empty((n_epoch, k))
+        util_sum = np.zeros(n_epoch)
+        backlog = np.zeros(n_epoch)
+        for s in range(k):
+            f = free_start[:, s]
+            clipped = np.where(t1_arr < f, t1_arr, f) - t0_arr
+            carried = np.where(0.0 > clipped, 0.0, clipped)
+            idle = carried / dt
+            idle = np.where(1.0 < idle, 1.0, idle)
+            loaded = (carried + service_sums[s]) / dt
+            loaded = np.where(1.0 < loaded, 1.0, loaded)
+            # A fully carried-over busy interval has carried == dt, so
+            # min((dt + service_sum) / dt, 1.0) is exactly 1.0 for any
+            # non-negative service sum.
+            util = np.where(busy, np.where(f >= t1_arr, 1.0, loaded), idle)
+            utils[:, s] = util
+            util_sum = util_sum + util
+            end = free_end[:, s]
+            backlog = backlog + np.where(end > t1_arr, end - t1_arr, 0.0)
+        mean_utilization = util_sum / k
 
         # Completion times and sojourn latencies, batched per server with
         # the scalar kernel's remaining three elementwise passes.
@@ -676,7 +701,7 @@ class DispatchQueue:
         sizes = self.rng.geometric(1.0 / mean_batch, size=n_bursts)
         epochs = self.rng.uniform(t0, t1, size=n_bursts)
         epochs.sort()
-        times = np.repeat(epochs, sizes)
+        times = epochs.repeat(sizes)
         return int(times.size), times
 
     def _shed(self, now: float) -> float:

@@ -39,6 +39,8 @@ from repro.sim.engine import (
     EngineConfig,
     IntervalSimulator,
 )
+from repro.sim.latency import linear_quantile, linear_quantile_sorted
+from repro.sim.queueing import DispatchQueue, exact_row_sums
 from repro.sim.records import POOLED_FIELDS, SCALAR_FIELDS, ObservationTable
 from repro.workloads.memcached import memcached
 from repro.workloads.spec import spec_job_set
@@ -64,7 +66,8 @@ def small_table() -> TableDrivenPolicy:
 
 
 def run_columns(platform, make_policy, trace, *, epoch, workload=None,
-                collocate=False, kernel=None, seed=7, n_intervals=None):
+                collocate=False, kernel=None, seed=7, n_intervals=None,
+                engine_kw=None):
     """Run once and return (columns keyed by field, simulator)."""
     wl = workload or memcached()
     sim = IntervalSimulator(
@@ -74,7 +77,7 @@ def run_columns(platform, make_policy, trace, *, epoch, workload=None,
         make_policy(),
         batch_jobs=spec_job_set("calculix") if collocate else None,
         kernel=kernel,
-        engine_config=EngineConfig(epoch_fast_path=epoch),
+        engine_config=EngineConfig(epoch_fast_path=epoch, **(engine_kw or {})),
         seed=seed,
     )
     result = sim.run(n_intervals)
@@ -184,6 +187,35 @@ class TestEpochDifferential:
             min_epochs=2,
         )
         assert sim.epoch_intervals == 599
+
+    @pytest.mark.parametrize(
+        "config,load",
+        [
+            (Configuration(0, 1, None, 0.65), 0.2),
+            (Configuration(0, 2, None, 0.65), 0.35),
+        ],
+        ids=["one-server", "two-servers"],
+    )
+    def test_backlog_shedding(self, platform, monkeypatch, config, load):
+        # A tight backlog bound near saturation: the shed clamp fires
+        # inside epochs, and the carried free times and the shed and
+        # backlog columns must still match the scalar loop.
+        epoch_sheds = []
+        run_epoch_drawn = DispatchQueue.run_epoch_drawn
+
+        def recording(queue, *args):
+            stats = run_epoch_drawn(queue, *args)
+            epoch_sheds.append(float(np.max(stats.shed_work_s)))
+            return stats
+
+        monkeypatch.setattr(DispatchQueue, "run_epoch_drawn", recording)
+        assert_differential(
+            platform,
+            lambda: StaticPolicy(config),
+            ConstantTrace(load, 100.0),
+            engine_kw={"max_backlog_s": 0.01},
+        )
+        assert max(epoch_sheds) > 0
 
 
 class TestEpochGating:
@@ -369,6 +401,35 @@ class TestBatchedBuildingBlocks:
             scattered = base.copy()
             scattered[lc_index] = coeff * utils
             assert looped.tobytes() == scattered.tobytes()
+
+    def test_exact_row_sums_match_exact_length_reduce(self):
+        # Rows of eight or more entries reduce pairwise, and the tree
+        # depends on the length: each row must equal the 1-D reduce of
+        # its own entries, never the padded row's sum.
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            counts = rng.integers(0, 300, size=int(rng.integers(1, 40)))
+            padded = np.zeros((counts.size, int(counts.max()) + 3))
+            expected = np.zeros(counts.size)
+            for i, c in enumerate(counts):
+                padded[i, :c] = rng.lognormal(0.0, 2.0, c)
+                if c:
+                    expected[i] = np.add.reduce(padded[i, :c].copy())
+            sums = exact_row_sums(padded, counts)
+            assert sums.tobytes() == expected.tobytes()
+
+    def test_linear_quantile_sorted_matches_per_row(self):
+        rng = np.random.default_rng(12)
+        for q in (0.5, 0.9, 0.95, 0.99):
+            counts = np.concatenate([[1, 2, 3, 21], rng.integers(1, 120, 60)])
+            rows = [rng.lognormal(0.0, 1.0, c) for c in counts]
+            padded = np.full((counts.size, int(counts.max())), np.inf)
+            for i, row in enumerate(rows):
+                padded[i, : row.size] = row
+            padded.sort(axis=1)
+            expected = np.array([linear_quantile(row, q) for row in rows])
+            got = linear_quantile_sorted(padded, counts, q)
+            assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
