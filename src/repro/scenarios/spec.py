@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import weakref
 from dataclasses import dataclass, fields, replace
 from typing import Any, Iterable, Mapping
 
@@ -77,6 +78,13 @@ def cache_key_prefix() -> str:
     latest record for their old key) and compact them away.
     """
     return f"s{SCHEMA_VERSION}-{KERNEL_VERSION}-"
+
+
+#: Fingerprints of live specs by identity, each with the key prefix it
+#: was computed under.  Kept off the instance: outcomes pickle their
+#: spec, so an instance attribute would change cached payload bytes.
+#: An entry leaves the memo when its spec is garbage collected.
+_FINGERPRINTS: dict[int, tuple[str, str]] = {}
 
 
 @dataclass(frozen=True)
@@ -365,7 +373,16 @@ class ScenarioSpec:
         can *see* which format generation a stored record belongs to --
         that is what lets manifest compaction reclaim records stranded
         by a version bump (the versions also fold into the hash, so the
-        prefix adds legibility, not uniqueness)."""
+        prefix adds legibility, not uniqueness).
+
+        A spec is immutable, so the key is computed once per instance
+        (and again only if the format versions change); re-dispatching
+        the same spec objects then costs a dict lookup, not a ``repr`` of
+        every sampled trace value."""
+        prefix = cache_key_prefix()
+        memo = _FINGERPRINTS.get(id(self))
+        if memo is not None and memo[0] == prefix:
+            return memo[1]
         payload = (
             SCHEMA_VERSION,
             KERNEL_VERSION,
@@ -381,10 +398,11 @@ class ScenarioSpec:
             self.seed,
             self.n_intervals,
         )
-        return (
-            cache_key_prefix()
-            + hashlib.sha256(repr(payload).encode()).hexdigest()[:24]
-        )
+        key = prefix + hashlib.sha256(repr(payload).encode()).hexdigest()[:24]
+        if memo is None:
+            weakref.finalize(self, _FINGERPRINTS.pop, id(self), None)
+        _FINGERPRINTS[id(self)] = (prefix, key)
+        return key
 
     def describe(self) -> str:
         """Short human-readable identity for logs and progress output."""

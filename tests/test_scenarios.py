@@ -118,6 +118,31 @@ class TestScenarioSpec:
             quick_spec(label="a").fingerprint() == quick_spec(label="b").fingerprint()
         )
 
+    def test_fingerprint_memo_is_invisible(self, monkeypatch):
+        import gc
+
+        from repro.scenarios import spec as spec_module
+
+        spec = quick_spec()
+        pickled = pickle.dumps(spec)
+        key = spec.fingerprint()
+        # Served from the memo, equal to a fresh equal spec's key, and
+        # the pickled spec (the cached payload's) is byte-identical.
+        assert spec.fingerprint() == key == quick_spec().fingerprint()
+        assert pickle.dumps(spec) == pickled
+        # A format-version change recomputes instead of serving the memo.
+        monkeypatch.setattr(spec_module, "KERNEL_VERSION", "kernel-test")
+        bumped = spec.fingerprint()
+        assert bumped != key
+        assert bumped.startswith(spec_module.cache_key_prefix())
+        assert bumped == quick_spec().fingerprint()
+        # The entry leaves the memo with its spec.
+        ident = id(spec)
+        assert ident in spec_module._FINGERPRINTS
+        del spec
+        gc.collect()
+        assert ident not in spec_module._FINGERPRINTS
+
     def test_sweep_expands_cartesian_product(self):
         specs = quick_spec().sweep(
             seed=[1, 2, 3], manager=["static-big", "static-small"]
