@@ -600,18 +600,11 @@ class DispatchQueue:
                 runmax_l = cum_last_l = cnt_l
                 service_sums.append(0.0)
             else:
-                cnt, service = data[3], data[4]
+                cnt = data[3]
                 cnt_l = cnt.tolist()
                 runmax_l = data[8].tolist()
                 cum_last_l = data[9].tolist()
-                if service.shape[1] < _SCALAR_SERVER_LIMIT:
-                    # Narrow rows reduce sequentially (no pairwise split)
-                    # and the pads only ever add +0.0 to a positive
-                    # running sum, so the padded row sums are the exact
-                    # per-row reduces.
-                    service_sums.append(service.sum(axis=1))
-                else:
-                    service_sums.append(exact_row_sums(service, cnt))
+                service_sums.append(exact_row_sums(data[4], cnt))
             f = free_l[s]
             starts: list[float] = []
             ends: list[float] = []
