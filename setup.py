@@ -1,8 +1,9 @@
 """Setuptools shim.
 
-The offline environment lacks the ``wheel`` package, so PEP 517 editable
-installs fail; this shim enables the legacy ``pip install -e . --no-use-pep517
---no-build-isolation`` path.  All metadata lives in ``pyproject.toml``.
+PEP 517 editable installs need the ``wheel`` package; where it is
+missing (e.g. offline), ``python setup.py develop`` installs the
+checkout in development mode through this shim.  All metadata lives in
+``pyproject.toml``.
 """
 
 from setuptools import setup

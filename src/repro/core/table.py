@@ -2,7 +2,8 @@
 
 The table estimates the total discounted reward of choosing configuration
 ``c`` in load bucket ``w`` (Section 3.1).  The paper implements it as a
-Python dictionary for O(1) access (Section 3.7); so do we.  The update
+Python dictionary for O(1) access (Section 3.7); we key a dictionary by
+state and keep each state's actions in a dense row, still O(1).  The update
 rule is Algorithm 1's line 16:
 
     R(w_n, c_n) += alpha * (lambda_n + gamma * max_d R(w_n+1, d) - R(w_n, c_n))
@@ -29,7 +30,10 @@ class LookupTable:
 
     ``n_actions`` is the size of the configuration space; action indices
     are the caller's concern (Hipster uses the index into its enumerated
-    configuration tuple).
+    configuration tuple).  Each visited state holds a dense row of
+    ``n_actions`` values (unvisited entries 0.0) and a row of visit
+    counts, so the bootstrap ``max`` and the greedy ``argmax`` are one
+    pass over a list instead of a validated lookup per action.
     """
 
     n_actions: int
@@ -37,8 +41,11 @@ class LookupTable:
     gamma: float = DEFAULT_GAMMA
     alpha_schedule: str = "fixed"
     alpha_min: float = 0.10
-    _table: dict[tuple[int, int], float] = field(default_factory=dict)
-    _visits: dict[tuple[int, int], int] = field(default_factory=dict)
+    _values: dict[int, list[float]] = field(default_factory=dict)
+    _visits: dict[int, list[int]] = field(default_factory=dict)
+    #: Updated entries in first-update order (what :meth:`snapshot`
+    #: and ``len`` report).
+    _entries: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.n_actions <= 0:
@@ -55,18 +62,18 @@ class LookupTable:
     def value(self, state: int, action: int) -> float:
         """``R(w, c)``; unvisited entries are 0 (Algorithm 2, line 4)."""
         self._check(state, action)
-        return self._table.get((state, action), 0.0)
+        row = self._values.get(state)
+        return row[action] if row is not None else 0.0
 
     def visited(self, state: int, action: int) -> bool:
         """Whether the entry has ever been updated."""
-        self._check(state, action)
-        return (state, action) in self._table
+        return self.visit_count(state, action) > 0
 
     def state_visited(self, state: int) -> bool:
         """Whether any action has been tried in this state."""
         if state < 0:
             raise ValueError("state must be non-negative")
-        return any((state, a) in self._table for a in range(self.n_actions))
+        return state in self._values
 
     def best_action(
         self, state: int, *, tie_break: Iterable[int] | None = None
@@ -77,11 +84,12 @@ class LookupTable:
         broken by ``tie_break`` order (e.g. the heuristic ladder, so equal
         scores prefer lower-power configurations) or by index.
         """
-        order = list(tie_break) if tie_break is not None else range(self.n_actions)
+        order = tie_break if tie_break is not None else range(self.n_actions)
+        row = self._values.get(state)
         best_action, best_value = None, float("-inf")
         for action in order:
             self._check(state, action)
-            value = self.value(state, action)
+            value = row[action] if row is not None else 0.0
             if value > best_value:
                 best_action, best_value = action, value
         assert best_action is not None
@@ -89,7 +97,10 @@ class LookupTable:
 
     def max_value(self, state: int) -> float:
         """``max_d R(w, d)`` -- the bootstrap term of the update."""
-        return max(self.value(state, a) for a in range(self.n_actions))
+        if state < 0:
+            raise ValueError("state must be non-negative")
+        row = self._values.get(state)
+        return max(row) if row is not None else 0.0
 
     def update(
         self, state: int, action: int, reward: float, next_state: int
@@ -102,8 +113,15 @@ class LookupTable:
         new = old + alpha * (
             reward + self.gamma * self.max_value(next_state) - old
         )
-        self._table[(state, action)] = new
-        self._visits[(state, action)] = self._visits.get((state, action), 0) + 1
+        row = self._values.get(state)
+        if row is None:
+            row = self._values[state] = [0.0] * self.n_actions
+            self._visits[state] = [0] * self.n_actions
+        visits = self._visits[state]
+        if not visits[action]:
+            self._entries.append((state, action))
+        row[action] = new
+        visits[action] += 1
         return new
 
     def _effective_alpha(self, state: int, action: int) -> float:
@@ -119,20 +137,21 @@ class LookupTable:
         """
         if self.alpha_schedule == "fixed":
             return self.alpha
-        n = self._visits.get((state, action), 0)
+        n = self.visit_count(state, action)
         return max(self.alpha_min, 1.0 / (n + 1) ** 0.6)
 
     def visit_count(self, state: int, action: int) -> int:
         """How many times the entry has been updated."""
         self._check(state, action)
-        return self._visits.get((state, action), 0)
+        visits = self._visits.get(state)
+        return visits[action] if visits is not None else 0
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._entries)
 
     def snapshot(self) -> dict[tuple[int, int], float]:
         """A copy of the populated entries (for inspection/tests)."""
-        return dict(self._table)
+        return {(s, a): self._values[s][a] for s, a in self._entries}
 
     def _check(self, state: int, action: int) -> None:
         if state < 0:

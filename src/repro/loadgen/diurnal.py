@@ -78,12 +78,16 @@ class DiurnalTrace(LoadTrace):
         base = diurnal_shape(x)
         scaled = self.min_load + (self.max_load - self.min_load) * base
         rng = np.random.default_rng(self.seed)
-        noise = np.empty(n)
         innovation_std = self.noise_std * np.sqrt(1.0 - self.noise_rho**2)
-        noise[0] = rng.normal(0.0, self.noise_std)
-        for i in range(1, n):
-            noise[i] = self.noise_rho * noise[i - 1] + rng.normal(0.0, innovation_std)
-        samples = np.clip(scaled + noise, 0.0, 1.0)
+        # One bulk draw takes the same normals, in the same order, as a
+        # scalar draw per second; the AR(1) recursion stays sequential.
+        level = rng.normal(0.0, self.noise_std)
+        noise = [level]
+        rho = self.noise_rho
+        for innovation in rng.normal(0.0, innovation_std, size=n - 1).tolist():
+            level = rho * level + innovation
+            noise.append(level)
+        samples = np.clip(scaled + np.array(noise), 0.0, 1.0)
         object.__setattr__(self, "_samples", samples)
 
     def load_at(self, t: float) -> float:

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import struct
 import weakref
 from dataclasses import dataclass, fields, replace
 from typing import Any, Iterable, Mapping
+
+import numpy as np
 
 from repro.sim.queueing import KERNEL_VERSION
 from repro.sim.records import ExperimentResult
@@ -27,9 +30,10 @@ DEFAULT_SEED = 2017
 
 #: Bump to invalidate every cached result when scenario semantics or the
 #: result storage format change in a way the queue-kernel version does
-#: not capture.  2 = columnar ObservationTable payloads (see
-#: ``repro.sim.records.STORAGE_VERSION``); 1 = tuple-of-dataclasses.
-SCHEMA_VERSION = 2
+#: not capture.  3 = block-packed ObservationTable payloads (see
+#: ``repro.sim.records.STORAGE_VERSION``) and byte-keyed float runs in
+#: the fingerprint; 2 = one array per column; 1 = tuple-of-dataclasses.
+SCHEMA_VERSION = 3
 
 #: Immutable parameter bag: sorted ``(key, value)`` pairs.
 Params = tuple[tuple[str, Any], ...]
@@ -49,12 +53,19 @@ def freeze_params(params: ParamsLike) -> Params:
     return frozen
 
 
+#: Parameter scalars a frozen value may hold as-is.
+_SCALARS = (str, int, float, bool, type(None))
+_SCALAR_TYPES = frozenset(_SCALARS)
+
+
 def _freeze_value(value: Any) -> Any:
     # Scalars first: sampled node traces freeze thousands of floats, and
     # the Mapping test is a comparatively slow ABC instance check.
-    if isinstance(value, (str, int, float, bool, type(None))):
+    if isinstance(value, _SCALARS):
         return value
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= _SCALAR_TYPES:
+            return tuple(value)
         return tuple(_freeze_value(v) for v in value)
     if isinstance(value, Mapping):
         return freeze_params(value)
@@ -78,6 +89,39 @@ def cache_key_prefix() -> str:
     latest record for their old key) and compact them away.
     """
     return f"s{SCHEMA_VERSION}-{KERNEL_VERSION}-"
+
+
+#: Element types of a byte-keyed float run: Python and numpy floats
+#: with equal values pack to equal bytes.
+_FLOAT_TYPES = frozenset({float, np.float64})
+
+
+def _key_skeleton(value: Any, runs: list[bytes]) -> Any:
+    """``value`` with every non-empty tuple of floats replaced by
+    ``("<f8", len)``; the run's little-endian float64 bytes go to
+    ``runs``, in traversal order.
+
+    The ``repr`` of a float costs about a microsecond, and sampled node
+    traces carry hundreds of levels per spec; packing the bytes is
+    several times cheaper and still tells ``-0.0`` from ``0.0`` and
+    every ulp.  Any other value is left to ``repr``.
+    """
+    if type(value) is TraceSpec:
+        return (
+            "TraceSpec",
+            value.kind,
+            _key_skeleton(value.params, runs),
+            _key_skeleton(value.parts, runs),
+        )
+    if type(value) is not tuple or not value:
+        return value
+    types = set(map(type, value))
+    if tuple in types or TraceSpec in types:
+        return tuple([_key_skeleton(v, runs) for v in value])
+    if types <= _FLOAT_TYPES:
+        runs.append(struct.pack(f"<{len(value)}d", *value))
+        return ("<f8", len(value))
+    return value
 
 
 #: Fingerprints of live specs by identity, each with the key prefix it
@@ -375,30 +419,36 @@ class ScenarioSpec:
         by a version bump (the versions also fold into the hash, so the
         prefix adds legibility, not uniqueness).
 
-        A spec is immutable, so the key is computed once per instance
-        (and again only if the format versions change); re-dispatching
-        the same spec objects then costs a dict lookup, not a ``repr`` of
-        every sampled trace value."""
+        The hash covers the ``repr`` of the payload with every float run
+        (e.g. sampled trace levels) keyed by its length, followed by the
+        runs' raw bytes (see :func:`_key_skeleton`).  A spec is
+        immutable, so the key is computed once per instance (and again
+        only if the format versions change); re-dispatching the same
+        spec objects then costs a dict lookup."""
         prefix = cache_key_prefix()
         memo = _FINGERPRINTS.get(id(self))
         if memo is not None and memo[0] == prefix:
             return memo[1]
+        runs: list[bytes] = []
         payload = (
             SCHEMA_VERSION,
             KERNEL_VERSION,
             self.workload,
-            self.workload_params,
-            self.trace,
+            _key_skeleton(self.workload_params, runs),
+            _key_skeleton(self.trace, runs),
             self.manager,
-            self.manager_params,
+            _key_skeleton(self.manager_params, runs),
             self.platform,
             self.batch_jobs,
             self.cpuidle,
-            self.engine,
+            _key_skeleton(self.engine, runs),
             self.seed,
             self.n_intervals,
         )
-        key = prefix + hashlib.sha256(repr(payload).encode()).hexdigest()[:24]
+        digest = hashlib.sha256(repr(payload).encode())
+        for run in runs:
+            digest.update(run)
+        key = prefix + digest.hexdigest()[:24]
         if memo is None:
             weakref.finalize(self, _FINGERPRINTS.pop, id(self), None)
         _FINGERPRINTS[id(self)] = (prefix, key)

@@ -37,12 +37,13 @@ directory) plus a single append-only ``manifest.pack``.  The pack holds
 per-key ``open``/``stat`` storm, and a truncated tail (crashed writer)
 is simply ignored.  Since the columnar storage overhaul a payload is a
 pickled :class:`~repro.scenarios.spec.ScenarioOutcome` whose result is
-a struct-of-arrays :class:`~repro.sim.records.ObservationTable` -- a
-couple dozen numpy buffers per run instead of thousands of per-interval
-dataclass objects, which is what made warm starts unpickle-bound.
-Legacy (pre-columnar) payloads fail their storage-version check on
-load and are treated as misses; the fingerprint's ``SCHEMA_VERSION``
-bump keeps them from being looked up in the first place.
+a struct-of-arrays :class:`~repro.sim.records.ObservationTable` -- four
+numpy buffers per run (one 2-D block per column dtype) instead of
+thousands of per-interval dataclass objects, which is what made warm
+starts unpickle-bound.  Payloads of any other storage version fail
+their check on load and are quarantined as misses; the fingerprint's
+``SCHEMA_VERSION`` bump keeps them from being looked up in the first
+place.
 
 Because the pack is append-only, re-stored keys and version bumps
 strand dead bytes in it; :meth:`DiskCache.close` opportunistically

@@ -20,9 +20,9 @@ reasons this repo does:
 * every summary metric the paper reports is a column reduction, served
   by zero-copy views instead of per-call ``np.array([getattr(o, a) for
   o in obs])`` rebuilds;
-* a cached outcome pickles as a couple dozen arrays instead of
-  thousands of per-interval dataclass objects, which is what made
-  warm-start cache reads unpickle-bound;
+* a cached outcome pickles as four typed blocks (one 2-D array per
+  column dtype) instead of thousands of per-interval dataclass
+  objects, which is what made warm-start cache reads unpickle-bound;
 * fleet aggregation can fold a node's columns into fixed-size
   accumulators and drop the node's table immediately.
 
@@ -50,10 +50,11 @@ from repro.sim.latency import qos_guarantee, qos_tardiness
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.policies.base import Decision
 
-#: Version of the pickled observation-store layout.  Bumped from 1
-#: (tuple of per-interval dataclasses) to 2 (struct-of-arrays table);
-#: payloads from any other version are rejected on load.
-STORAGE_VERSION = 2
+#: Version of the pickled observation-store layout: 1 was a tuple of
+#: per-interval dataclasses, 2 one array per column, 3 one 2-D block
+#: per column dtype.  Payloads from any other version are rejected on
+#: load.
+STORAGE_VERSION = 3
 
 #: Observation fields stored as float64 columns.
 FLOAT_FIELDS = (
@@ -89,6 +90,17 @@ SCALAR_FIELDS = FLOAT_FIELDS + INT_FIELDS + BOOL_FIELDS
 #: Dictionary-encoded fields: an int32 code column plus a pool of
 #: unique values (decisions and config labels repeat across intervals).
 POOLED_FIELDS = ("decision", "config_label")
+
+#: Storage blocks: each is one C-contiguous ``(len(fields), capacity)``
+#: array whose rows are the columns of its fields.  A table pickles as
+#: these four buffers, so a cache read decodes four arrays, not one per
+#: field.
+BLOCKS = (
+    (np.float64, FLOAT_FIELDS),
+    (np.int64, INT_FIELDS),
+    (np.bool_, BOOL_FIELDS),
+    (np.int32, POOLED_FIELDS),
+)
 
 
 @dataclass(frozen=True)
@@ -134,26 +146,21 @@ class IntervalObservation:
     batch_instructions: float
 
 
-def _scalar_dtype(field: str):
-    if field in FLOAT_FIELDS:
-        return np.float64
-    if field in INT_FIELDS:
-        return np.int64
-    return np.bool_
-
-
 class ObservationTable:
     """Struct-of-arrays store for a run's interval observations.
 
     One preallocated, typed numpy column per scalar observation field;
     ``decision`` and ``config_label`` are dictionary-encoded (an int32
-    code column over a pool of unique values).  The engine appends one
-    row per monitoring interval; :meth:`freeze` then makes every column
-    read-only so the zero-copy views handed out by
+    code column over a pool of unique values).  Each column is a row
+    view into the 2-D block of its dtype (see :data:`BLOCKS`).  The
+    engine appends one row per monitoring interval; :meth:`freeze` then
+    makes every column read-only so the zero-copy views handed out by
     :class:`ExperimentResult` cannot be mutated behind the cache's back.
+    Frozen tables never append, so they carry no pool index dicts.
     """
 
     __slots__ = (
+        "_blocks",
         "_cols",
         "_decision_pool",
         "_decision_index",
@@ -167,19 +174,43 @@ class ObservationTable:
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
-        self._cols: dict[str, np.ndarray] = {
-            field: np.empty(capacity, dtype=_scalar_dtype(field))
-            for field in SCALAR_FIELDS
-        }
-        for field in POOLED_FIELDS:
-            self._cols[field] = np.empty(capacity, dtype=np.int32)
+        self._bind(
+            tuple(np.empty((len(names), capacity), dtype) for dtype, names in BLOCKS)
+        )
         self._decision_pool: list["Decision"] = []
-        self._decision_index: dict["Decision", int] = {}
+        self._decision_index: dict["Decision", int] | None = {}
         self._label_pool: list[str] = []
-        self._label_index: dict[str, int] = {}
+        self._label_index: dict[str, int] | None = {}
         self._n = 0
         self._capacity = capacity
         self._frozen = False
+
+    def _bind(self, blocks: tuple[np.ndarray, ...]) -> None:
+        """Adopt ``blocks`` and point every column at its block row."""
+        self._blocks = blocks
+        self._cols: dict[str, np.ndarray] = {
+            field: row
+            for (_, names), block in zip(BLOCKS, blocks)
+            for field, row in zip(names, block)
+        }
+
+    def _set_frozen(
+        self,
+        blocks: tuple[np.ndarray, ...],
+        decision_pool: Sequence["Decision"],
+        label_pool: Sequence[str],
+    ) -> None:
+        """Adopt finished blocks and pools as a read-only table."""
+        for block in blocks:
+            block.flags.writeable = False
+        # Bound after the flags change, so the column views are
+        # read-only too.
+        self._bind(blocks)
+        self._decision_pool = list(decision_pool)
+        self._label_pool = list(label_pool)
+        self._decision_index = self._label_index = None
+        self._n = self._capacity = blocks[0].shape[1]
+        self._frozen = True
 
     # ------------------------------------------------------------------
     # construction
@@ -339,15 +370,15 @@ class ObservationTable:
     def freeze(self) -> "ObservationTable":
         """Trim to the appended length and make every column read-only."""
         if not self._frozen:
+            blocks = self._blocks
             if self._n != self._capacity:
-                self._cols = {
-                    name: col[: self._n].copy() for name, col in self._cols.items()
-                }
-                self._capacity = self._n
-            for col in self._cols.values():
-                col.flags.writeable = False
-            self._frozen = True
+                blocks = self._trimmed_blocks()
+            self._set_frozen(blocks, self._decision_pool, self._label_pool)
         return self
+
+    def _trimmed_blocks(self) -> tuple[np.ndarray, ...]:
+        """C-contiguous copies of the appended part of every block."""
+        return tuple(block[:, : self._n].copy() for block in self._blocks)
 
     # ------------------------------------------------------------------
     # access
@@ -437,18 +468,14 @@ class ObservationTable:
         """A new frozen table holding the given rows (in given order).
 
         The pools are shared structurally (codes stay valid), so a
-        time-slice costs one fancy-index per column.
+        time-slice costs one fancy-index per block.
         """
-        taken = ObservationTable(0)
-        taken._cols = {name: col[indices] for name, col in self._cols.items()}
-        taken._decision_pool = list(self._decision_pool)
-        taken._decision_index = dict(self._decision_index)
-        taken._label_pool = list(self._label_pool)
-        taken._label_index = dict(self._label_index)
-        taken._n = taken._capacity = int(len(indices))
-        for col in taken._cols.values():
-            col.flags.writeable = False
-        taken._frozen = True
+        taken = ObservationTable.__new__(ObservationTable)
+        taken._set_frozen(
+            tuple(np.take(block, indices, axis=1) for block in self._blocks),
+            self._decision_pool,
+            self._label_pool,
+        )
         return taken
 
     # ------------------------------------------------------------------
@@ -456,19 +483,12 @@ class ObservationTable:
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        if self._frozen:
-            cols = self._cols
-        else:
-            # Snapshot a mid-build table without mutating it (pickling
-            # or deepcopying a live table must not freeze the source).
-            cols = {
-                name: col[: self._n].copy() for name, col in self._cols.items()
-            }
-            for col in cols.values():
-                col.flags.writeable = False
+        # Snapshot a mid-build table without mutating it (pickling or
+        # deepcopying a live table must not freeze the source).
+        blocks = self._blocks if self._frozen else self._trimmed_blocks()
         return {
             "storage": STORAGE_VERSION,
-            "cols": cols,
+            "blocks": blocks,
             "decision_pool": tuple(self._decision_pool),
             "label_pool": tuple(self._label_pool),
         }
@@ -480,16 +500,9 @@ class ObservationTable:
                 f"{state.get('storage') if isinstance(state, dict) else '?'}; "
                 f"this build reads version {STORAGE_VERSION})"
             )
-        cols = state["cols"]
-        self._cols = cols
-        self._decision_pool = list(state["decision_pool"])
-        self._decision_index = {d: i for i, d in enumerate(self._decision_pool)}
-        self._label_pool = list(state["label_pool"])
-        self._label_index = {s: i for i, s in enumerate(self._label_pool)}
-        self._n = self._capacity = len(cols["index"])
-        for col in cols.values():
-            col.flags.writeable = False
-        self._frozen = True
+        self._set_frozen(
+            tuple(state["blocks"]), state["decision_pool"], state["label_pool"]
+        )
 
 
 class ObservationRowView:

@@ -400,7 +400,7 @@ class TestManifestCompaction:
         *latest* for their (old-prefix) key, so latest-wins indexing
         alone would keep them alive forever; ``live_prefix`` lets
         compaction classify and reclaim them."""
-        from repro.scenarios.spec import cache_key_prefix
+        from repro.scenarios.spec import SCHEMA_VERSION, cache_key_prefix
 
         prefix = cache_key_prefix()
         cache = DiskCache(
@@ -415,7 +415,7 @@ class TestManifestCompaction:
         # Equal-or-newer generations must survive: a same-schema kernel
         # variant (ordering unknowable) and a newer build sharing the
         # directory.
-        peers = [("s2-other-kernel-" + "9" * 24, b"peer" * 40)]
+        peers = [(f"s{SCHEMA_VERSION}-other-kernel-" + "9" * 24, b"peer" * 40)]
         newer = [("s99-future-" + "8" * 24, b"next" * 40)]
         cache.store_many(stranded)
         cache.store_many(bare_v1)

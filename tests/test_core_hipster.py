@@ -126,6 +126,119 @@ class TestLookupTable:
         assert abs(table.value(0, 0)) <= bound
 
 
+class DictLookupTable:
+    """The dict-of-entries table the dense rows replaced, kept as the
+    differential oracle: every read and update must match it exactly."""
+
+    def __init__(self, n_actions, alpha, gamma, alpha_schedule, alpha_min=0.10):
+        self.n_actions, self.alpha, self.gamma = n_actions, alpha, gamma
+        self.alpha_schedule, self.alpha_min = alpha_schedule, alpha_min
+        self.table: dict[tuple[int, int], float] = {}
+        self.visits: dict[tuple[int, int], int] = {}
+
+    def check(self, state, action):
+        if state < 0:
+            raise ValueError("state must be non-negative")
+        if not 0 <= action < self.n_actions:
+            raise ValueError(f"action must be within [0, {self.n_actions})")
+
+    def value(self, state, action):
+        self.check(state, action)
+        return self.table.get((state, action), 0.0)
+
+    def max_value(self, state):
+        return max(self.value(state, a) for a in range(self.n_actions))
+
+    def best_action(self, state, tie_break):
+        best_action, best_value = None, float("-inf")
+        for action in tie_break:
+            self.check(state, action)
+            value = self.value(state, action)
+            if value > best_value:
+                best_action, best_value = action, value
+        return best_action, best_value
+
+    def update(self, state, action, reward, next_state):
+        self.check(state, action)
+        self.check(next_state, 0)
+        old = self.value(state, action)
+        if self.alpha_schedule == "fixed":
+            alpha = self.alpha
+        else:
+            n = self.visits.get((state, action), 0)
+            alpha = max(self.alpha_min, 1.0 / (n + 1) ** 0.6)
+        new = old + alpha * (reward + self.gamma * self.max_value(next_state) - old)
+        self.table[(state, action)] = new
+        self.visits[(state, action)] = self.visits.get((state, action), 0) + 1
+        return new
+
+
+class TestDenseLookupTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        schedule=st.sampled_from(["fixed", "decay"]),
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.integers(0, 3),
+                st.floats(-10, 10, allow_nan=False),
+                st.integers(0, 5),
+            ),
+            max_size=40,
+        ),
+        tie_break=st.permutations(range(4)),
+    )
+    def test_matches_the_dict_table_bit_for_bit(self, schedule, steps, tie_break):
+        dense = LookupTable(n_actions=4, alpha_schedule=schedule)
+        oracle = DictLookupTable(4, dense.alpha, dense.gamma, schedule)
+        for state, action, reward, next_state in steps:
+            got = dense.update(state, action, reward, next_state)
+            assert repr(got) == repr(oracle.update(state, action, reward, next_state))
+        assert dense.snapshot() == oracle.table
+        assert list(dense.snapshot()) == list(oracle.table)
+        assert len(dense) == len(oracle.table)
+        for state in range(7):
+            assert repr(dense.max_value(state)) == repr(oracle.max_value(state))
+            assert dense.best_action(state, tie_break=tie_break) == (
+                oracle.best_action(state, tie_break)
+            )
+            assert dense.best_action(state) == oracle.best_action(state, range(4))
+            assert dense.state_visited(state) == any(
+                (state, a) in oracle.table for a in range(4)
+            )
+            for action in range(4):
+                assert repr(dense.value(state, action)) == repr(
+                    oracle.value(state, action)
+                )
+                assert dense.visited(state, action) == (
+                    (state, action) in oracle.table
+                )
+                assert dense.visit_count(state, action) == oracle.visits.get(
+                    (state, action), 0
+                )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: t.value(-1, 0),
+            lambda t: t.value(0, 4),
+            lambda t: t.visited(0, -1),
+            lambda t: t.visit_count(-2, 0),
+            lambda t: t.state_visited(-1),
+            lambda t: t.max_value(-1),
+            lambda t: t.best_action(-1),
+            lambda t: t.best_action(0, tie_break=[0, 9]),
+            lambda t: t.update(0, 4, 1.0, 0),
+            lambda t: t.update(0, 0, 1.0, -1),
+        ],
+    )
+    def test_invalid_indices_raise_value_error(self, call):
+        table = LookupTable(n_actions=4)
+        table.update(0, 1, 2.0, 0)
+        with pytest.raises(ValueError):
+            call(table)
+
+
 class TestRewards:
     def _inputs(self, tail, **kwargs):
         defaults = dict(

@@ -7,6 +7,8 @@ These run the quick (compressed) settings; the assertions target the
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.experiments import (
@@ -112,6 +114,38 @@ class TestFig10:
         assert [r.bucket_size for r in mc] == [0.02, 0.03, 0.04]
         for row in result.rows:
             assert row.energy_reduction_pct > 0
+
+    def test_default_bucket_reuses_the_shared_diurnal_run(self, monkeypatch):
+        """The swept bucket equal to the workload default *is* the
+        shared ``hipster-in`` diurnal run (Figure 7's): it executes once
+        per runner, and the render is the one recorded before the
+        dedupe (sha256 of ``run(quick=True).render()``)."""
+        from repro.core.buckets import DEFAULT_BUCKET_SIZE
+        from repro.sim import batch
+
+        executed = []
+        real_execute = batch.execute_scenario
+
+        def counting_execute(spec):
+            executed.append(spec)
+            return real_execute(spec)
+
+        monkeypatch.setattr(batch, "execute_scenario", counting_execute)
+        runner = batch.BatchRunner()
+        fig07_hipsterin_websearch.run(quick=True, runner=runner)
+        render = fig10_bucket_size.run(quick=True, runner=runner).render()
+        default = DEFAULT_BUCKET_SIZE["websearch"]
+        default_bucket_runs = [
+            spec
+            for spec in executed
+            if (spec.workload, spec.manager) == ("websearch", "hipster-in")
+            and dict(spec.manager_params).get("bucket_size", default) == default
+        ]
+        assert len(default_bucket_runs) == 1
+        assert len({spec.fingerprint() for spec in executed}) == len(executed)
+        assert hashlib.sha256(render.encode()).hexdigest() == (
+            "463d45273ef9c6d17aa4cd6c84f4f841167c17e1192ee440379d28cdcee87a64"
+        )
 
 
 @pytest.mark.slow

@@ -110,6 +110,31 @@ class TestDiurnal:
         with pytest.raises(ValueError):
             DiurnalTrace(duration_s=100, min_load=0.9, max_load=0.5)
 
+    @staticmethod
+    def per_second_samples(trace: DiurnalTrace) -> np.ndarray:
+        """The trace's samples with one scalar normal draw per second."""
+        n = int(np.ceil(trace.duration_s)) + 1
+        x = np.arange(n) / max(trace.duration_s, 1.0)
+        scaled = trace.min_load + (trace.max_load - trace.min_load) * diurnal_shape(x)
+        rng = np.random.default_rng(trace.seed)
+        noise = np.empty(n)
+        innovation_std = trace.noise_std * np.sqrt(1.0 - trace.noise_rho**2)
+        noise[0] = rng.normal(0.0, trace.noise_std)
+        for i in range(1, n):
+            noise[i] = trace.noise_rho * noise[i - 1] + rng.normal(0.0, innovation_std)
+        return np.clip(scaled + noise, 0.0, 1.0)
+
+    @pytest.mark.parametrize("duration_s", [1.0, 2.5, 450.0, 1400.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bulk_noise_draw_matches_per_second_draws(self, seed, duration_s):
+        trace = DiurnalTrace(duration_s=duration_s, seed=seed)
+        expected = self.per_second_samples(trace)
+        assert trace._samples.tobytes() == expected.tobytes()
+
+    def test_bulk_noise_draw_matches_with_custom_noise(self):
+        trace = DiurnalTrace(duration_s=77.3, noise_std=0.2, noise_rho=0.35, seed=9)
+        assert trace._samples.tobytes() == self.per_second_samples(trace).tobytes()
+
     @settings(max_examples=20, deadline=None)
     @given(t=st.floats(min_value=0, max_value=10_000), seed=st.integers(0, 99))
     def test_load_always_in_unit_interval(self, t, seed):

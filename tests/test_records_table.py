@@ -9,8 +9,9 @@ swap safe:
 
 * a table materializes back into exactly the rows that built it
   (property-tested over adversarial float values);
-* pickled payloads carry columns (small, fast to decode), never
-  per-interval dataclass objects, and are stamped with
+* pickled payloads carry four typed blocks (small, fast to decode;
+  ``STORAGE_VERSION`` 3), never per-interval dataclass objects, and
+  are stamped with
   ``STORAGE_VERSION`` -- foreign-version payloads raise on load and the
   outcome cache treats them as misses;
 * the fingerprint (cache-key) change of the format bump is pinned in
@@ -20,7 +21,9 @@ swap safe:
 
 from __future__ import annotations
 
+import hashlib
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,11 +34,17 @@ from repro.fleet.spec import FleetSpec
 from repro.hardware.topology import Configuration
 from repro.policies.base import Decision
 from repro.scenarios import ScenarioSpec, TraceSpec
-from repro.sim.batch import BatchRunner
+from repro.cli import main
+from repro.sim import batch
+from repro.sim.batch import BatchRunner, DiskCache
+from repro.sim.queueing import KERNEL_VERSION
 from repro.sim.records import (
+    BLOCKS,
     BOOL_FIELDS,
     FLOAT_FIELDS,
     INT_FIELDS,
+    POOLED_FIELDS,
+    SCALAR_FIELDS,
     STORAGE_VERSION,
     ExperimentResult,
     IntervalObservation,
@@ -327,14 +336,108 @@ class TestVersionedPayloads:
         assert outcome.result.observations == fresh.result.observations
 
 
-class TestCacheKeyPins:
-    """Cache keys pinned on both sides of the storage-format bump.
+class TestBlockPayload:
+    """Format v3: each column is a row of one C-contiguous 2-D block per
+    dtype, and a table pickles as exactly those four buffers."""
 
-    ``SCHEMA_VERSION`` folds into every fingerprint, so the bump retired
-    every pre-columnar cache entry by key; these pins catch both a
-    silent future format change (v2 keys drift) and an accidental
-    rollback that would resurrect stale v1 entries (v2 keys collide
-    with the retired v1 values)."""
+    @staticmethod
+    def out_of_band(table: ObservationTable) -> list[pickle.PickleBuffer]:
+        buffers: list[pickle.PickleBuffer] = []
+        pickle.dumps(table, protocol=5, buffer_callback=buffers.append)
+        return buffers
+
+    def assert_block_backed(self, table: ObservationTable) -> None:
+        blocks = table.__getstate__()["blocks"]
+        assert [block.dtype for block in blocks] == [
+            np.dtype(dtype) for dtype, _ in BLOCKS
+        ]
+        for block, (_, names) in zip(blocks, BLOCKS):
+            assert block.flags.c_contiguous
+            assert block.shape == (len(names), len(table))
+            for name in names:
+                assert np.shares_memory(table.column(name), block)
+        assert len(self.out_of_band(table)) == len(BLOCKS) == 4
+
+    def test_engine_result_pickles_as_four_buffers(self):
+        outcome = ScenarioSpec(
+            workload="memcached",
+            trace=TraceSpec.constant(0.5, 12.0),
+            manager="static-big",
+        ).run()
+        self.assert_block_backed(outcome.result.table)
+        clone = pickle.loads(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        assert clone.result.observations == outcome.result.observations
+        self.assert_block_backed(clone.result.table)
+
+    def test_decoded_columns_are_read_only_views(self):
+        table = sample_result(n=6).table
+        clone = pickle.loads(pickle.dumps(table, pickle.HIGHEST_PROTOCOL))
+        for name in SCALAR_FIELDS + POOLED_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                clone.column(name)[0] = 0
+        with pytest.raises(RuntimeError, match="frozen"):
+            clone.append_observation(table.row(0))
+        assert clone.rows() == table.rows()
+
+    def test_out_of_band_buffers_round_trip(self):
+        table = sample_result(n=5).table
+        buffers: list[pickle.PickleBuffer] = []
+        payload = pickle.dumps(table, protocol=5, buffer_callback=buffers.append)
+        clone = pickle.loads(payload, buffers=buffers)
+        assert clone.rows() == table.rows()
+
+    def test_mid_build_snapshot_is_trimmed_and_block_backed(self):
+        rows = sample_result(n=4).observations
+        table = ObservationTable(10)
+        for row in rows[:3]:
+            table.append_observation(row)
+        snapshot = pickle.loads(pickle.dumps(table, pickle.HIGHEST_PROTOCOL))
+        assert len(snapshot) == 3 and snapshot.rows() == rows[:3]
+        self.assert_block_backed(snapshot)
+        table.append_observation(rows[3])  # the source is still live
+        assert table.freeze().rows() == rows
+        self.assert_block_backed(table)
+
+    def test_extend_writes_through_the_block_views(self):
+        rows = sample_result(n=3).observations
+        table = ObservationTable(5)
+        table.append_observation(rows[0])
+        columns = {name: getattr(rows[1], name) for name in SCALAR_FIELDS}
+        table.extend(
+            2,
+            decision=rows[1].decision,
+            config_label=rows[1].config_label,
+            **columns,
+        )
+        table.freeze()
+        self.assert_block_backed(table)
+        assert table.rows() == (rows[0], rows[1], rows[1])
+
+    def test_take_yields_block_backed_frozen_table(self):
+        result = sample_result(n=8)
+        taken = result.table.take(np.array([6, 0, 3]))
+        self.assert_block_backed(taken)
+        assert taken.rows() == tuple(result.observations[i] for i in (6, 0, 3))
+        assert taken.decision_pool == result.table.decision_pool
+        with pytest.raises(ValueError, match="read-only"):
+            taken.column("power_w")[0] = 1.0
+
+    def test_from_observations_is_block_backed(self):
+        rows = sample_result(n=7).observations
+        table = ObservationTable.from_observations(rows)
+        self.assert_block_backed(table)
+        assert table.rows() == rows
+
+
+class TestCacheKeyPins:
+    """Cache keys pinned on both sides of the latest storage-format bump.
+
+    ``SCHEMA_VERSION`` folds into every fingerprint, so each bump
+    retires every older cache entry by key; these pins catch both a
+    silent future format change (v3 keys drift) and an accidental
+    rollback that would resurrect stale v2 entries (v3 keys collide
+    with the retired v2 values).  On the next bump the pinned keys move
+    to the retired slot and the new keys are pinned."""
 
     STEADY = dict(
         workload="memcached",
@@ -349,31 +452,28 @@ class TestCacheKeyPins:
         seed=3,
     )
 
-    #: (v2 key, retired v1 key) per pinned spec.  Scenario cache keys
+    #: (v3 key, retired v2 key) per pinned spec.  Scenario cache keys
     #: carry the version-legible ``s<schema>-<kernel>-`` prefix (which
     #: compaction uses to reclaim stranded records); the FleetSpec
     #: fingerprint is an identity, not a disk cache key, so it stays a
-    #: bare hash.
+    #: bare hash (it folds ``SCHEMA_VERSION`` in too, so it moves with
+    #: every bump).
     PINS = {
         "steady": (
+            "s3-lindley-v1-cc2d1ba014fa8a928accf015",
             "s2-lindley-v1-49ff010b94a1bb1b5038e1c3",
-            "71101f51e204f4070109d4c6",
         ),
         "collocation": (
+            "s3-lindley-v1-95df1b30d6637c0f149fc452",
             "s2-lindley-v1-4c9ce613370ea460dff8697b",
-            "7f151e656e67b499cd7150d1",
         ),
-        # Re-pinned for FLEET_SCHEMA_VERSION 1 -> 2 (workload_mix +
-        # faults joined the fingerprint payload); the retired slot
-        # holds the fleet-schema-1 key.  Node-level *cache* keys below
-        # are unchanged by the bump.
         "fleet": (
+            "210d90bb8bef75837c9ef183",
             "8fe464a0205a745695a3e711",
-            "b91ee0f506f0096b3f97c3a0",
         ),
         "fleet-node0": (
+            "s3-lindley-v1-b84433db44c11be19b5b8f72",
             "s2-lindley-v1-d53db36b5296c1b4aa15fcfc",
-            "11ca0d69383a171f740f30f7",
         ),
     }
 
@@ -392,16 +492,132 @@ class TestCacheKeyPins:
             "fleet-node0": fleet.node_specs()[0].fingerprint(),
         }
 
-    def test_v2_keys_pinned(self):
+    def test_v3_keys_pinned(self):
         for name, key in self._fingerprints().items():
             assert key == self.PINS[name][0], (
                 f"{name}: cache key drifted without a documented "
                 "SCHEMA_VERSION bump"
             )
 
-    def test_v1_keys_retired(self):
+    def test_v2_keys_retired(self):
         for name, key in self._fingerprints().items():
             assert key != self.PINS[name][1], (
                 f"{name}: cache key collides with the retired "
-                "pre-columnar (v1) key -- stale entries would resurrect"
+                "v2 key -- stale entries would resurrect"
             )
+
+
+def v2_fingerprint(spec: ScenarioSpec) -> str:
+    """The cache key a version-2 build gave ``spec``: the sha256 of the
+    ``repr`` of its payload, sampled floats and all."""
+    payload = (
+        2,
+        KERNEL_VERSION,
+        spec.workload,
+        spec.workload_params,
+        spec.trace,
+        spec.manager,
+        spec.manager_params,
+        spec.platform,
+        spec.batch_jobs,
+        spec.cpuidle,
+        spec.engine,
+        spec.seed,
+        spec.n_intervals,
+    )
+    digest = hashlib.sha256(repr(payload).encode()).hexdigest()[:24]
+    return f"s2-{KERNEL_VERSION}-{digest}"
+
+
+class Reduced:
+    """Pickles as ``cls.__new__(cls)`` plus ``__setstate__(state)``, the
+    shape every pickled table and result takes."""
+
+    def __init__(self, cls, state: dict):
+        self.cls, self.state = cls, state
+
+    def __reduce__(self):
+        return (self.cls.__new__, (self.cls,), self.state)
+
+
+def v2_result(result: ExperimentResult) -> Reduced:
+    """``result`` as a version-2 build pickled it: one array per column
+    under ``"cols"``."""
+    table = result.table
+    table_state = {
+        "storage": 2,
+        "cols": {
+            name: np.array(table.column(name))
+            for name in SCALAR_FIELDS + POOLED_FIELDS
+        },
+        "decision_pool": table.decision_pool,
+        "label_pool": table.label_pool,
+    }
+    return Reduced(
+        ExperimentResult,
+        {
+            "storage": 2,
+            "table": Reduced(ObservationTable, table_state),
+            "workload_name": result.workload_name,
+            "manager_name": result.manager_name,
+            "target_latency_ms": result.target_latency_ms,
+            "interval_s": result.interval_s,
+        },
+    )
+
+
+class TestVersion2CacheDir:
+    """A cache directory filled by a version-2 build: its records sit
+    under v2 keys and carry v2 payloads, so a v3 build serves every spec
+    as a miss, repopulates the directory and prints the same bytes."""
+
+    def test_v2_fingerprint_reproduces_the_retired_pin(self):
+        spec = ScenarioSpec(**TestCacheKeyPins.STEADY)
+        assert v2_fingerprint(spec) == TestCacheKeyPins.PINS["steady"][1]
+
+    @staticmethod
+    def cli_stdout(capsys, argv: list[str]) -> str:
+        capsys.readouterr()
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_served_as_misses_and_repopulated(self, tmp_path, capsys, monkeypatch):
+        argv = ["fig6", "--quick", "--cache-dir"]
+        golden = self.cli_stdout(capsys, ["fig6", "--quick"])
+        fresh_dir, v2_dir = tmp_path / "fresh", tmp_path / "v2"
+        assert self.cli_stdout(capsys, argv + [str(fresh_dir)]) == golden
+
+        # Re-encode every outcome the way a version-2 build stored it.
+        fresh = DiskCache(fresh_dir)
+        keys = sorted(fresh._load_pack_index())
+        outcomes = [fresh.load(key) for key in keys]
+        fresh.close()
+        planted = [
+            (
+                v2_fingerprint(outcome.spec),
+                pickle.dumps(replace(outcome, result=v2_result(outcome.result))),
+            )
+            for outcome in outcomes
+        ]
+        assert not {key for key, _ in planted} & set(keys)
+        with pytest.raises(ValueError, match="storage"):
+            pickle.loads(planted[0][1])
+        v2 = DiskCache(v2_dir)
+        v2.store_many(planted)
+        v2.close()
+
+        executed: list[str] = []
+        real_execute = batch.execute_scenario
+
+        def counting_execute(spec):
+            executed.append(spec.fingerprint())
+            return real_execute(spec)
+
+        monkeypatch.setattr(batch, "execute_scenario", counting_execute)
+        assert self.cli_stdout(capsys, argv + [str(v2_dir)]) == golden
+        assert sorted(executed) == keys
+        # Repopulated in v3; the stranded v2 per-key files are swept.
+        assert sorted(p.stem for p in v2_dir.glob("*.pkl")) == keys
+        executed.clear()
+        assert self.cli_stdout(capsys, argv + [str(v2_dir)]) == golden
+        assert executed == []

@@ -95,21 +95,24 @@ def resilient_fleet(**overrides) -> FleetSpec:
 
 
 class TestGoldenPins:
-    """Values recorded at the commit before this layer landed."""
+    """Values recorded at the commit before this layer landed.
+
+    Fingerprints and node keys fold in ``SCHEMA_VERSION`` and were
+    re-pinned at its 2 -> 3 bump; render digests never move."""
 
     def test_faultless_fleet_fingerprint_unmoved(self):
-        assert plain_fleet().fingerprint() == "47582b7e2ae43fe15313c3d1"
+        assert plain_fleet().fingerprint() == "aadbe92a0be17adc3a2fd0a2"
 
     def test_faultless_fleet_node_fingerprints_unmoved(self):
         expected = [
-            "s2-lindley-v1-5241818d35632ac8bcbde5d6",
-            "s2-lindley-v1-402d6c508d3219c1507e4fef",
-            "s2-lindley-v1-ed319fe194ba27ea3e656e7f",
-            "s2-lindley-v1-1e40c767a227d0c91154ca37",
-            "s2-lindley-v1-6c14ed22b4f7166ecdcdbd90",
-            "s2-lindley-v1-7e3fec9d7b1649b15a785692",
-            "s2-lindley-v1-1e761a95c27a40ec96aa327c",
-            "s2-lindley-v1-247c2e0ba212b9f74abd21be",
+            "s3-lindley-v1-c62a943d3ae1d33f6d51cccd",
+            "s3-lindley-v1-ebbe803109e44d9e1906ecd9",
+            "s3-lindley-v1-d1fda081ebefdd15d770481b",
+            "s3-lindley-v1-c4acbea942f989347dfdbe2c",
+            "s3-lindley-v1-c434f305ffda038d1df78bbe",
+            "s3-lindley-v1-bd3a83ef5465f7d62e76ef2d",
+            "s3-lindley-v1-014c41dfa9e98d8fd38d48c5",
+            "s3-lindley-v1-15049679e7b744074946a8b3",
         ]
         actual = [spec.fingerprint() for spec in plain_fleet().node_specs()]
         assert actual == expected
@@ -132,10 +135,10 @@ class TestGoldenPins:
             balancer="least-loaded",
             quick=True,
         )
-        assert spec.fingerprint() == "c26b5eed318bed02344f7b89"
+        assert spec.fingerprint() == "8ad7ecb055c13e4cb16d1443"
         joined = ",".join(s.fingerprint() for s in spec.node_specs())
         assert hashlib.sha256(joined.encode()).hexdigest() == (
-            "b110851edc13f4d9212e2ceda9e198954aefb7430d102967a52eccde72d04acd"
+            "f8156ed1d8b1481b3203cc5de6329dee917581a617e6da6218c21254102688fd"
         )
 
     def test_legacy_fault_clauses_unmoved(self):
@@ -152,10 +155,10 @@ class TestGoldenPins:
             ),
         )
         assert not spec.uses_resilience()
-        assert spec.fingerprint() == "77c684b9ac3cf4b245e879ed"
+        assert spec.fingerprint() == "2688296b119d17bad8b72a35"
         joined = ",".join(s.fingerprint() for s in spec.node_specs())
         assert hashlib.sha256(joined.encode()).hexdigest() == (
-            "a0ba76a8b30f8208c150cae3bf29576cfedbe97c242f1e0cda04f92986f34082"
+            "cdbe43ab3ebef407269039f4ce771e30504437ed47a3e8470dff17d0f62616d5"
         )
         windows = [
             (e.node, e.kind, e.start_interval, e.end_interval)

@@ -60,6 +60,13 @@ class TestParams:
         frozen = freeze_params({"a": [{"y": 1, "x": 2.5}, (3, [None, "s"])]})
         assert frozen == (("a", ((("x", 2.5), ("y", 1)), (3, (None, "s")))),)
 
+    def test_freeze_scalar_sequences(self):
+        frozen = freeze_params({"a": [1, 2.5, True, None, "s"], "b": (0.5,)})
+        assert frozen == (("a", (1, 2.5, True, None, "s")), ("b", (0.5,)))
+        assert type(frozen[0][1]) is tuple
+        levels = tuple(np.array([0.1, 0.2]))  # float subclasses recurse
+        assert freeze_params({"levels": levels}) == (("levels", levels),)
+
     def test_freeze_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             freeze_params([("a", 1), ("a", 2)])
@@ -112,6 +119,46 @@ class TestScenarioSpec:
             != quick_spec(trace=TraceSpec.constant(0.6, 20.0)).fingerprint()
         )
         assert spec.fingerprint() != quick_spec(manager="static-small").fingerprint()
+
+    def test_float_runs_key_by_their_bytes(self):
+        """An all-float tuple (sampled levels, here) is keyed by its
+        length and float64 bytes: however the floats arrive they key
+        the same, and any bit of difference keys differently."""
+        levels = [0.25, 0.5, 0.0, 1.0 / 3.0, 0.75]
+
+        def sampled(values) -> str:
+            trace = TraceSpec("sampled", {"levels": values, "interval_s": 1.0})
+            return quick_spec(trace=trace).fingerprint()
+
+        key = sampled(tuple(levels))
+        assert sampled(list(levels)) == key
+        assert sampled(tuple(np.array(levels))) == key  # np.float64 items
+        assert (
+            quick_spec(trace=TraceSpec.sampled(np.array(levels))).fingerprint() == key
+        )
+        one_ulp = list(levels)
+        one_ulp[3] = float(np.nextafter(levels[3], 1.0))
+        assert sampled(one_ulp) != key
+        negative_zero = list(levels)
+        negative_zero[2] = -0.0
+        assert sampled(negative_zero) != key
+        # Same values as ints (not floats) are a different parameter.
+        assert sampled([1.0, 2.0]) != sampled([1, 2])
+        # Length is part of the key: a run split differently differs.
+        assert sampled(levels[:4]) != key
+
+    def test_float_run_keys_cover_nested_traces(self):
+        part = TraceSpec.sampled([0.1, 0.2, 0.3])
+        other = TraceSpec.sampled([0.1, 0.2, 0.30000000000000004])
+        ramp = TraceSpec.ramp(0.1, 0.5, 10.0)
+        assert (
+            quick_spec(trace=TraceSpec.concat(ramp, part)).fingerprint()
+            != quick_spec(trace=TraceSpec.concat(ramp, other)).fingerprint()
+        )
+        assert (
+            quick_spec(trace=TraceSpec.concat(part, ramp)).fingerprint()
+            != quick_spec(trace=TraceSpec.concat(ramp, part)).fingerprint()
+        )
 
     def test_label_does_not_affect_fingerprint(self):
         assert (
