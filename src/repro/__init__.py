@@ -35,7 +35,7 @@ from repro.core import (
     hipster_co,
     hipster_in,
 )
-from repro.fleet import FleetOutcome, FleetSpec, run_fleet
+from repro.fleet import FleetOutcome, FleetSpec
 from repro.hardware import Configuration, juno_r1
 from repro.errors import (
     PackError,
@@ -122,7 +122,6 @@ __all__ = [
     "memcached",
     "open_runner",
     "run_experiment",
-    "run_fleet",
     "run_pack",
     "run_scenario",
     "sweep",

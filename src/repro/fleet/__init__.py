@@ -41,25 +41,6 @@ from repro.fleet.resilience import (
 )
 from repro.fleet.spec import FLEET_SCHEMA_VERSION, FleetSpec
 
-
-def run_fleet(spec: FleetSpec, runner=None) -> FleetOutcome:
-    """Run a fleet spec through a batch runner (see :meth:`FleetSpec.run`).
-
-    .. deprecated:: 1.1
-       Use :func:`repro.api.run_scenario` (or :meth:`FleetSpec.run`)
-       instead; this shim forwards and will be removed.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.fleet.run_fleet is deprecated; use repro.api.run_scenario "
-        "or FleetSpec.run instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return spec.run(runner)
-
-
 __all__ = [
     "BALANCER_FACTORIES",
     "CORRELATED_KINDS",
@@ -82,5 +63,4 @@ __all__ = [
     "PowerAwareBalancer",
     "RoundRobinBalancer",
     "build_balancer",
-    "run_fleet",
 ]

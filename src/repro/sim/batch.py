@@ -29,21 +29,24 @@ persistent-pool execution are byte-identical.
 
 Cache layout
 ------------
-``cache_dir`` holds one ``<fingerprint>.pkl`` per outcome (written
-atomically via ``os.replace``, so concurrent runners can share a
-directory) plus a single append-only ``manifest.pack``.  The pack holds
-``<key> <size>\\n<payload>`` records appended under an exclusive
-``flock``; warm starts index it with one sequential scan instead of a
-per-key ``open``/``stat`` storm, and a truncated tail (crashed writer)
-is simply ignored.  Since the columnar storage overhaul a payload is a
-pickled :class:`~repro.scenarios.spec.ScenarioOutcome` whose result is
-a struct-of-arrays :class:`~repro.sim.records.ObservationTable` -- four
-numpy buffers per run (one 2-D block per column dtype) instead of
-thousands of per-interval dataclass objects, which is what made warm
-starts unpickle-bound.  Payloads of any other storage version fail
-their check on load and are quarantined as misses; the fingerprint's
-``SCHEMA_VERSION`` bump keeps them from being looked up in the first
-place.
+``cache_dir`` holds a single append-only ``manifest.pack`` of
+checksummed ``<key> <size> <crc32>\\n<payload>`` records, appended under
+an exclusive ``flock`` (so concurrent runners can share a directory);
+later records win, and a warm start indexes the pack with one
+sequential scan of its headers.  A payload is a pickled
+:class:`~repro.scenarios.spec.ScenarioOutcome` whose result is a
+struct-of-arrays :class:`~repro.sim.records.ObservationTable` -- four
+numpy buffers per run (one 2-D block per column dtype).  Payloads of any
+other storage version fail their check on load and are quarantined as
+misses; the fingerprint's ``SCHEMA_VERSION`` bump keeps them from being
+looked up in the first place.
+
+The pack is its **longest well-formed prefix**: a torn tail (crashed
+writer), a malformed header or a pre-checksum ``<key> <size>`` record
+ends it.  Before every append the appender brings its index up to date
+(scanning only what other processes appended since), truncates the file
+at the end of that prefix and writes from there, so a new record always
+starts on a record boundary and a torn tail can never hide it.
 
 Because the pack is append-only, re-stored keys and version bumps
 strand dead bytes in it; :meth:`DiskCache.close` opportunistically
@@ -67,13 +70,14 @@ its chunk-mates' results are recovered; a hung chunk trips a watchdog
 deadline derived from :func:`estimate_cost` and ends in
 :class:`~repro.errors.SpecTimeoutError` instead of blocking forever;
 and a pool that keeps dying degrades to in-process serial execution.
-Corrupt cache entries are moved to ``<cache-dir>/quarantine/`` (with a
-one-line stderr warning) instead of being deleted, so a bad disk or a
-chaos run leaves evidence behind; the quarantine itself is bounded
-(256 MiB / 256 entries by default, oldest evicted first) so the
-evidence locker cannot grow without limit.  Completed fingerprints can
-be journaled (:class:`~repro.sim.supervise.RunJournal`) for crash-safe
-``--resume``.  None of this can change results: every spec is a pure
+A corrupt pack record (CRC mismatch, failed decode or a payload whose
+spec does not fingerprint to its key) has its bytes copied to
+``<cache-dir>/quarantine/`` (with a one-line stderr warning) and is
+served as a miss, so a bad disk or a chaos run leaves evidence behind;
+the quarantine itself is bounded (256 MiB / 256 entries, oldest evicted
+first) so the evidence locker cannot grow without limit.  Completed
+fingerprints can be journaled (:class:`~repro.sim.supervise.RunJournal`)
+for crash-safe ``--resume``.  None of this can change results: every spec is a pure
 function of itself, so retried, resumed and fault-free runs are
 byte-identical.
 """
@@ -116,13 +120,6 @@ QUARANTINE_DIR = "quarantine"
 #: Oldest entries are evicted first once either bound is crossed.
 QUARANTINE_MAX_BYTES = 256 * 2**20
 QUARANTINE_MAX_ENTRIES = 256
-
-#: Magic of checksummed per-key entries: ``reproblob1 <crc32>\n`` then
-#: the pickled payload.  Bit rot that still unpickles cleanly (4 bytes
-#: flipped inside a float) would otherwise serve silently wrong
-#: results; the CRC turns it into a detected, quarantined miss.
-#: Entries without the magic (pre-checksum caches) load unverified.
-ENTRY_MAGIC = b"reproblob1"
 
 #: Versioned cache keys look like ``s<schema>-<kernel>-<hash>`` (see
 #: ``repro.scenarios.spec.cache_key_prefix``); the schema number orders
@@ -320,95 +317,53 @@ def plan_chunks(
 
 
 class DiskCache:
-    """The on-disk outcome tier: per-key pickles plus the manifest pack.
+    """The on-disk outcome tier: one append-only pack of checksummed
+    records (see the module docstring for the layout and its rules).
 
-    Shared-directory safe: per-key files are written atomically
-    (``os.replace``) and pack appends happen under an exclusive
-    ``flock``.  :meth:`close` opportunistically compacts the pack --
-    dead bytes accumulate because the pack is append-only, so re-stored
-    keys (racing appenders duplicating work) and fingerprint-version
-    bumps strand superseded records in it forever otherwise.
-
-    Compaction coexists with racing appenders through an inode check:
-    every writer takes the pack lock and then verifies its file handle
-    still names ``manifest.pack`` (compaction swaps the inode via
-    ``os.replace``), reopening if not, so no append can land in an
-    orphaned pack.
+    Shared-directory safe: appends happen under an exclusive ``flock``,
+    after which the writer verifies its handle still names
+    ``manifest.pack`` (compaction swaps the inode via ``os.replace``),
+    reopening if not, so no append can land in an orphaned pack.  The
+    index remembers the inode it scanned and where the pack's
+    well-formed prefix ends, so later syncs read only the records
+    appended since -- by this process or any other.  :meth:`close`
+    opportunistically compacts the pack: re-stored keys (racing
+    appenders duplicating work) and retired cache-format generations
+    strand dead records in it otherwise.  The thresholds are the module
+    constants, read at call time.
     """
 
-    def __init__(
-        self,
-        cache_dir: str | Path,
-        *,
-        live_prefix: str | None = None,
-        compact_min_dead_bytes: int = COMPACT_MIN_DEAD_BYTES,
-        compact_dead_fraction: float = COMPACT_DEAD_FRACTION,
-        quarantine_max_bytes: int = QUARANTINE_MAX_BYTES,
-        quarantine_max_entries: int = QUARANTINE_MAX_ENTRIES,
-    ):
+    def __init__(self, cache_dir: str | Path):
+        from repro.scenarios.spec import cache_key_prefix
+
         self.cache_dir = Path(cache_dir)
-        #: Keys of the current cache-format generation start with this
-        #: (see ``repro.scenarios.spec.cache_key_prefix``).  When set,
-        #: close-time maintenance reclaims *retired*-generation records
-        #: -- they are the latest record for their old key, so the
-        #: latest-wins index alone would keep them alive forever.
-        #: Retired means provably older: a key with no versioned prefix
-        #: at all (the pre-columnar era) or a strictly lower schema
-        #: number; keys of an equal-or-newer schema (e.g. a newer
-        #: checkout sharing the directory, or a same-schema kernel
-        #: variant whose ordering is unknowable) are left alone.
-        #: ``None`` compacts duplicates only.
-        self.live_prefix = live_prefix
-        match = _GENERATION_RE.match(live_prefix) if live_prefix else None
-        self._live_schema = int(match.group(1)) if match else None
-        self.compact_min_dead_bytes = compact_min_dead_bytes
-        self.compact_dead_fraction = compact_dead_fraction
-        self.quarantine_max_bytes = quarantine_max_bytes
-        self.quarantine_max_entries = quarantine_max_entries
+        #: Keys of the current cache-format generation start with this.
+        #: Compaction reclaims records of *retired* generations -- they
+        #: are the latest record for their old key, so the latest-wins
+        #: index alone would keep them alive forever.  Retired means a
+        #: versioned key with a strictly lower schema number; keys of an
+        #: equal-or-newer schema (a newer checkout sharing the directory,
+        #: or a same-schema kernel variant) are left alone.
+        self.live_prefix = cache_key_prefix()
+        self._live_schema = int(_GENERATION_RE.match(self.live_prefix).group(1))
         self.compactions = 0
-        self.stranded_files_removed = 0
         self.corrupt_entries = 0
         self.quarantine_evictions = 0
-        self._pack_index: dict[str, tuple[int, int]] | None = None
+        self._pack_index: dict[str, tuple[int, int, int]] | None = None
+        self._pack_end = 0
+        self._pack_inode: int | None = None
         self._pack_read_fh: BinaryIO | None = None
 
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Run the maintenance pass and drop the long-lived read handle
-        (idempotent): compact the pack if it crossed the dead-bytes
-        threshold, and sweep per-key pickles stranded by a cache-format
-        version bump (their retired keys are never looked up again, so
-        the quarantine-on-detection path never sees them)."""
+        """Compact the pack if it crossed the dead-bytes threshold and
+        drop the long-lived read handle (idempotent)."""
         try:
             self._maybe_compact()
         except OSError:  # pragma: no cover - best-effort maintenance
             pass
-        self._sweep_stranded_entries()
         self._drop_read_state()
-
-    def _sweep_stranded_entries(self) -> None:
-        """Delete per-key pickles of retired cache-format generations.
-
-        Only meaningful with a ``live_prefix``; anything suffixed
-        ``.pkl`` whose stem is not of the current generation is a
-        cache entry no current key can ever name (compaction's pack
-        counterpart of the same reclamation).
-        """
-        if self.live_prefix is None:
-            return
-        try:
-            entries = list(self.cache_dir.iterdir())
-        except OSError:  # pragma: no cover - vanished cache dir
-            return
-        for path in entries:
-            if path.suffix != ".pkl" or not self._key_is_reclaimable(path.stem):
-                continue
-            try:
-                path.unlink()
-                self.stranded_files_removed += 1
-            except OSError:  # pragma: no cover - racing delete
-                pass
 
     def _drop_read_state(self) -> None:
         fh, self._pack_read_fh = self._pack_read_fh, None
@@ -421,10 +376,6 @@ class DiskCache:
 
     # -- paths ----------------------------------------------------------
 
-    def entry_path(self, key: str) -> Path:
-        """The per-key pickle path for a fingerprint."""
-        return self.cache_dir / f"{key}.pkl"
-
     @property
     def manifest_path(self) -> Path:
         """The append-only manifest pack path."""
@@ -432,39 +383,19 @@ class DiskCache:
 
     @property
     def quarantine_path(self) -> Path:
-        """Where corrupt entries are moved (``<cache-dir>/quarantine``)."""
+        """Where corrupt records are copied (``<cache-dir>/quarantine``)."""
         return self.cache_dir / QUARANTINE_DIR
 
     # -- quarantine -----------------------------------------------------
 
-    def _quarantine_file(self, path: Path) -> None:
-        """Move a corrupt per-key pickle out of the lookup path."""
-        target = self.quarantine_path / path.name
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-        except OSError:  # racing delete/unwritable dir: drop instead
-            try:
-                path.unlink()
-            except OSError:
-                return
-        self.corrupt_entries += 1
-        print(
-            f"[cache] quarantined corrupt entry {path.name} -> {target}",
-            file=sys.stderr,
-        )
-        self._bound_quarantine()
+    def _quarantine_record(self, key: str, entry: tuple[int, int, int]) -> None:
+        """Preserve a corrupt pack record's bytes for post-mortems.
 
-    def _quarantine_record(
-        self, key: str, entry: tuple[int, int, int | None]
-    ) -> None:
-        """Preserve a corrupt manifest record's bytes for post-mortems.
-
-        The pack record itself cannot be excised in place (the pack is
-        append-only; compaction drops it later), so the payload bytes
-        are copied aside and the in-memory index entry is evicted by
-        the caller."""
-        offset, size = entry[0], entry[1]
+        The record itself cannot be excised in place (the pack is
+        append-only; a recompute supersedes it and compaction drops it
+        later), so the payload bytes are copied aside and the in-memory
+        index entry is evicted by the caller."""
+        offset, size, _crc = entry
         target = self.quarantine_path / f"{key}.pack-record"
         try:
             with self.manifest_path.open("rb") as fh:
@@ -498,8 +429,7 @@ class DiskCache:
         entries.sort()
         total = sum(size for _, _, size, _ in entries)
         while entries and (
-            total > self.quarantine_max_bytes
-            or len(entries) > self.quarantine_max_entries
+            total > QUARANTINE_MAX_BYTES or len(entries) > QUARANTINE_MAX_ENTRIES
         ):
             _, _, size, path = entries.pop(0)
             try:
@@ -509,110 +439,89 @@ class DiskCache:
             total -= size
             self.quarantine_evictions += 1
 
+    # -- index ----------------------------------------------------------
+
+    @staticmethod
+    def _scan_pack(
+        fh: BinaryIO, start: int = 0, index: dict | None = None
+    ) -> tuple[dict[str, tuple[int, int, int]], int]:
+        """Scan an open pack from ``start`` (a record boundary) into
+        ``index`` (key -> payload offset, size, crc32; later records
+        win), returning it with the offset where the well-formed prefix
+        ends.  Anything that is not a whole ``key size crc32`` record --
+        a torn tail, a malformed header, a pre-checksum record -- ends
+        the prefix.
+        """
+        index = {} if index is None else index
+        file_size = os.fstat(fh.fileno()).st_size
+        end = start
+        fh.seek(start)
+        while True:
+            header = fh.readline()
+            try:
+                key_bytes, size_bytes, crc_bytes = header.split()
+                key = key_bytes.decode("ascii")
+                size, crc = int(size_bytes), int(crc_bytes)
+            except ValueError:
+                break
+            offset = end + len(header)
+            if size < 0 or offset + size > file_size:
+                break
+            index[key] = (offset, size, crc)
+            end = offset + size
+            fh.seek(end)
+        return index, end
+
+    def _sync_index(self, fh: BinaryIO) -> dict[str, tuple[int, int, int]]:
+        """The index brought up to date with the open pack ``fh``.
+
+        Only records past the known end of the well-formed prefix are
+        scanned; a new inode (a foreign compaction) or a file shorter
+        than that end means a full rescan.
+        """
+        stat = os.fstat(fh.fileno())
+        if (
+            self._pack_index is None
+            or stat.st_ino != self._pack_inode
+            or stat.st_size < self._pack_end
+        ):
+            self._drop_read_state()
+            self._pack_index, self._pack_end = self._scan_pack(fh)
+        elif stat.st_size > self._pack_end:
+            _, self._pack_end = self._scan_pack(fh, self._pack_end, self._pack_index)
+        self._pack_inode = stat.st_ino
+        return self._pack_index
+
+    def _load_pack_index(self) -> dict[str, tuple[int, int, int]]:
+        """The pack index, synced with the manifest on disk."""
+        try:
+            with self.manifest_path.open("rb") as fh:
+                return self._sync_index(fh)
+        except OSError:
+            self._drop_read_state()
+            return {}
+
     # -- loads ----------------------------------------------------------
 
     def load(self, key: str) -> "ScenarioOutcome | None":
-        """The cached outcome for a key, or ``None`` (pack tier first)."""
-        outcome = self._pack_load(key)
-        if outcome is None:
-            outcome = self._file_load(key)
-        return outcome
+        """The cached outcome for a key, or ``None``; stale-index safe.
 
-    def _file_load(self, key: str) -> "ScenarioOutcome | None":
-        """The per-key tier; a corrupt entry is quarantined on detection
-        so it is never re-parsed on the next warm start (and the bytes
-        survive for post-mortems).
-
-        Checksummed entries (:data:`ENTRY_MAGIC` header) fail the CRC on
-        *any* byte damage -- including bit rot that would still unpickle
-        -- while headerless pre-checksum entries keep loading unverified.
-        """
-        from repro.scenarios.spec import ScenarioOutcome
-
-        path = self.entry_path(key)
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return None
-        try:
-            if raw.startswith(ENTRY_MAGIC):
-                header, _, payload = raw.partition(b"\n")
-                crc = int(header.split()[1])
-                if zlib.crc32(payload) != crc:
-                    raise ValueError(f"CRC mismatch in {path.name}")
-            else:
-                payload = raw  # pre-checksum entry: unverified
-            outcome = pickle.loads(payload)
-        except Exception:  # corrupt/stale entry: quarantine
-            self._quarantine_file(path)
-            return None
-        return outcome if isinstance(outcome, ScenarioOutcome) else None
-
-    # -- manifest pack --------------------------------------------------
-
-    @staticmethod
-    def _scan_pack(fh: BinaryIO) -> dict[str, tuple[int, int, int | None]]:
-        """Scan an open pack: key -> (payload offset, size, crc32).
-
-        Later records win (the pack is append-only); a malformed or
-        truncated tail ends the scan -- everything before it stays
-        usable, which is exactly what a crashed writer leaves behind.
-        Record headers are ``key size crc32`` (checksummed) or the
-        pre-checksum ``key size`` (``crc32`` then ``None``: such
-        records load unverified, exactly as they always did).
-        """
-        index: dict[str, tuple[int, int, int | None]] = {}
-        file_size = os.fstat(fh.fileno()).st_size
-        fh.seek(0)
-        while True:
-            header = fh.readline()
-            if not header:
-                break
-            try:
-                key_bytes, size_bytes, *crc_bytes = header.split()
-                size = int(size_bytes)
-                crc = int(crc_bytes[0]) if crc_bytes else None
-                if len(crc_bytes) > 1:
-                    raise ValueError(header)
-            except ValueError:
-                break
-            offset = fh.tell()
-            if size < 0 or offset + size > file_size:
-                break
-            index[key_bytes.decode("ascii", "replace")] = (offset, size, crc)
-            fh.seek(offset + size)
-        return index
-
-    def _load_pack_index(self) -> dict[str, tuple[int, int, int | None]]:
-        """The cached pack index, scanning the manifest once if needed."""
-        if self._pack_index is not None:
-            return self._pack_index
-        try:
-            with self.manifest_path.open("rb") as fh:
-                index = self._scan_pack(fh)
-        except OSError:
-            index = {}
-        self._pack_index = index
-        return index
-
-    def _pack_load(self, key: str) -> "ScenarioOutcome | None":
-        """A key's outcome from the pack, stale-index safe.
-
-        Compaction (possibly by *another* process) moves payload
-        offsets, so a cached index may be stale.  A stale offset
-        usually yields a failed unpickle, but with same-sized records
-        it can land exactly on a different record's payload and decode
-        cleanly -- so every pack hit is identity-checked against its
-        key, and any mismatch or decode failure drops the cached index
-        and retries once against a fresh scan.
+        A key missing from the cached index syncs it first (another
+        process may have appended the record since).  Compaction
+        (possibly by *another* process) moves payload offsets, so a
+        cached index may be stale.  A stale offset usually yields a
+        failed unpickle, but with same-sized records it can land exactly
+        on a different record's payload and decode cleanly -- so every
+        hit is identity-checked against its key, and any mismatch or
+        decode failure drops the cached index and retries once against a
+        fresh scan.
         """
         for attempt in range(2):
-            index = self._load_pack_index()
-            entry = index.get(key)
+            entry = (self._pack_index or {}).get(key)
             if entry is None:
-                return None
+                entry = self._load_pack_index().get(key)
+                if entry is None:
+                    return None
             outcome = self._read_pack_entry(key, entry)
             if outcome is not None:
                 return outcome
@@ -621,15 +530,15 @@ class DiskCache:
                 self._drop_read_state()
             else:
                 # Still bad against a fresh scan: genuinely corrupt.
-                # Quarantine the record bytes, evict just this key
-                # (keeping the rebuilt index) and let the per-key tier
-                # answer; compaction reclaims the dead pack bytes.
+                # Quarantine the record bytes and evict just this key
+                # (keeping the rebuilt index); the recompute's record
+                # supersedes it.
                 self._quarantine_record(key, entry)
-                index.pop(key, None)
+                self._pack_index.pop(key, None)
         return None
 
     def _read_pack_entry(
-        self, key: str, entry: tuple[int, int, int | None]
+        self, key: str, entry: tuple[int, int, int]
     ) -> "ScenarioOutcome | None":
         from repro.scenarios.spec import ScenarioOutcome
 
@@ -641,10 +550,10 @@ class DiskCache:
                 self._pack_read_fh = self.manifest_path.open("rb")
             self._pack_read_fh.seek(offset)
             payload = self._pack_read_fh.read(size)
-            if crc is not None and zlib.crc32(payload) != crc:
+            if zlib.crc32(payload) != crc:
                 return None  # bit rot: detected even if it unpickles
             outcome = pickle.loads(payload)
-        except Exception:  # corrupt record: fall through to other tiers
+        except Exception:  # corrupt record or unreadable pack
             fh, self._pack_read_fh = self._pack_read_fh, None
             if fh is not None:
                 try:
@@ -660,6 +569,8 @@ class DiskCache:
         except Exception:  # pragma: no cover - malformed spec payload
             return None
         return outcome
+
+    # -- stores ---------------------------------------------------------
 
     def _open_pack_locked(self, mode: str) -> BinaryIO:
         """Open the manifest and take the exclusive lock, re-opening if
@@ -690,56 +601,35 @@ class DiskCache:
         if fcntl is not None:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
-    # -- stores ---------------------------------------------------------
-
     def store_many(self, payloads: Sequence[tuple[str, bytes]]) -> None:
-        """Persist pickled outcomes: per-key files plus pack appends."""
-        for key, payload in payloads:
-            self._file_store(key, payload)
-        self._pack_append_many(payloads)
+        """Append pickled outcomes to the pack under one exclusive lock.
 
-    def _file_store(self, key: str, payload: bytes) -> None:
-        path = self.entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic write: a crashed/parallel writer must never leave a
-        # truncated pickle behind for a later run to trip over.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(ENTRY_MAGIC + b" %d\n" % zlib.crc32(payload))
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _pack_append_many(self, payloads: Sequence[tuple[str, bytes]]) -> None:
-        """Append records to the manifest under one exclusive lock."""
+        The index is synced first, then the file is truncated at the end
+        of its well-formed prefix, so the new records start on a record
+        boundary.  Errors propagate (after dropping the index, which may
+        no longer match the file).
+        """
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        index = self._load_pack_index()
+        fh = self._open_pack_locked("a+b")
         try:
-            fh = self._open_pack_locked("ab")
-            try:
-                fh.seek(0, os.SEEK_END)
-                for key, payload in payloads:
-                    crc = zlib.crc32(payload)
-                    fh.write(
-                        f"{key} {len(payload)} {crc}\n".encode("ascii")
-                    )
-                    offset = fh.tell()
-                    fh.write(payload)
-                    index[key] = (offset, len(payload), crc)
-                fh.flush()
-            finally:
-                self._unlock(fh)
-                fh.close()
-        except OSError:
-            # The per-key tier already holds every outcome; losing the
-            # manifest only costs the next warm start some opens.
-            self._pack_index = None
+            index = self._sync_index(fh)
+            end = self._pack_end
+            fh.truncate(end)
+            for key, payload in payloads:
+                crc = zlib.crc32(payload)
+                header = f"{key} {len(payload)} {crc}\n".encode("ascii")
+                fh.write(header)
+                fh.write(payload)
+                index[key] = (end + len(header), len(payload), crc)
+                end += len(header) + len(payload)
+            fh.flush()
+            self._pack_end = end
+        except BaseException:
+            self._drop_read_state()
+            raise
+        finally:
+            self._unlock(fh)
+            fh.close()
 
     # -- compaction -----------------------------------------------------
 
@@ -747,40 +637,21 @@ class DiskCache:
         """``(dead_bytes, file_size)`` of the pack right now."""
         try:
             with self.manifest_path.open("rb") as fh:
-                index = self._scan_pack(fh)
+                index, _ = self._scan_pack(fh)
                 file_size = os.fstat(fh.fileno()).st_size
         except OSError:
             return 0, 0
         return file_size - self._live_bytes(index), file_size
 
     def _key_is_reclaimable(self, key: str) -> bool:
-        """Whether a key belongs to a provably *retired* generation.
-
-        True only for pre-versioned (bare-hash) keys and versioned keys
-        with a strictly lower schema number than ours; never for our
-        own prefix or an equal/newer schema (which may be a newer build
-        sharing the cache directory -- reclaiming those would wipe its
-        warm cache).
-        """
-        if self.live_prefix is None or key.startswith(self.live_prefix):
-            return False
-        if self._live_schema is None:  # unparseable custom prefix
-            return False
+        """Whether a key belongs to a provably *retired* generation: a
+        versioned key with a strictly lower schema number than ours."""
         match = _GENERATION_RE.match(key)
-        if match is None:
-            return True  # pre-versioned (v1-era) key
-        return int(match.group(1)) < self._live_schema
+        return match is not None and int(match.group(1)) < self._live_schema
 
-    def _live_bytes(
-        self, index: dict[str, tuple[int, int, int | None]]
-    ) -> int:
+    def _live_bytes(self, index: dict[str, tuple[int, int, int]]) -> int:
         return sum(
-            len(
-                f"{key} {size}\n"
-                if crc is None
-                else f"{key} {size} {crc}\n"
-            )
-            + size
+            len(f"{key} {size} {crc}\n") + size
             for key, (_, size, crc) in index.items()
             if not self._key_is_reclaimable(key)
         )
@@ -789,44 +660,37 @@ class DiskCache:
         """Rewrite the pack without its dead records, if worthwhile.
 
         Dead bytes are superseded records (same key appended again, by
-        this or a racing runner), records stranded by a fingerprint
-        version bump (foreign ``live_prefix`` -- still the latest for
-        their retired key, but unreachable by any current lookup), and
-        any malformed tail.  The rewrite happens to a temp file that
-        atomically replaces the pack while the exclusive lock is held;
-        the index is re-scanned *under the lock* so records appended by
-        a racing runner since our last read are preserved.
+        this or a racing runner), records of a retired generation (still
+        the latest for their old key, but unreachable by any current
+        lookup), and whatever follows the well-formed prefix.  The
+        rewrite happens to a temp file that atomically replaces the pack
+        while the exclusive lock is held; the index is re-scanned *under
+        the lock* so records appended by a racing runner since our last
+        read are preserved.
         """
         if not self.manifest_path.exists():
             return
         fh = self._open_pack_locked("rb")
         try:
-            index = self._scan_pack(fh)
+            index, _ = self._scan_pack(fh)
             file_size = os.fstat(fh.fileno()).st_size
             dead = file_size - self._live_bytes(index)
-            if dead < self.compact_min_dead_bytes or dead < (
-                self.compact_dead_fraction * file_size
+            if dead < COMPACT_MIN_DEAD_BYTES or dead < (
+                COMPACT_DEAD_FRACTION * file_size
             ):
-                self._pack_index = index
                 return
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             try:
-                new_index: dict[str, tuple[int, int, int | None]] = {}
                 with os.fdopen(fd, "wb") as out:
                     # Live records in offset order: stable and seek-free.
                     for key, (offset, size, crc) in sorted(
                         index.items(), key=lambda item: item[1][0]
                     ):
                         if self._key_is_reclaimable(key):
-                            continue  # version-stranded: reclaim
+                            continue  # retired generation: reclaim
                         fh.seek(offset)
-                        payload = fh.read(size)
-                        # Pre-checksum records gain a CRC on the way
-                        # through (the rewrite reads the bytes anyway).
-                        crc = zlib.crc32(payload) if crc is None else crc
                         out.write(f"{key} {size} {crc}\n".encode("ascii"))
-                        new_index[key] = (out.tell(), size, crc)
-                        out.write(payload)
+                        out.write(fh.read(size))
                     out.flush()
                     os.fsync(out.fileno())
                 os.replace(tmp, self.manifest_path)
@@ -837,9 +701,8 @@ class DiskCache:
                     pass
                 raise
             self.compactions += 1
-            # Offsets moved: drop the read handle, adopt the new index.
+            # Offsets moved: the next lookup rescans the new pack.
             self._drop_read_state()
-            self._pack_index = new_index
         finally:
             self._unlock(fh)
             fh.close()
@@ -861,12 +724,12 @@ class BatchRunner:
         pool is created lazily on the first parallel batch and reused by
         every later :meth:`run` call until :meth:`close`.
     cache_dir:
-        Directory for the on-disk tier (a :class:`DiskCache`: per-key
-        pickles plus the append-only manifest pack); ``None`` keeps
+        Directory for the on-disk tier (a :class:`DiskCache`: one
+        append-only pack of checksummed records); ``None`` keeps
         results only in the in-process LRU.  Corrupt, unreadable or
-        legacy-format entries are treated as misses, and a corrupt
-        entry is moved to ``<cache_dir>/quarantine/`` on detection so it
-        is never re-parsed on the next warm start.
+        legacy-format records are treated as misses, and a corrupt
+        record's bytes are copied to ``<cache_dir>/quarantine/`` on
+        detection.
     memory_entries:
         Capacity of the in-process LRU tier; 0 disables it (every lookup
         then goes to disk, and duplicate specs across ``run()`` calls
@@ -920,12 +783,8 @@ class BatchRunner:
             self.retry_policy = RetryPolicy.from_env()
         self._disk: DiskCache | None = None
         if self.cache_dir is not None:
-            from repro.scenarios.spec import cache_key_prefix
-
             self.cache_dir = Path(self.cache_dir)
-            self._disk = DiskCache(
-                self.cache_dir, live_prefix=cache_key_prefix()
-            )
+            self._disk = DiskCache(self.cache_dir)
         self._pool: ProcessPoolExecutor | None = None
         self._memory: OrderedDict[str, "ScenarioOutcome"] = OrderedDict()
         self._memory_weights: dict[str, int] = {}

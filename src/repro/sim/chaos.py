@@ -231,20 +231,18 @@ class CorruptionReport:
 
 
 def corrupt_cache(cache_dir: str | Path, seed: int) -> CorruptionReport:
-    """Deterministically damage an on-disk cache directory.
+    """Deterministically damage an on-disk cache directory's pack.
 
-    Three corruption shapes, mirroring what real crashes and bad disks
-    leave behind: the manifest pack loses a tail chunk (crashed
-    appender), one mid-pack record gets scribbled bytes (bit rot -- the
-    unpickle fails and the record is quarantined), and up to two
-    per-key pickles are truncated or overwritten.  Selection is driven
-    by ``random.Random(seed)`` only, so a chaos matrix can replay the
-    exact same damage.
+    Two corruption shapes, mirroring what real crashes and bad disks
+    leave behind: one mid-pack record gets scribbled bytes (bit rot --
+    the CRC check fails and the record is quarantined), and the manifest
+    pack loses a tail chunk (a crashed appender's torn record).
+    Selection is driven by ``random.Random(seed)`` only, so a chaos
+    matrix can replay the exact same damage.
     """
     rng = random.Random(seed)
-    cache_dir = Path(cache_dir)
+    manifest = Path(cache_dir) / "manifest.pack"
     report = CorruptionReport()
-    manifest = cache_dir / "manifest.pack"
     try:
         size = manifest.stat().st_size
     except OSError:
@@ -260,20 +258,6 @@ def corrupt_cache(cache_dir: str | Path, seed: int) -> CorruptionReport:
             cut = rng.randrange(1, min(128, size // 4))
             fh.truncate(size - cut)
             report.actions.append(f"truncated {cut} tail byte(s) of {manifest.name}")
-    pickles = sorted(cache_dir.glob("*.pkl"))
-    for path in rng.sample(pickles, k=min(2, len(pickles))):
-        data = path.read_bytes()
-        if len(data) < 16:
-            continue
-        if rng.random() < 0.5:
-            path.write_bytes(data[: len(data) // 2])
-            report.actions.append(f"truncated {path.name}")
-        else:
-            corrupted = bytearray(data)
-            at = rng.randrange(4, len(data) - 4)
-            corrupted[at : at + 4] = b"\xde\xad\xbe\xef"
-            path.write_bytes(bytes(corrupted))
-            report.actions.append(f"scribbled {path.name}")
     return report
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro
@@ -207,21 +205,3 @@ class TestSurface:
                      "ReproError", "PackError"):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
-
-    def test_legacy_run_fleet_warns_but_works(self):
-        from repro.fleet import run_fleet
-
-        spec = FleetSpec(
-            workload="memcached",
-            trace=TraceSpec.constant(0.5, 20.0),
-            manager="static-big",
-            n_nodes=2,
-            balancer="round-robin",
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            outcome = run_fleet(spec)
-        assert isinstance(outcome, FleetOutcome)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )

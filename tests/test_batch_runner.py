@@ -4,11 +4,14 @@ cost-aware scheduling, the two-tier cache, parallelism and dedup."""
 from __future__ import annotations
 
 import pickle
+import sys
 import threading
+import zlib
 
 import pytest
 
 from repro.scenarios import ScenarioSpec, TraceSpec
+from repro.sim import batch
 from repro.sim.batch import (
     MANIFEST_NAME,
     BatchRunner,
@@ -183,8 +186,9 @@ class TestDiskCache:
     def test_cache_keyed_by_fingerprint(self, tmp_path):
         spec = tiny_specs()[0]
         BatchRunner(cache_dir=tmp_path).run([spec])
-        assert (tmp_path / f"{spec.fingerprint()}.pkl").exists()
         assert (tmp_path / MANIFEST_NAME).exists()
+        assert list(DiskCache(tmp_path)._load_pack_index()) == [spec.fingerprint()]
+        assert not list(tmp_path.glob("*.pkl"))
 
     def test_changed_spec_misses(self, tmp_path):
         runner = BatchRunner(cache_dir=tmp_path)
@@ -194,35 +198,25 @@ class TestDiskCache:
         assert runner.cache_misses == 2
 
     def test_warm_start_reads_manifest_not_per_key_files(self, tmp_path):
-        """The pack alone can serve a warm start: deleting every per-key
-        pickle must not cause a single recompute."""
+        """The pack is the whole disk tier: a warm start serves every
+        spec from it, and the cache dir holds nothing but the pack."""
         specs = tiny_specs()
         first = BatchRunner(cache_dir=tmp_path).run(specs)
-        for path in tmp_path.glob("*.pkl"):
-            path.unlink()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [MANIFEST_NAME]
         warm = BatchRunner(cache_dir=tmp_path)
         second = warm.run(specs)
         assert warm.cache_hits == len(specs) and warm.cache_misses == 0
-        assert_same_results(first, second)
-
-    def test_per_key_files_alone_also_serve_legacy_caches(self, tmp_path):
-        """A PR-3-era cache directory (no manifest) still warm-starts."""
-        specs = tiny_specs()[:2]
-        first = BatchRunner(cache_dir=tmp_path).run(specs)
-        (tmp_path / MANIFEST_NAME).unlink()
-        warm = BatchRunner(cache_dir=tmp_path)
-        second = warm.run(specs)
-        assert warm.cache_hits == len(specs)
+        assert warm.disk_hits == len(specs)
         assert_same_results(first, second)
 
 
 class TestCacheCorruption:
     def test_corrupt_entry_in_both_tiers_recomputed(self, tmp_path):
+        """A pack with no well-formed record serves a miss; the recompute
+        replaces the garbage and is loadable again."""
         spec = tiny_specs()[0]
         runner = BatchRunner(cache_dir=tmp_path)
         (original,) = runner.run([spec])
-        path = tmp_path / f"{spec.fingerprint()}.pkl"
-        path.write_bytes(b"not a pickle")
         (tmp_path / MANIFEST_NAME).write_bytes(b"garbage with no header\n")
 
         recovered = BatchRunner(cache_dir=tmp_path)
@@ -233,35 +227,11 @@ class TestCacheCorruption:
         reloaded = DiskCache(tmp_path).load(spec.fingerprint())
         assert reloaded is not None and reloaded.spec == spec
 
-    def test_truncated_per_key_entry_quarantined_on_detection(
-        self, tmp_path, capsys
-    ):
-        """Regression: a corrupt per-key pickle used to survive as a
-        miss forever, re-parsed (and re-failed) on every warm start; now
-        detection moves it to quarantine/ before the recompute rewrites
-        it -- out of the lookup path but preserved as evidence."""
-        spec = tiny_specs()[0]
-        BatchRunner(cache_dir=tmp_path).run([spec])
-        path = tmp_path / f"{spec.fingerprint()}.pkl"
-        truncated = path.read_bytes()[:20]
-        path.write_bytes(truncated)
-        (tmp_path / MANIFEST_NAME).unlink()  # isolate the per-key tier
-
-        runner = BatchRunner(cache_dir=tmp_path, memory_entries=0)
-        assert runner._cache_load(spec.fingerprint()) is None
-        assert not path.exists(), "corrupt entry must leave the lookup path"
-        quarantined = tmp_path / "quarantine" / path.name
-        assert quarantined.read_bytes() == truncated
-        assert runner.disk.corrupt_entries == 1
-        assert "quarantined corrupt entry" in capsys.readouterr().err
-
     def test_scribbled_pack_record_quarantined(self, tmp_path, capsys):
         """A bit-rotted manifest record is copied to quarantine/ and the
         spec recomputes to the same bytes."""
         spec = tiny_specs()[0]
         (original,) = BatchRunner(cache_dir=tmp_path).run([spec])
-        for path in tmp_path.glob("*.pkl"):
-            path.unlink()  # force the pack tier
         manifest = tmp_path / MANIFEST_NAME
         data = bytearray(manifest.read_bytes())
         # Scribble into the record payload, past its header line.
@@ -277,17 +247,6 @@ class TestCacheCorruption:
         assert len(records) == 1
         assert "quarantined corrupt manifest record" in capsys.readouterr().err
 
-    def test_corrupt_per_key_entry_served_from_manifest(self, tmp_path):
-        """With a healthy pack record the corrupt per-key file never
-        even gets opened -- the manifest tier sits in front of it."""
-        spec = tiny_specs()[0]
-        (original,) = BatchRunner(cache_dir=tmp_path).run([spec])
-        (tmp_path / f"{spec.fingerprint()}.pkl").write_bytes(b"junk")
-        warm = BatchRunner(cache_dir=tmp_path)
-        (outcome,) = warm.run([spec])
-        assert warm.cache_hits == 1 and warm.cache_misses == 0
-        assert_same_results([original], [outcome])
-
     def test_truncated_manifest_tail_keeps_valid_prefix(self, tmp_path):
         """A crashed writer leaves a half-record tail; records before it
         stay readable and the tail is ignored."""
@@ -296,22 +255,93 @@ class TestCacheCorruption:
         manifest = tmp_path / MANIFEST_NAME
         with manifest.open("ab") as fh:
             fh.write(b"deadbeef 999999\ntruncated-payload")
-        for path in tmp_path.glob("*.pkl"):
-            path.unlink()  # force the pack tier
         warm = BatchRunner(cache_dir=tmp_path)
         second = warm.run(specs)
         assert warm.cache_hits == len(specs)
         assert_same_results(first, second)
 
 
+def pickled(outcomes) -> list[tuple[str, bytes]]:
+    return [
+        (outcome.spec.fingerprint(), pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        for outcome in outcomes
+    ]
+
+
+class TestWellFormedPrefix:
+    """The pack is its longest well-formed prefix, and every append
+    starts at the end of it."""
+
+    def test_append_after_torn_tail_is_served(self, tmp_path):
+        """A crashed writer's torn record must not hide what is appended
+        after it: the appender truncates the torn tail first."""
+        specs = tiny_specs()[:3]
+        first = BatchRunner(cache_dir=tmp_path).run(specs[:2])
+        with (tmp_path / MANIFEST_NAME).open("ab") as fh:
+            fh.write(b"crashed-writer 999999 12345\nhalf-a-payload")
+        (last,) = BatchRunner(cache_dir=tmp_path).run(specs[2:])
+        fresh = DiskCache(tmp_path)
+        served = [fresh.load(spec.fingerprint()) for spec in specs]
+        assert all(outcome is not None for outcome in served)
+        assert_same_results(first + [last], served)
+        assert b"crashed-writer" not in fresh.manifest_path.read_bytes()
+        assert fresh.corrupt_entries == 0
+        fresh.close()
+
+    def test_pre_checksum_head_truncated_and_recomputed_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A pre-checksum ``key size`` record ends the prefix, so the
+        checksummed records behind it are misses; the recompute's
+        append truncates them away, and the next run hits everything."""
+        specs = tiny_specs()[:2]
+        old, behind = pickled(BatchRunner().run(specs))
+        crc = zlib.crc32(behind[1])
+        (tmp_path / MANIFEST_NAME).write_bytes(
+            f"{old[0]} {len(old[1])}\n".encode()
+            + old[1]
+            + f"{behind[0]} {len(behind[1])} {crc}\n".encode()
+            + behind[1]
+        )
+        executed: list[str] = []
+        real_execute = batch.execute_scenario
+
+        def counting_execute(spec):
+            executed.append(spec.fingerprint())
+            return real_execute(spec)
+
+        monkeypatch.setattr(batch, "execute_scenario", counting_execute)
+        BatchRunner(cache_dir=tmp_path).run(specs)
+        assert sorted(executed) == sorted(spec.fingerprint() for spec in specs)
+        data = (tmp_path / MANIFEST_NAME).read_bytes()
+        assert data.split(b"\n", 1)[0].count(b" ") == 2  # checksummed head
+        executed.clear()
+        warm = BatchRunner(cache_dir=tmp_path)
+        warm.run(specs)
+        assert executed == [] and warm.cache_misses == 0
+
+    def test_record_appended_by_another_cache_is_served(self, tmp_path):
+        """A reader whose index predates another handle's append syncs
+        forward on the miss instead of serving it as one."""
+        a, b = pickled(BatchRunner().run(tiny_specs()[:2]))
+        writer = DiskCache(tmp_path)
+        writer.store_many([a])
+        reader = DiskCache(tmp_path)
+        assert reader.load(a[0]) is not None  # index built here
+        writer.store_many([b])
+        served = reader.load(b[0])
+        assert served is not None and served.spec.fingerprint() == b[0]
+        reader.close()
+
+
 class TestManifestCompaction:
     """DiskCache.close() rewrites the pack once dead bytes accumulate."""
 
-    def eager_cache(self, cache_dir) -> DiskCache:
-        """A cache that compacts on close as soon as any byte is dead."""
-        return DiskCache(
-            cache_dir, compact_min_dead_bytes=1, compact_dead_fraction=0.0
-        )
+    @pytest.fixture
+    def eager(self, monkeypatch):
+        """Compact on close as soon as any byte is dead."""
+        monkeypatch.setattr(batch, "COMPACT_MIN_DEAD_BYTES", 1)
+        monkeypatch.setattr(batch, "COMPACT_DEAD_FRACTION", 0.0)
 
     def read_pack_payload(self, cache_dir, key: str) -> bytes:
         """A key's payload read straight from the pack (fresh index)."""
@@ -321,8 +351,8 @@ class TestManifestCompaction:
             fh.seek(offset)
             return fh.read(size)
 
-    def test_duplicate_appends_compact_away_on_close(self, tmp_path):
-        cache = self.eager_cache(tmp_path)
+    def test_duplicate_appends_compact_away_on_close(self, tmp_path, eager):
+        cache = DiskCache(tmp_path)
         payloads = [(f"key{i:02d}", f"payload-{i}".encode() * 20) for i in range(8)]
         cache.store_many(payloads)
         cache.store_many(payloads)  # racing-appender duplicates: all dead
@@ -336,8 +366,8 @@ class TestManifestCompaction:
         for key, payload in payloads:
             assert self.read_pack_payload(tmp_path, key) == payload
 
-    def test_malformed_tail_counts_as_dead_and_is_dropped(self, tmp_path):
-        cache = self.eager_cache(tmp_path)
+    def test_malformed_tail_counts_as_dead_and_is_dropped(self, tmp_path, eager):
+        cache = DiskCache(tmp_path)
         cache.store_many([("alive", b"x" * 64)])
         with cache.manifest_path.open("ab") as fh:
             fh.write(b"crashed-writer 999999\nhalf-a-payload")
@@ -354,23 +384,21 @@ class TestManifestCompaction:
         assert cache.compactions == 0
         assert cache.manifest_path.read_bytes() == before
 
-    def test_all_dead_threshold_respects_fraction(self, tmp_path):
+    def test_all_dead_threshold_respects_fraction(self, tmp_path, monkeypatch):
         """A big pack with little dead weight is not worth rewriting."""
-        cache = DiskCache(
-            tmp_path, compact_min_dead_bytes=1, compact_dead_fraction=0.5
-        )
+        monkeypatch.setattr(batch, "COMPACT_MIN_DEAD_BYTES", 1)
+        monkeypatch.setattr(batch, "COMPACT_DEAD_FRACTION", 0.5)
+        cache = DiskCache(tmp_path)
         cache.store_many([(f"k{i}", b"z" * 1000) for i in range(10)])
         cache.store_many([("k0", b"z" * 1000)])  # ~9% dead
         cache.close()
         assert cache.compactions == 0
 
-    def test_compacted_cache_still_serves_batch_runner(self, tmp_path):
+    def test_compacted_cache_still_serves_batch_runner(self, tmp_path, eager):
         """End to end: duplicate outcome appends, an eager close, then a
         fresh runner warm-starts everything from the compacted pack."""
         specs = tiny_specs()
         runner = BatchRunner(cache_dir=tmp_path)
-        runner._disk.compact_min_dead_bytes = 1
-        runner._disk.compact_dead_fraction = 0.0
         first = runner.run(specs)
         # Duplicate the appends (what a racing runner doing the same
         # sweep leaves behind), then close -> compaction.
@@ -388,29 +416,30 @@ class TestManifestCompaction:
         assert runner.disk.dead_pack_bytes()[0] > 0
         runner.close()
         assert runner.disk.compactions == 1
-        for path in tmp_path.glob("*.pkl"):
-            path.unlink()  # pack-only warm start
         warm = BatchRunner(cache_dir=tmp_path)
         replay = warm.run(specs)
         assert warm.cache_hits == len(specs) and warm.cache_misses == 0
         assert_same_results(first, replay)
 
-    def test_version_stranded_records_reclaimed(self, tmp_path):
+    def test_version_stranded_records_reclaimed(self, tmp_path, eager):
         """Records from a retired cache-format generation are the
         *latest* for their (old-prefix) key, so latest-wins indexing
-        alone would keep them alive forever; ``live_prefix`` lets
-        compaction classify and reclaim them."""
+        alone would keep them alive forever; the live prefix lets
+        compaction classify and reclaim them.  Bare v1 keys were only
+        ever written as pre-checksum ``key size`` records, which end the
+        well-formed prefix and fall away at the next append."""
         from repro.scenarios.spec import SCHEMA_VERSION, cache_key_prefix
 
         prefix = cache_key_prefix()
-        cache = DiskCache(
-            tmp_path,
-            live_prefix=prefix,
-            compact_min_dead_bytes=1,
-            compact_dead_fraction=0.0,
-        )
-        stranded = [(f"s1-old-kernel-{i:024d}", b"old" * 50) for i in range(6)]
         bare_v1 = [(f"{i:024d}", b"bare" * 40) for i in range(3)]
+        (tmp_path / MANIFEST_NAME).write_bytes(
+            b"".join(
+                f"{key} {len(payload)}\n".encode() + payload
+                for key, payload in bare_v1
+            )
+        )
+        cache = DiskCache(tmp_path)
+        stranded = [(f"s1-old-kernel-{i:024d}", b"old" * 50) for i in range(6)]
         current = [(f"{prefix}{i:024d}", b"new" * 50) for i in range(4)]
         # Equal-or-newer generations must survive: a same-schema kernel
         # variant (ordering unknowable) and a newer build sharing the
@@ -418,10 +447,10 @@ class TestManifestCompaction:
         peers = [(f"s{SCHEMA_VERSION}-other-kernel-" + "9" * 24, b"peer" * 40)]
         newer = [("s99-future-" + "8" * 24, b"next" * 40)]
         cache.store_many(stranded)
-        cache.store_many(bare_v1)
         cache.store_many(current)
         cache.store_many(peers)
         cache.store_many(newer)
+        assert b"bare" not in cache.manifest_path.read_bytes()
         dead, _ = cache.dead_pack_bytes()
         assert dead > 0, "stranded records must count as dead"
         cache.close()
@@ -432,32 +461,6 @@ class TestManifestCompaction:
         for key, payload in survivors:
             assert self.read_pack_payload(tmp_path, key) == payload
 
-    def test_stranded_per_key_files_swept_on_close(self, tmp_path):
-        """The per-key twins of version-stranded records leak too --
-        their retired keys are never looked up, so only the close-time
-        sweep can reclaim them; current-generation files survive."""
-        from repro.scenarios.spec import cache_key_prefix
-
-        prefix = cache_key_prefix()
-        old = tmp_path / "deadbeef00112233445566778899aabb.pkl"  # v1-era stem
-        old.write_bytes(b"legacy payload")
-        current = tmp_path / f"{prefix}{'0' * 24}.pkl"
-        current.write_bytes(b"current payload")
-        unrelated = tmp_path / "notes.txt"
-        unrelated.write_text("not a cache entry")
-        newer = tmp_path / f"s99-future-{'8' * 24}.pkl"
-        newer.write_bytes(b"a newer build's entry")
-        cache = DiskCache(tmp_path, live_prefix=prefix)
-        cache.close()
-        assert not old.exists()
-        assert current.exists() and unrelated.exists() and newer.exists()
-        assert cache.stranded_files_removed == 1
-        # Without a live_prefix (generic use) nothing is touched.
-        other = tmp_path / "whatever.pkl"
-        other.write_bytes(b"x")
-        DiskCache(tmp_path).close()
-        assert other.exists()
-
     def test_runner_disk_cache_carries_current_prefix(self, tmp_path):
         from repro.scenarios.spec import cache_key_prefix
 
@@ -467,7 +470,7 @@ class TestManifestCompaction:
         assert spec.fingerprint().startswith(cache_key_prefix())
 
     def test_stale_index_after_foreign_compaction_serves_right_key(
-        self, tmp_path
+        self, tmp_path, eager
     ):
         """A reader whose cached index predates another process's
         compaction must never serve the wrong outcome.
@@ -494,7 +497,7 @@ class TestManifestCompaction:
         writer.store_many([(key_a, payload_a)])  # ...superseded by this
         reader = DiskCache(tmp_path)
         reader._load_pack_index()  # snapshot the pre-compaction offsets
-        self.eager_cache(tmp_path).close()  # foreign compaction
+        DiskCache(tmp_path).close()  # foreign compaction
 
         # Stale key_b offset == compacted key_a payload offset: without
         # the identity check this returns outcome_a for key_b.
@@ -505,9 +508,11 @@ class TestManifestCompaction:
         also = reader.load(key_a)
         assert also is not None and also.spec.fingerprint() == key_a
 
-    def test_racing_appenders_lose_nothing_to_compaction(self, tmp_path):
-        """Appenders running while another handle compacts: the inode
-        re-check after flock keeps every record reachable."""
+    def test_racing_appenders_lose_nothing_to_compaction(self, tmp_path, eager):
+        """Appenders, each with its own index, running while another
+        handle compacts: the inode re-check after flock and the forward
+        sync before each truncate-and-append keep every record
+        reachable."""
         errors: list[BaseException] = []
         per_thread = 40
 
@@ -525,7 +530,7 @@ class TestManifestCompaction:
         def compact_repeatedly():
             try:
                 for _ in range(25):
-                    compactor = self.eager_cache(tmp_path)
+                    compactor = DiskCache(tmp_path)
                     # Dead weight so every close really rewrites.
                     compactor.store_many([("churn", b"c" * 64)] * 2)
                     compactor.close()
@@ -535,10 +540,16 @@ class TestManifestCompaction:
         threads = [
             threading.Thread(target=append, args=(t,)) for t in range(3)
         ] + [threading.Thread(target=compact_repeatedly)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         assert not errors
         index = DiskCache(tmp_path)._load_pack_index()
         for thread_id in range(3):
@@ -553,9 +564,8 @@ class TestManifestCompaction:
 
 class TestConcurrentRunners:
     def test_two_runners_share_one_cache_dir(self, tmp_path):
-        """Two runners racing over overlapping batches (atomic per-key
-        writes + locked manifest appends) must corrupt nothing and agree
-        on every outcome."""
+        """Two runners racing over overlapping batches (locked manifest
+        appends) must corrupt nothing and agree on every outcome."""
         specs = tiny_specs()
         results: dict[str, list] = {}
         errors: list[BaseException] = []
@@ -577,15 +587,11 @@ class TestConcurrentRunners:
         assert not errors
         assert_same_results(results["a"], list(reversed(results["b"])))
 
-        # Every tier is intact: a fresh runner warm-starts fully from
-        # the pack, and every per-key pickle still loads.
+        # The pack is intact: a fresh runner warm-starts fully from it.
         warm = BatchRunner(cache_dir=tmp_path)
         replay = warm.run(specs)
         assert warm.cache_hits == len(specs) and warm.cache_misses == 0
         assert_same_results(results["a"], replay)
-        per_key = DiskCache(tmp_path)
-        for path in tmp_path.glob("*.pkl"):
-            assert per_key._file_load(path.stem) is not None
 
 
 class TestScheduling:

@@ -131,6 +131,14 @@ class TestCorruptCache:
         for left, right in zip(golden, outcomes):
             assert left.spec == right.spec
             assert left.result.observations == right.result.observations
+        # The recovery run's appends are all reachable: nothing misses
+        # and nothing is quarantined again.
+        recovered = BatchRunner(cache_dir=cache, memory_entries=0)
+        again = recovered.run(specs)
+        assert recovered.cache_misses == 0
+        assert recovered.disk.corrupt_entries == 0
+        for left, right in zip(golden, again):
+            assert left.result.observations == right.result.observations
 
     def test_missing_cache_dir_is_harmless(self, tmp_path):
         report = chaos.corrupt_cache(tmp_path / "nope", seed=0)

@@ -11,7 +11,6 @@ from repro.fleet import (
     BALANCER_FACTORIES,
     FleetSpec,
     build_balancer,
-    run_fleet,
 )
 from repro.fleet.balancer import MAX_NODE_LEVEL, LoadBalancer
 from repro.loadgen.traces import SampledTrace
@@ -259,7 +258,7 @@ class TestFleetExecution:
 
     def test_aggregates(self):
         fleet = tiny_fleet(n_nodes=3)
-        outcome = run_fleet(fleet)
+        outcome = fleet.run()
         per_node = outcome.node_mean_powers_w()
         assert outcome.total_mean_power_w() == pytest.approx(per_node.sum())
         # Tail-of-tails dominates every node's own tail (node results
@@ -278,7 +277,7 @@ class TestFleetExecution:
         assert tardiness == 0.0 or tardiness > 1.0
 
     def test_render_mentions_fleet_shape(self):
-        outcome = run_fleet(tiny_fleet(n_nodes=2))
+        outcome = tiny_fleet(n_nodes=2).run()
         report = outcome.render()
         assert "2 nodes" in report
         assert "tail-of-tails" in report
@@ -346,7 +345,7 @@ class TestStreamingAggregation:
         """The acceptance property: FleetOutcome holds fixed-size
         reductions only -- no node outcome tuples, no observation
         tables."""
-        outcome = run_fleet(tiny_fleet(n_nodes=2))
+        outcome = tiny_fleet(n_nodes=2).run()
         assert not hasattr(outcome, "nodes")
         assert not hasattr(outcome, "node_results")
         state = outcome.__dict__
@@ -366,7 +365,7 @@ class TestStreamingAggregation:
         spec = tiny_fleet(
             n_nodes=256, trace=TraceSpec.constant(0.5, 6.0), seed=11
         )
-        outcome = run_fleet(spec)
+        outcome = spec.run()
         assert outcome.n_nodes == 256
         assert outcome.node_powers_w.shape == (256,)
         assert np.isfinite(outcome.node_powers_w).all()
@@ -517,7 +516,7 @@ class TestHeterogeneousFleet:
             "memcached", "memcached", "websearch"]
 
     def test_hetero_aggregation_uses_per_node_targets(self):
-        outcome = run_fleet(self.mixed())
+        outcome = self.mixed().run()
         assert outcome.is_heterogeneous
         assert outcome.fleet_ratio is not None
         assert len(outcome.node_targets) == 3
@@ -528,5 +527,5 @@ class TestHeterogeneousFleet:
         assert "workload" in outcome.render()
 
     def test_homogeneous_render_has_no_workload_column(self):
-        outcome = run_fleet(tiny_fleet(n_nodes=2))
+        outcome = tiny_fleet(n_nodes=2).run()
         assert "workload" not in outcome.render()

@@ -301,9 +301,10 @@ class TestVersionedPayloads:
         with pytest.raises(ValueError, match="storage format"):
             ObservationTable.__new__(ObservationTable).__setstate__(state)
 
-    def test_cache_treats_legacy_payload_as_miss_and_deletes_it(self, tmp_path):
-        """End to end: a legacy payload planted under a current cache
-        key is rejected on decode, deleted, and recomputed."""
+    def test_cache_treats_legacy_payload_as_miss_and_quarantines_it(self, tmp_path):
+        """End to end: a legacy payload planted as a pack record under a
+        current cache key is rejected on decode, quarantined, and
+        recomputed."""
         spec = ScenarioSpec(
             workload="memcached",
             trace=TraceSpec.constant(0.5, 10.0),
@@ -326,11 +327,12 @@ class TestVersionedPayloads:
                     legacy_state,
                 )
 
-        path = tmp_path / f"{spec.fingerprint()}.pkl"
-        path.write_bytes(pickle.dumps(LegacyPickle()))
+        key = spec.fingerprint()
+        DiskCache(tmp_path).store_many([(key, pickle.dumps(LegacyPickle()))])
         runner = BatchRunner(cache_dir=tmp_path, memory_entries=0)
-        assert runner._cache_load(spec.fingerprint()) is None
-        assert not path.exists(), "rejected legacy entry must be deleted"
+        assert runner._cache_load(key) is None
+        assert runner.disk.corrupt_entries == 1
+        assert (runner.disk.quarantine_path / f"{key}.pack-record").exists()
         (outcome,) = runner.run([spec])
         assert runner.cache_misses == 1
         assert outcome.result.observations == fresh.result.observations
@@ -616,8 +618,10 @@ class TestVersion2CacheDir:
         monkeypatch.setattr(batch, "execute_scenario", counting_execute)
         assert self.cli_stdout(capsys, argv + [str(v2_dir)]) == golden
         assert sorted(executed) == keys
-        # Repopulated in v3; the stranded v2 per-key files are swept.
-        assert sorted(p.stem for p in v2_dir.glob("*.pkl")) == keys
+        # Repopulated in v3: the pack holds exactly the v3 keys beside
+        # whatever stranded v2 records compaction has not reclaimed yet.
+        index = DiskCache(v2_dir)._load_pack_index()
+        assert sorted(set(index) - {key for key, _ in planted}) == keys
         executed.clear()
         assert self.cli_stdout(capsys, argv + [str(v2_dir)]) == golden
         assert executed == []

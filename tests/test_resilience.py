@@ -34,6 +34,7 @@ from repro.fleet import (
 )
 from repro.fleet.balancer import build_balancer
 from repro.scenarios.spec import TraceSpec
+from repro.sim import batch
 from repro.sim.batch import BatchRunner, DiskCache
 from repro.sim.supervise import RetryPolicy, RunJournal
 
@@ -731,8 +732,9 @@ class TestExpansionMemo:
 
 
 class TestQuarantineBound:
-    def test_oldest_evicted_past_entry_bound(self, tmp_path):
-        cache = DiskCache(tmp_path, quarantine_max_entries=3)
+    def test_oldest_evicted_past_entry_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(batch, "QUARANTINE_MAX_ENTRIES", 3)
+        cache = DiskCache(tmp_path)
         cache.quarantine_path.mkdir(parents=True)
         for i in range(6):
             path = cache.quarantine_path / f"entry{i}.pkl"
@@ -743,8 +745,9 @@ class TestQuarantineBound:
         assert survivors == ["entry3.pkl", "entry4.pkl", "entry5.pkl"]
         assert cache.quarantine_evictions == 3
 
-    def test_size_bound_evicts_oldest_first(self, tmp_path):
-        cache = DiskCache(tmp_path, quarantine_max_bytes=25)
+    def test_size_bound_evicts_oldest_first(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(batch, "QUARANTINE_MAX_BYTES", 25)
+        cache = DiskCache(tmp_path)
         cache.quarantine_path.mkdir(parents=True)
         for i in range(4):
             path = cache.quarantine_path / f"blob{i}"
@@ -756,19 +759,20 @@ class TestQuarantineBound:
         assert cache.quarantine_evictions == 2
 
     def test_quarantining_a_corrupt_entry_triggers_the_bound(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
-        cache = DiskCache(tmp_path, quarantine_max_entries=1)
+        monkeypatch.setattr(batch, "QUARANTINE_MAX_ENTRIES", 1)
+        cache = DiskCache(tmp_path)
         cache.quarantine_path.mkdir(parents=True)
-        old = cache.quarantine_path / "ancient.pkl"
+        old = cache.quarantine_path / "ancient.pack-record"
         old.write_bytes(b"z")
         os.utime(old, (100, 100))
-        bad = tmp_path / "corrupt.pkl"
-        bad.write_bytes(b"not a pickle")
-        cache._quarantine_file(bad)
-        assert not bad.exists()
+        cache.store_many([("corrupt", b"not a pickle")])
+        cache._quarantine_record("corrupt", cache._load_pack_index()["corrupt"])
         names = {p.name for p in cache.quarantine_path.iterdir()}
-        assert names == {"corrupt.pkl"}
+        assert names == {"corrupt.pack-record"}
+        record = cache.quarantine_path / "corrupt.pack-record"
+        assert record.read_bytes() == b"not a pickle"
         assert cache.quarantine_evictions == 1
 
     def test_eviction_count_reaches_fault_line(self, tmp_path):

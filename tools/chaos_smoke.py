@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Execution-chaos smoke: the full CLI run must survive injected faults.
 
-Four in-process invocations of the acceptance command
+Five in-process invocations of the acceptance command
 (``all --quick --seed S``):
 
 1. **golden** -- fault-free, serial: the reference stdout bytes.
@@ -11,10 +11,14 @@ Four in-process invocations of the acceptance command
    to the golden run.
 3. **cache populate** -- fault-free, parallel, against a fresh on-disk
    cache (the corruption victim).
-4. **corrupted cache** -- the manifest tail is truncated, a record is
-   scribbled and per-key pickles are damaged
-   (:func:`repro.sim.chaos.corrupt_cache`); the rerun must quarantine
-   the damage, recompute, exit 0 and stay byte-identical.
+4. **corrupted cache** -- a manifest pack record is scribbled and the
+   pack's tail is truncated (:func:`repro.sim.chaos.corrupt_cache`);
+   the rerun must quarantine the damage, recompute, exit 0 and stay
+   byte-identical.
+5. **recovered cache** -- one more rerun over the same cache: the
+   recovery run's appends must all be reachable, so it must stay
+   byte-identical, report ``0 miss(es)`` on its ``[cache]`` line and
+   add no quarantine entries.
 
 A JSON summary (the CI artifact) records per-run exit codes, wall
 times, fault markers and the byte-identity verdicts.  Exits non-zero
@@ -165,6 +169,27 @@ def main(argv: list[str] | None = None) -> int:
             p.name for p in (cache_dir / "quarantine").glob("*")
         )
         summary["quarantined"] = quarantined
+
+        # -- recovered cache: everything the recovery appended is served
+        code, out, err, wall = _cli_run(
+            base_cmd + ["--jobs", str(args.jobs), "--cache-dir", str(cache_dir)]
+        )
+        record("recovered-cache-rerun", code, out, err, wall, golden)
+        cache_lines = [
+            line for line in err.splitlines() if line.startswith("[cache]")
+        ]
+        if not any(" 0 miss(es)" in line for line in cache_lines):
+            failures.append(
+                f"recovered-cache-rerun: expected 0 misses, got {cache_lines}"
+            )
+        requarantined = sorted(
+            p.name for p in (cache_dir / "quarantine").glob("*")
+        )
+        if requarantined != quarantined:
+            failures.append(
+                "recovered-cache-rerun: quarantined "
+                f"{sorted(set(requarantined) - set(quarantined))}"
+            )
 
     summary["ok"] = not failures
     summary["failures"] = failures
