@@ -30,7 +30,6 @@ from repro.fleet.faults import (
     FAULT_KINDS,
     FaultClause,
     FaultEvent,
-    capacity_multipliers,
     lower_faults,
 )
 from repro.fleet.resilience import (
@@ -54,7 +53,6 @@ __all__ = [
     "NodeReduction",
     "ResilienceReport",
     "build_resilience_report",
-    "capacity_multipliers",
     "lower_faults",
     "split_with_timeline",
     "timeline_multipliers",

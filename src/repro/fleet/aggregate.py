@@ -318,7 +318,8 @@ class FleetOutcome:
 
     def resilience_report(self):
         """The blast-radius digest, or ``None`` for a fleet that never
-        engaged the resilience layer (plain and legacy-fault specs)."""
+        engaged the resilience layer (see
+        :meth:`~repro.fleet.spec.FleetSpec.uses_resilience`)."""
         if not self.spec.uses_resilience():
             return None
         from repro.fleet.resilience import build_resilience_report

@@ -120,9 +120,10 @@ FAULT_KINDS: dict[str, tuple[str, ...]] = {
     ),
 }
 
-#: The clause kinds the resilience layer introduced; a spec using any of
-#: them (or ``detection_s`` / ``repair_s`` on a legacy kind) expands
-#: through the detection/recovery timeline instead of the legacy split.
+#: The clause kinds the resilience layer introduced.  A spec using any
+#: of them (or ``detection_s`` / ``repair_s`` on an independent kind)
+#: fingerprints at the resilience schema version and gets a resilience
+#: report; every faulted spec splits through the same timeline.
 CORRELATED_KINDS = frozenset({"rack-death", "cascading-straggler", "brownout-wave"})
 
 
@@ -265,8 +266,8 @@ class FaultEvent:
     ``multiplier`` is 0.0 for a death, the capacity factor otherwise;
     the window is half-open ``[start_interval, end_interval)``.
     ``detect_interval`` is when the failure detector notices (``None``
-    means instantly, the legacy behaviour) -- physically the fault
-    holds from ``start_interval``, but the balancer only reacts from
+    means instantly) -- physically the fault holds from
+    ``start_interval``, but the balancer only reacts from
     ``detect_interval`` on.  Repair (``end_interval`` before the run
     ends) is assumed observed immediately.
     """
@@ -541,26 +542,11 @@ def _lower_brownout(
             )
 
 
-def capacity_multipliers(
-    events: tuple[FaultEvent, ...], *, n_nodes: int, n_intervals: int
-) -> np.ndarray:
-    """The ``(n_intervals, n_nodes)`` effective-capacity multiplier
-    matrix the events compose to (overlapping events multiply; any
-    death wins)."""
-    matrix = np.ones((n_intervals, n_nodes))
-    for event in events:
-        matrix[event.start_interval : event.end_interval, event.node] *= (
-            event.multiplier
-        )
-    return matrix
-
-
 __all__ = [
     "CORRELATED_KINDS",
     "FAULT_KINDS",
     "FaultClause",
     "FaultEvent",
-    "capacity_multipliers",
     "freeze_clauses",
     "lower_faults",
 ]

@@ -1,17 +1,19 @@
 """Detection/recovery timelines and the blast-radius report.
 
-The legacy fault split (:func:`repro.fleet.spec._split_with_faults`)
-redistributes load the instant a node's capacity multiplier changes --
-the balancer is omniscient.  Real failure detectors lag: between onset
-and detection the balancer keeps routing to a dead or degraded node,
-and the surviving nodes only absorb the spill once the detector fires.
-This module models that lag with **two** capacity-multiplier matrices:
+Every faulted fleet splits its load here.  Real failure detectors
+lag: between onset and detection the balancer keeps routing to a dead
+or degraded node, and the surviving nodes only absorb the spill once
+the detector fires.  This module models that lag with **two**
+capacity-multiplier matrices:
 
 * *physical* -- what the hardware actually does; a fault applies from
   its ``start_interval``.
 * *known* -- what the balancer believes; a fault only applies from its
   ``detect_interval`` (repair is assumed observed immediately, so
   known-dead is always a subset of physically-dead).
+
+A fault detected instantly (no ``detection_s``) is the case where the
+two matrices agree: the balancer re-splits the moment capacity changes.
 
 :func:`split_with_timeline` segments the run wherever either matrix
 changes, re-runs the fleet's balancer per segment over the *known*
@@ -36,12 +38,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.fleet.balancer import MAX_NODE_LEVEL
 from repro.fleet.faults import FaultEvent
-
-#: Per-node offered-load ceiling shared with the legacy fault split: a
-#: survivor can be asked for at most 1.5x its capacity; demand beyond
-#: that is dropped (the fleet is simply over capacity).
-MAX_NODE_LEVEL = 1.5
 
 
 def timeline_multipliers(
@@ -92,19 +90,18 @@ def split_with_timeline(
     )
     levels = np.zeros((n_intervals, n_nodes))
     pattern = np.concatenate([physical, known], axis=1)
-    boundaries = [0]
-    for t in range(1, n_intervals):
-        if not np.array_equal(pattern[t], pattern[t - 1]):
-            boundaries.append(t)
-    boundaries.append(n_intervals)
-    for seg_start, seg_end in zip(boundaries[:-1], boundaries[1:]):
+    # Segment boundaries: intervals where any multiplier flips.
+    changes = np.flatnonzero(np.diff(pattern, axis=0).any(axis=1)) + 1
+    starts = np.concatenate(([0], changes))
+    ends = np.concatenate((changes, [n_intervals]))
+    for seg_start, seg_end in zip(starts, ends):
         prow = physical[seg_start]
         krow = known[seg_start]
         phys_alive = np.flatnonzero(prow > 0)
         if phys_alive.size == 0:
             raise ValueError(
-                "fault schedule kills every node -- lower the probability "
-                "or add nodes"
+                f"fault schedule kills every node (intervals "
+                f"{seg_start}-{seg_end}) -- lower the probability or add nodes"
             )
         known_alive = np.flatnonzero(krow > 0)
         # The balancer plans over what it *believes*: the known-alive
@@ -238,15 +235,12 @@ def build_resilience_report(
         np.round(planned_levels, 6) == np.round(baseline_levels, 6), axis=0
     )
     nodes_affected = int(affected_mask.sum())
-    window = np.zeros(n_intervals, dtype=bool)
-    for event in events:
-        window[event.start_interval : event.end_interval] = True
+    physical, _ = timeline_multipliers(events, n_nodes=n_nodes, n_intervals=n_intervals)
+    # Every event multiplier is below 1, so an interval lies in a fault
+    # window exactly when some node runs below full capacity.
+    window = (physical < 1.0).any(axis=1)
     fault_intervals = int(window.sum())
-    physical = np.ones((n_intervals, n_nodes), dtype=bool)
-    for event in events:
-        if event.multiplier == 0.0:
-            physical[event.start_interval : event.end_interval, event.node] = False
-    alive_levels = np.where(physical, planned_levels, 0.0)
+    alive_levels = np.where(physical > 0.0, planned_levels, 0.0)
     overload_peak = (
         float(alive_levels[window].max())
         if fault_intervals
@@ -295,7 +289,6 @@ def build_resilience_report(
 
 
 __all__ = [
-    "MAX_NODE_LEVEL",
     "ResilienceReport",
     "build_resilience_report",
     "split_with_timeline",

@@ -23,18 +23,8 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.errors import UnknownNameError
-from repro.fleet.balancer import (
-    BALANCER_FACTORIES,
-    MAX_NODE_LEVEL,
-    build_balancer,
-)
-from repro.fleet.faults import (
-    FaultClause,
-    FaultEvent,
-    capacity_multipliers,
-    freeze_clauses,
-    lower_faults,
-)
+from repro.fleet.balancer import BALANCER_FACTORIES, build_balancer
+from repro.fleet.faults import FaultClause, FaultEvent, freeze_clauses, lower_faults
 from repro.fleet.resilience import split_with_timeline
 from repro.scenarios.spec import (
     DEFAULT_SEED,
@@ -331,7 +321,9 @@ class FleetSpec:
 
         True when a topology is declared, a correlated fault kind is
         used, or any clause carries ``detection_s`` / ``repair_s``.
-        Everything else expands through the legacy paths byte-for-byte.
+        It selects only the fingerprint payload version and whether the
+        outcome carries a resilience report; every faulted fleet
+        expands through the same timeline split either way.
         """
         if self.topology:
             return True
@@ -366,14 +358,6 @@ class FleetSpec:
             racks=self.rack_blocks(),
         )
 
-    def fault_multipliers(self) -> np.ndarray:
-        """Per-interval, per-node effective-capacity multipliers."""
-        return capacity_multipliers(
-            self.fault_schedule(),
-            n_nodes=self.n_nodes,
-            n_intervals=len(self.fleet_loads()),
-        )
-
     def node_specs(self) -> tuple[ScenarioSpec, ...]:
         """Expand into one :class:`ScenarioSpec` per node.
 
@@ -392,18 +376,15 @@ class FleetSpec:
         return self._memo("_planned_levels_memo", self._split_levels)
 
     def _split_levels(self) -> np.ndarray:
-        capacities = self.node_capacities()
-        balancer = build_balancer(self.balancer, self.balancer_params)
+        # Every faulted fleet splits through the one timeline; instant
+        # detection is the case where known and physical capacities agree.
         events = self.fault_schedule()
-        if events and self.uses_resilience():
-            return split_with_timeline(
-                self.fleet_loads(), capacities, balancer, events
-            )
-        if events:
-            return self._split_with_faults(balancer, capacities, events)
-        # The pre-fault path, untouched: faultless fleets expand to
-        # byte-identical node specs (and cached node outcomes).
-        return balancer.split(self.fleet_loads(), capacities)
+        if not events:
+            return self.faultless_levels()
+        balancer = build_balancer(self.balancer, self.balancer_params)
+        return split_with_timeline(
+            self.fleet_loads(), self.node_capacities(), balancer, events
+        )
 
     def faultless_levels(self) -> np.ndarray:
         """The counterfactual plan with no faults at all -- the
@@ -450,53 +431,6 @@ class FleetSpec:
                 )
             )
         return tuple(specs)
-
-    def _split_with_faults(
-        self, balancer, capacities: np.ndarray, events: tuple[FaultEvent, ...]
-    ) -> np.ndarray:
-        """Balancer split under a fault schedule.
-
-        Balancers are row-pure (each interval splits independently), so
-        the trace is segmented at fault boundaries and each segment is
-        split over its *live* nodes with their effective capacities:
-        dead nodes are excluded and the survivors absorb the whole
-        fleet load; degraded/straggling nodes keep receiving work
-        according to their reduced capacity, and what they receive is
-        then inflated by the slowdown (utilization rises by
-        ``1/factor``), capped at the per-node validity bound.
-        """
-        fleet_loads = self.fleet_loads()
-        n_intervals = len(fleet_loads)
-        multipliers = capacity_multipliers(
-            events, n_nodes=self.n_nodes, n_intervals=n_intervals
-        )
-        levels = np.zeros((n_intervals, self.n_nodes))
-        # Segment boundaries: intervals where any node's multiplier flips.
-        changes = np.flatnonzero(
-            (np.diff(multipliers, axis=0) != 0.0).any(axis=1)
-        )
-        starts = np.concatenate(([0], changes + 1))
-        ends = np.concatenate((changes + 1, [n_intervals]))
-        for start, end in zip(starts, ends):
-            row = multipliers[start]
-            alive = np.flatnonzero(row > 0.0)
-            if not len(alive):
-                raise ValueError(
-                    "fault schedule kills every node "
-                    f"(intervals {start}-{end}); nothing can serve the load"
-                )
-            # The same total offered load (fleet fraction x n_nodes
-            # nominal boards) is re-expressed as a fraction of the
-            # surviving sub-fleet's nominal capacity.
-            sub_loads = fleet_loads[start:end] * (self.n_nodes / len(alive))
-            effective = capacities[alive] * row[alive]
-            split = balancer.split(sub_loads, effective)
-            # Slowdown inflation: a node at capacity factor m serves its
-            # assignment at 1/m the speed, so its offered level (fraction
-            # of its *nominal* maximum) rises accordingly.
-            split = np.minimum(split / row[alive][None, :], MAX_NODE_LEVEL)
-            levels[start:end, alive] = split
-        return levels
 
     # ------------------------------------------------------------------
     # execution

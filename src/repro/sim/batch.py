@@ -44,9 +44,11 @@ looked up in the first place.
 The pack is its **longest well-formed prefix**: a torn tail (crashed
 writer), a malformed header or a pre-checksum ``<key> <size>`` record
 ends it.  Before every append the appender brings its index up to date
-(scanning only what other processes appended since), truncates the file
-at the end of that prefix and writes from there, so a new record always
-starts on a record boundary and a torn tail can never hide it.
+(scanning only what other processes appended since, and rescanning the
+whole pack if that scan stops short of the end of the file), truncates
+the file at the end of that prefix and writes from there, so a new
+record always starts on a record boundary and a torn tail can never
+hide it.
 
 Because the pack is append-only, re-stored keys and version bumps
 strand dead bytes in it; :meth:`DiskCache.close` opportunistically
@@ -477,18 +479,25 @@ class DiskCache:
 
         Only records past the known end of the well-formed prefix are
         scanned; a new inode (a foreign compaction) or a file shorter
-        than that end means a full rescan.
+        than that end means a full rescan.  So does an incremental scan
+        that stops short of the end of the file: besides a torn tail,
+        that is what a foreign compaction looks like when the new pack
+        reuses the old inode number (ext4 hands freed inodes straight
+        back), and ``store_many`` must never truncate at a stale end.
         """
         stat = os.fstat(fh.fileno())
-        if (
+        stale = (
             self._pack_index is None
             or stat.st_ino != self._pack_inode
             or stat.st_size < self._pack_end
-        ):
+        )
+        if not stale and stat.st_size > self._pack_end:
+            _, end = self._scan_pack(fh, self._pack_end, self._pack_index)
+            stale = end < stat.st_size
+            self._pack_end = end
+        if stale:
             self._drop_read_state()
             self._pack_index, self._pack_end = self._scan_pack(fh)
-        elif stat.st_size > self._pack_end:
-            _, self._pack_end = self._scan_pack(fh, self._pack_end, self._pack_index)
         self._pack_inode = stat.st_ino
         return self._pack_index
 

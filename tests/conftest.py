@@ -8,6 +8,12 @@ import pytest
 from repro.hardware.juno import juno_r1
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running end-to-end test (full CLI or experiment runs)"
+    )
+
+
 @pytest.fixture(scope="session")
 def platform():
     """The calibrated Juno R1 platform (immutable, shared)."""

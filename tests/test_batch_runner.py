@@ -561,6 +561,25 @@ class TestManifestCompaction:
                     == f"{thread_id}:{i}".encode()
                 )
 
+    def test_append_after_compaction_that_reuses_the_inode(self, tmp_path):
+        """A foreign compaction may give the new pack the old inode
+        number.  An appender whose known end then falls mid-record must
+        rescan, not truncate the new pack there."""
+        writer = DiskCache(tmp_path)
+        writer.store_many([("a", b"x" * 10)])
+        # Rewrite in place (same inode): the first record spans the
+        # writer's known end, and its payload's newlines make a scan
+        # from that end stop at once.
+        with writer.manifest_path.open("r+b") as fh:
+            fh.truncate(0)
+            for key, payload in (("b", b"y\n" * 20), ("c", b"z" * 5)):
+                fh.write(f"{key} {len(payload)} {zlib.crc32(payload)}\n".encode())
+                fh.write(payload)
+        writer.store_many([("d", b"w")])
+        index = DiskCache(tmp_path)._load_pack_index()
+        assert sorted(index) == ["b", "c", "d"]
+        assert self.read_pack_payload(tmp_path, "b") == b"y\n" * 20
+
 
 class TestConcurrentRunners:
     def test_two_runners_share_one_cache_dir(self, tmp_path):

@@ -436,9 +436,11 @@ class TestFaults:
         assert len(events) == 3  # probability 1: every node dies at t=0
         assert all(isinstance(e, FaultEvent) and e.multiplier == 0.0
                    for e in events)
-        # A whole-fleet wipeout cannot be expanded into node loads.
-        with pytest.raises(ValueError, match="kills every node"):
+        # A whole-fleet wipeout cannot be expanded into node loads; the
+        # error names the dead segment (every interval of the 12 s trace).
+        with pytest.raises(ValueError, match="kills every node") as err:
             spec.node_specs()
+        assert "intervals 0-12" in str(err.value)
 
     def test_partial_death_rebalances_onto_survivors(self):
         # Seed 0 fires the clause on node 0 only (pinned draw order).

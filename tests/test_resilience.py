@@ -177,6 +177,59 @@ class TestGoldenPins:
             e.detect_interval is None for e in spec.fault_schedule()
         )
 
+    @pytest.mark.parametrize(
+        ("balancer", "fingerprint", "nodes_digest"),
+        [
+            (
+                "round-robin",
+                "960c5eabccd34b709dc20359",
+                "1c8b6acef9424701cd7004029b57f39def0e4c9350419da6b08466ffdcff67ec",
+            ),
+            (
+                "least-loaded",
+                "ec29f40a6118116410157237",
+                "be2bf505793f9dc0beb720fbec709521842b1312635391772c7da038d4addc74",
+            ),
+            (
+                "power-aware",
+                "589426e6d87b68700aa89659",
+                "958fe184d8034fd22825ce56217b50315d8a9fc2939542b50089833d254a7e45",
+            ),
+        ],
+    )
+    def test_legacy_fault_mix_unmoved(self, balancer, fingerprint, nodes_digest):
+        """Every independent kind, instantly detected, under each
+        balancer -- pinned before these fleets moved onto the timeline
+        split, which must reproduce their node specs byte for byte."""
+        spec = plain_fleet(
+            seed=0,
+            balancer=balancer,
+            faults=(
+                {"kind": "node-death", "probability": 0.3, "earliest_s": 10.0},
+                {
+                    "kind": "degradation",
+                    "probability": 0.4,
+                    "factor": 0.6,
+                    "earliest_s": 5.0,
+                },
+                {
+                    "kind": "straggler",
+                    "probability": 0.6,
+                    "slowdown": 2.0,
+                    "duration_s": 8.0,
+                },
+            ),
+        )
+        assert not spec.uses_resilience()
+        assert {e.kind for e in spec.fault_schedule()} == {
+            "node-death",
+            "degradation",
+            "straggler",
+        }
+        assert spec.fingerprint() == fingerprint
+        joined = ",".join(s.fingerprint() for s in spec.node_specs())
+        assert hashlib.sha256(joined.encode()).hexdigest() == nodes_digest
+
 
 # ----------------------------------------------------------------------
 # lowering: clause validation and the draw-order discipline
@@ -470,8 +523,9 @@ class TestTimelineSplit:
             )
             for node in range(2)
         )
-        with pytest.raises(ValueError, match="kills every node"):
+        with pytest.raises(ValueError, match="kills every node") as err:
             split_with_timeline(loads, np.ones(2), balancer, events)
+        assert "intervals 2-8" in str(err.value)
 
     def test_resilient_fleet_runs_serial_equals_jobs4(self):
         spec = resilient_fleet()
