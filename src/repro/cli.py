@@ -11,8 +11,6 @@ Usage::
     hipster-repro pack validate packs/*.yaml
     hipster-repro pack list
     hipster-repro pack run packs/ci-smoke.yaml --jobs 2 --output summary.json
-    hipster-repro bench --output BENCH_engine.json
-    hipster-repro bench-batch --output BENCH_batch.json
 
 ``--quick`` compresses run lengths (CI-friendly); without it the runs
 match the paper's durations.  ``--jobs N`` fans scenario batches out
@@ -22,11 +20,7 @@ cache tier keyed by scenario fingerprint, so repeated ``all``
 invocations only re-run what changed (duplicates within one invocation
 are served by the in-process tier either way).  ``fleet`` simulates a
 multi-node cluster (see :mod:`repro.fleet`); ``pack`` validates, lists
-or runs declarative scenario packs (see :mod:`repro.packs`); ``bench``
-runs the interval-engine micro-benchmark (see :mod:`repro.sim.bench`)
-and ``bench-batch`` the batch-layer one (see
-:mod:`repro.sim.bench_batch`); they write the performance trajectories
-to ``BENCH_engine.json`` / ``BENCH_batch.json``.
+or runs declarative scenario packs (see :mod:`repro.packs`).
 
 Flag applicability is enforced by one shared validator table
 (:data:`_FLAG_RULES`): a flag a command would silently ignore is a
@@ -82,10 +76,6 @@ _DEFAULT_WORKLOAD = "memcached"
 _DEFAULT_FLEET_NODES = 8
 _DEFAULT_BALANCER = "round-robin"
 
-#: The benchmark protocols are fixed (seed, run lengths, worker counts)
-#: so their numbers stay comparable; they reject the run-shaping knobs.
-_FIXED_PROTOCOL = {"bench", "bench-batch"}
-
 #: The actions ``hipster-repro pack`` accepts.
 _PACK_ACTIONS = ("validate", "list", "run")
 
@@ -93,13 +83,34 @@ _PACK_ACTIONS = ("validate", "list", "run")
 _DEFAULT_PACK_DIR = "packs"
 
 
-def _applies_everywhere_but_fixed(command: str) -> bool:
-    return command not in _FIXED_PROTOCOL
+def _pack_action(parser: argparse.ArgumentParser, args: argparse.Namespace) -> str:
+    """The ``pack`` action, or a ``parser.error`` if missing or unknown."""
+    if not args.pack_args:
+        parser.error(f"'pack' needs an action: {', '.join(_PACK_ACTIONS)}")
+    action = args.pack_args[0]
+    if action not in _PACK_ACTIONS:
+        from repro.errors import suggest
+
+        message = (
+            f"unknown pack action {action!r}; "
+            f"valid choices: {', '.join(_PACK_ACTIONS)}"
+        )
+        best = suggest(action, _PACK_ACTIONS)
+        if best is not None:
+            message += f" (did you mean {best!r}?)"
+        parser.error(message)
+    return action
+
+
+def _applies_to_runs(command: str) -> bool:
+    """Everything but ``pack validate`` and ``pack list`` runs scenarios."""
+    return command not in ("pack validate", "pack list")
 
 
 #: The shared flag-validator table: ``(flag, attr, is_set, applies,
 #: targets)``.  ``is_set`` detects a non-default value, ``applies``
-#: decides whether the command consumes the flag, and ``targets``
+#: decides whether the command consumes the flag (a pack command is
+#: named with its action, e.g. ``pack run``), and ``targets``
 #: renders the commands that do.  Every rule produces the same message
 #: shape through :func:`_validate_flags`, so adding a flag (or a
 #: command) is one table row instead of another ad-hoc ``if``.
@@ -126,59 +137,52 @@ _FLAG_RULES = (
         lambda: "'fleet'",
     ),
     (
-        "--quick",
-        "quick",
-        lambda v: bool(v),
-        _applies_everywhere_but_fixed,
-        lambda: "experiment, fleet and pack commands",
-    ),
-    (
         "--seed",
         "seed",
         lambda v: v is not None,
-        lambda c: c not in _FIXED_PROTOCOL and c != "pack",
+        lambda c: not c.startswith("pack "),
         lambda: "experiment and fleet commands (pack documents pin their own seeds)",
     ),
     (
         "--jobs",
         "jobs",
         lambda v: v != 1,
-        _applies_everywhere_but_fixed,
-        lambda: "experiment, fleet and pack commands",
+        _applies_to_runs,
+        lambda: "experiment, fleet and 'pack run' commands",
     ),
     (
         "--cache-dir",
         "cache_dir",
         lambda v: v is not None,
-        _applies_everywhere_but_fixed,
-        lambda: "experiment, fleet and pack commands",
+        _applies_to_runs,
+        lambda: "experiment, fleet and 'pack run' commands",
     ),
     (
         "--output",
         "output",
         lambda v: v is not None,
-        lambda c: c in _FIXED_PROTOCOL or c == "pack",
-        lambda: "'bench', 'bench-batch' and 'pack run'",
+        lambda c: c == "pack run",
+        lambda: "'pack run'",
     ),
     (
         "--resume",
         "resume",
         lambda v: bool(v),
-        _applies_everywhere_but_fixed,
-        lambda: "experiment, fleet and pack commands",
+        _applies_to_runs,
+        lambda: "experiment, fleet and 'pack run' commands",
     ),
     (
         "--strict",
         "strict",
         lambda v: bool(v),
-        lambda c: c == "pack",
+        lambda c: c == "pack run",
         lambda: "'pack run'",
     ),
     (
         "pack arguments",
         "pack_args",
         lambda v: bool(v),
-        lambda c: c == "pack",
+        lambda c: c.startswith("pack "),
         lambda: "'pack'",
     ),
 )
@@ -187,13 +191,11 @@ _FLAG_RULES = (
 def _validate_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Reject any flag the selected command would silently ignore."""
     command = args.experiment
+    if command == "pack":
+        command = f"pack {_pack_action(parser, args)}"
     for flag, attr, is_set, applies, targets in _FLAG_RULES:
         if not is_set(getattr(args, attr)) or applies(command):
             continue
-        if command in _FIXED_PROTOCOL:
-            parser.error(
-                f"{flag} does not apply to '{command}' (fixed protocol)"
-            )
         verb = "applies" if flag.startswith("--") else "apply"
         parser.error(
             f"{flag} only {verb} to {targets()}; '{command}' ignores it"
@@ -210,13 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS)
-        + ["bench", "bench-batch", "calibrate", "all", "fleet", "pack"],
+        choices=sorted(EXPERIMENTS) + ["calibrate", "all", "fleet", "pack"],
         help=(
             "which artifact to regenerate ('fleet' simulates a cluster, "
-            "'pack' validates/lists/runs scenario packs, "
-            "'bench' records the engine performance trajectory, "
-            "'bench-batch' the batch-layer one)"
+            "'pack' validates/lists/runs scenario packs)"
         ),
     )
     parser.add_argument(
@@ -277,10 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output",
         default=None,
         metavar="FILE",
-        help=(
-            "output file for 'bench'/'bench-batch' "
-            "(defaults: BENCH_engine.json / BENCH_batch.json)"
-        ),
+        help="'pack run': write the pack summary JSON to FILE",
     )
     parser.add_argument(
         "--resume",
@@ -476,22 +472,7 @@ def _run_pack_command(
     from repro.errors import ReproError
     from repro.packs import compile_pack, load_pack, run_pack
 
-    if not args.pack_args:
-        parser.error(
-            f"'pack' needs an action: {', '.join(_PACK_ACTIONS)}"
-        )
     action, *names = args.pack_args
-    if action not in _PACK_ACTIONS:
-        from repro.errors import suggest
-
-        message = (
-            f"unknown pack action {action!r}; "
-            f"valid choices: {', '.join(_PACK_ACTIONS)}"
-        )
-        best = suggest(action, _PACK_ACTIONS)
-        if best is not None:
-            message += f" (did you mean {best!r}?)"
-        parser.error(message)
     files = _pack_files(parser, names)
     quick = True if args.quick else None
 
@@ -626,23 +607,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return _run_pack_command(parser, args)
     if args.seed is None:
         args.seed = DEFAULT_SEED
-
-    if args.experiment == "bench":
-        from repro.sim.bench import render_report, write_report
-
-        output = args.output or "BENCH_engine.json"
-        report = write_report(output)
-        print(render_report(report))
-        print(f"\nwrote {output}")
-        return 0
-    if args.experiment == "bench-batch":
-        from repro.sim.bench_batch import render_report, write_report
-
-        output = args.output or "BENCH_batch.json"
-        report = write_report(output)
-        print(render_report(report))
-        print(f"\nwrote {output}")
-        return 0
 
     # One runner -- hence one persistent worker pool and one two-tier
     # cache -- is shared by every experiment of the invocation; the

@@ -16,16 +16,16 @@ scenario specs (:mod:`repro.scenarios`) and the per-run engine
   ``hipster-repro all`` invocation pays the pool spawn (and the worker
   warm-start imports) once instead of once per experiment,
 * dispatches in **longest-job-first** order via ``submit`` +
-  ``as_completed`` using a spec cost model calibrated against
-  ``BENCH_engine.json``, with cheap specs adaptively chunked so
+  ``as_completed`` using a spec cost model with two fixed constants
+  (:func:`estimate_cost`), with cheap specs adaptively chunked so
   inter-process overhead amortizes, and
 * returns outcomes in input order (:meth:`BatchRunner.run`) or streams
   them in completion order (:meth:`BatchRunner.iter_run`, which the
   fleet layer folds node-by-node without retaining the full batch).
 
 Completion order never affects results: every run is a pure function of
-its spec (per-spec-seed determinism), so serial, per-call-pool and
-persistent-pool execution are byte-identical.
+its spec (per-spec-seed determinism), so serial and pooled execution
+are byte-identical.
 
 Cache layout
 ------------
@@ -145,15 +145,16 @@ COMPACT_MIN_DEAD_BYTES = 1 << 16
 #: ...and the dead bytes are at least this fraction of the pack.
 COMPACT_DEAD_FRACTION = 0.5
 
-#: Cost-model fallback calibration: per-interval cost grows roughly
-#: linearly with arrivals and doubles around 20k of them; a collocated
-#: SPEC batch adds ~12% at the heavy points.  These are only the
-#: *defaults* -- :func:`_cost_constants` re-derives both numbers from
-#: the committed ``BENCH_engine.json`` at first use, so the scheduler's
-#: cost model tracks the measured engine trajectory instead of whatever
-#: hardware the constants were last hand-tuned on.
-ARRIVALS_COST_HALF = 20_000.0
-COLLOCATION_COST_FACTOR = 1.12
+#: Cost-model calibration, fixed inputs to the dispatch plan: the
+#: per-interval cost ``k * (1 + arrivals / ARRIVALS_COST_HALF)`` doubles
+#: at about 2.7k real arrivals per interval, and a collocated SPEC
+#: batch adds about 2%.  Both were fitted to paired engine
+#: micro-benchmark runs (Memcached at ``sim_scale=25``, 1k and 10k
+#: arrivals per interval, with and without collocation).  They are
+#: literals so that a plan never depends on the machine or files around
+#: the package; ``tests/test_batch_runner.py`` pins the plan they give.
+ARRIVALS_COST_HALF = 2673.2
+COLLOCATION_COST_FACTOR = 1.0182
 
 #: Scheduling: target chunks per worker.  More chunks = better load
 #: balance at the tail, fewer = less inter-process overhead; 4 is the
@@ -203,67 +204,15 @@ def _workload_max_rps(workload: str, params) -> float:
         return rps
 
 
-_COST_CONSTANTS: tuple[float, float] | None = None
-
-
-def _cost_constants() -> tuple[float, float]:
-    """``(arrivals_half, collocation_factor)`` for :func:`estimate_cost`.
-
-    Derived lazily (and memoized) from the committed repo-root
-    ``BENCH_engine.json``: the half-rate comes from the optimized
-    intervals/sec at the two collocation-off arrival levels (the cost
-    model says ``1/ips = k * (1 + arrivals / half)``, two points pin
-    ``half``), the collocation factor from the off/on throughput ratios.
-    Falls back to the hand-tuned module constants when the report is
-    absent or degenerate -- scheduling only needs a rough ordering.
-    """
-    global _COST_CONSTANTS
-    if _COST_CONSTANTS is not None:
-        return _COST_CONSTANTS
-    half = ARRIVALS_COST_HALF
-    factor = COLLOCATION_COST_FACTOR
-    from repro.sim import bench
-
-    report = bench.load_report(
-        Path(__file__).resolve().parents[3] / bench.BENCH_REPORT_NAME
-    )
-    points = (report or {}).get("points", {})
-    ips: dict[tuple[int, bool], float] = {}
-    for key, point in points.items():
-        match = re.fullmatch(r"arrivals=(\d+)/collocation=(on|off)", key)
-        if not match:
-            continue
-        value = point.get("optimized_intervals_per_sec", 0.0)
-        if value and value > 0:
-            ips[(int(match.group(1)), match.group(2) == "on")] = float(value)
-    levels = sorted(a for a, collocate in ips if not collocate)
-    if len(levels) >= 2:
-        a1, a2 = levels[0], levels[-1]
-        ratio = ips[(a1, False)] / ips[(a2, False)]
-        if ratio > 1.0:
-            derived = (a2 - ratio * a1) / (ratio - 1.0)
-            if derived > 0:
-                half = derived
-    ratios = [
-        ips[(a, False)] / ips[(a, True)]
-        for a, collocate in ips
-        if collocate and (a, False) in ips
-    ]
-    if ratios:
-        factor = max(sum(ratios) / len(ratios), 1.0)
-    _COST_CONSTANTS = (half, factor)
-    return _COST_CONSTANTS
-
-
 def estimate_cost(spec: "ScenarioSpec") -> float:
     """Relative execution cost of one spec, for scheduling only.
 
-    Modelled as ``intervals x (1 + arrivals_per_interval / half) x
-    collocation`` with constants calibrated from the committed
-    ``BENCH_engine.json`` via :func:`_cost_constants`.  Only the
-    *ordering* matters -- longest-job-first dispatch and chunk sizing --
-    so a rough estimate is fine and the fallback for exotic traces is
-    deliberately simple.
+    Modelled as ``intervals x (1 + arrivals_per_interval / half)``,
+    times the collocation factor for specs with a batch job, using the
+    fixed :data:`ARRIVALS_COST_HALF` and :data:`COLLOCATION_COST_FACTOR`.
+    Only the *ordering* matters -- longest-job-first dispatch and chunk
+    sizing -- so a rough estimate is fine and the fallback for exotic
+    traces is deliberately simple.
     """
     interval_s = float(dict(spec.engine).get("interval_s", 1.0))
     duration = spec.trace.duration_s()
@@ -275,10 +224,9 @@ def estimate_cost(spec: "ScenarioSpec") -> float:
         * _workload_max_rps(spec.workload, spec.workload_params)
         * interval_s
     )
-    half, collocation_factor = _cost_constants()
-    cost = max(intervals, 1) * (1.0 + arrivals / half)
+    cost = max(intervals, 1) * (1.0 + arrivals / ARRIVALS_COST_HALF)
     if spec.batch_jobs is not None:
-        cost *= collocation_factor
+        cost *= COLLOCATION_COST_FACTOR
     return cost
 
 

@@ -29,9 +29,9 @@ When a manager repeats its previous decision (the common case for static
 and converged table-driven policies) the engine skips the affinity
 re-apply, pressure recomputation and queue reconfiguration outright.
 The optimization is implementation-only: the rng stream and every
-observation are bit-identical to the reference implementation preserved
-in :mod:`repro.sim.engine_reference`, which the equivalence tests
-enforce; ``KERNEL_VERSION`` therefore did not change.
+observation are bit-identical to the reference implementation that the
+test suite preserves as an oracle, which the equivalence tests enforce;
+``KERNEL_VERSION`` therefore did not change.
 
 On top of the per-interval fast path sits the *decision-epoch* fast
 path: when the manager can prove its decision stays fixed for a run of

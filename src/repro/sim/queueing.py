@@ -45,7 +45,7 @@ DemandSampler = Callable[[np.random.Generator, int], np.ndarray]
 #: cached results are invalidated whenever the hot-path semantics change.
 #: The dense/core-indexed engine refactor did NOT bump it: the rng stream
 #: and every emitted float are bit-identical to the previous kernel (the
-#: equivalence suite against ``repro.sim.engine_reference`` enforces it).
+#: equivalence suite against the test-only reference engine enforces it).
 KERNEL_VERSION = "lindley-v1"
 
 #: Below this many servers the per-server bookkeeping (utilizations,

@@ -28,7 +28,7 @@ reasons this repo does:
 
 :class:`IntervalObservation` survives unchanged as the *row* view:
 ``result.observations`` lazily materializes dataclass rows for existing
-call sites (managers, figure modules, the reference-engine oracles),
+call sites (managers, figure modules, the test-suite oracles),
 and the engine hands managers a lightweight :class:`ObservationRowView`
 backed directly by the column buffers.
 
@@ -342,31 +342,6 @@ class ObservationTable:
         self._n = i + n
         return i
 
-    def append_observation(self, observation: IntervalObservation) -> int:
-        """Append one already-materialized row (the legacy path)."""
-        return self.append(
-            **{
-                field: getattr(observation, field)
-                for field in SCALAR_FIELDS + POOLED_FIELDS
-            }
-        )
-
-    @classmethod
-    def from_observations(
-        cls, observations: Sequence[IntervalObservation]
-    ) -> "ObservationTable":
-        """Build a frozen table from materialized rows.
-
-        The conversion path for everything that still produces
-        per-interval dataclasses: the reference engine, hand-built test
-        fixtures, and legacy-format migrations.
-        """
-        observations = tuple(observations)
-        table = cls(len(observations))
-        for observation in observations:
-            table.append_observation(observation)
-        return table.freeze()
-
     def freeze(self) -> "ObservationTable":
         """Trim to the appended length and make every column read-only."""
         if not self._frozen:
@@ -552,26 +527,22 @@ _add_view_accessors()
 class ExperimentResult:
     """A run's observations plus the paper's summary metrics.
 
-    Backed by an :class:`ObservationTable`; accepts a legacy sequence of
-    :class:`IntervalObservation` rows and converts it.  Column accessors
-    are zero-copy read-only views into the table; ``observations``
-    materializes (and memoizes) dataclass rows for call sites that want
-    the row-oriented interface.
+    Backed by an :class:`ObservationTable` (frozen on construction).
+    Column accessors are zero-copy read-only views into the table;
+    ``observations`` materializes (and memoizes) dataclass rows for call
+    sites that want the row-oriented interface.
     """
 
     def __init__(
         self,
-        observations: "Sequence[IntervalObservation] | ObservationTable",
+        table: ObservationTable,
         *,
         workload_name: str,
         manager_name: str,
         target_latency_ms: float,
         interval_s: float,
     ):
-        if isinstance(observations, ObservationTable):
-            table = observations.freeze()
-        else:
-            table = ObservationTable.from_observations(observations)
+        table = table.freeze()
         if not len(table):
             raise ValueError("an experiment result needs at least one interval")
         self._table = table

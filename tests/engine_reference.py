@@ -1,30 +1,38 @@
 """Reference (pre-optimization) interval engine: the byte-identity oracle.
 
-:mod:`repro.sim.engine` now runs the monitoring-interval loop over dense,
+:mod:`repro.sim.engine` runs the monitoring-interval loop over dense,
 integer-indexed arrays with per-decision invariants hoisted out of the
-loop.  This module preserves the original, straightforward implementation
--- string-keyed dicts plumbed through every layer, everything recomputed
-per interval -- for two purposes, mirroring how
+loop.  This test-only module preserves the original, straightforward
+implementation -- string-keyed dicts plumbed through every layer,
+everything recomputed per interval, one :class:`IntervalObservation`
+dataclass per interval -- for two purposes, mirroring how
 :func:`repro.sim.queueing.lindley_completion_times_reference` anchors the
 queue kernel:
 
-* **oracle** -- the equivalence tests run both engines over randomized
-  scenarios and assert bit-identical observations, which is what lets the
-  optimized engine claim byte-identical output without a semantics bump
-  of ``KERNEL_VERSION``;
+* **oracle** -- ``test_engine_equivalence.py`` runs both engines over
+  randomized scenarios and asserts bit-identical observations, which is
+  what lets the optimized engine claim byte-identical output without a
+  semantics bump of ``KERNEL_VERSION``;
 * **benchmark baseline** -- ``benchmarks/test_bench_engine.py`` measures
   the optimized engine against this one on the same machine, so the
-  recorded speedup is hardware-independent.
+  measured speedup is hardware-independent.
 
 Both engines consume the rng stream in exactly the same order;
 :class:`ReferenceDispatchQueue` likewise keeps the original
 ``rng.choice``-based dispatch (the optimized queue evaluates the same
 draws through a cheaper, stream-identical formulation).
 
-Do not use this module outside tests and benchmarks.
+It also holds the row-to-table conversion (:func:`append_row`,
+:func:`table_from_rows`) that only the reference engine and hand-built
+test fixtures need: the program itself writes tables column-wise.
+
+Import it with ``tests/`` on ``sys.path`` (``from engine_reference
+import ...``); it is not part of the installed package.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -40,9 +48,31 @@ from repro.sim.contention import ContentionModel, aggregate_pressure
 from repro.sim.engine import EngineConfig
 from repro.sim.latency import LatencySample
 from repro.sim.queueing import DispatchQueue, IntervalQueueStats
-from repro.sim.records import ExperimentResult, IntervalObservation
+from repro.sim.records import (
+    POOLED_FIELDS,
+    SCALAR_FIELDS,
+    ExperimentResult,
+    IntervalObservation,
+    ObservationTable,
+)
 from repro.workloads.base import LatencyCriticalWorkload, lc_server_speeds
 from repro.workloads.batch import BatchJobSet
+
+
+def append_row(table: ObservationTable, row: IntervalObservation) -> int:
+    """Append one materialized row to ``table``; returns its index."""
+    return table.append(
+        **{field: getattr(row, field) for field in SCALAR_FIELDS + POOLED_FIELDS}
+    )
+
+
+def table_from_rows(rows: Sequence[IntervalObservation]) -> ObservationTable:
+    """A frozen table holding ``rows``, in order."""
+    rows = tuple(rows)
+    table = ObservationTable(len(rows))
+    for row in rows:
+        append_row(table, row)
+    return table.freeze()
 
 
 def _reference_lindley(
@@ -232,7 +262,7 @@ class ReferenceIntervalSimulator:
 
         observations = [self._run_interval(i) for i in range(total)]
         return ExperimentResult(
-            observations,
+            table_from_rows(observations),
             workload_name=self.workload.name,
             manager_name=self.manager.name,
             target_latency_ms=self.workload.target_latency_ms,

@@ -132,6 +132,48 @@ class TestMemoryTier:
         assert runner.cache_misses == len(specs)  # nothing recomputed
         assert_same_results(first, second)
 
+    @pytest.mark.parametrize(
+        "with_cache_dir", [False, True], ids=["memory-only", "with-cache-dir"]
+    )
+    def test_warm_fleet_redispatch_is_lookups_only(
+        self, with_cache_dir, tmp_path, monkeypatch
+    ):
+        """Re-dispatching a fleet's node specs serves every spec from
+        the memory tier: no disk read, no engine run, and no fingerprint
+        recomputation (the key is memoized on the spec object)."""
+        from repro.scenarios import DEFAULT_REGISTRY
+        from repro.scenarios import spec as spec_module
+
+        fleet = DEFAULT_REGISTRY.build(
+            "fleet-diurnal",
+            workload="memcached",
+            n_nodes=8,
+            balancer="round-robin",
+            quick=True,
+        )
+        specs = list(fleet.node_specs())
+        runner = BatchRunner(cache_dir=tmp_path if with_cache_dir else None)
+        first = runner.run(specs)
+        memory_hits = runner.memory_hits
+        disk_hits, misses = runner.disk_hits, runner.cache_misses
+
+        calls = []
+        key_skeleton = spec_module._key_skeleton
+
+        def spy(*args):
+            calls.append(args)
+            return key_skeleton(*args)
+
+        monkeypatch.setattr(spec_module, "_key_skeleton", spy)
+        second = runner.run(specs)
+        assert runner.memory_hits - memory_hits == len(specs)
+        assert (runner.disk_hits, runner.cache_misses) == (disk_hits, misses)
+        assert calls == []
+        assert_same_results(first, second)
+        # The spy does see a fingerprint that is actually computed.
+        specs[0].with_(seed=specs[0].seed + 1).fingerprint()
+        assert calls
+
     def test_memory_tier_can_be_disabled(self):
         spec = tiny_specs()[0]
         runner = BatchRunner(memory_entries=0)
@@ -674,6 +716,44 @@ class TestScheduling:
 
     def test_empty_plan(self):
         assert plan_chunks([], jobs=4) == []
+
+    def test_pinned_cost_model_plan(self):
+        """The dispatch plan of a fixed mixed batch, pinned.
+
+        The cost constants are fixed inputs to the plan: a change to
+        either shows up here.  The previous file-derived model's
+        fallback ``(20000, 1.12)`` plans this batch differently: it
+        puts ``low-long`` first and ``high-short`` behind ``mid``."""
+        base = ScenarioSpec(
+            workload="memcached",
+            trace=TraceSpec.constant(0.1, 300.0),
+            manager="static-big",
+        )
+        pending = [
+            ("low-long", base),
+            ("low-short", base.with_(trace=TraceSpec.constant(0.1, 60.0))),
+            ("tiny-a", base.with_(trace=TraceSpec.constant(0.1, 10.0))),
+            ("high-short", base.with_(trace=TraceSpec.constant(0.9, 60.0))),
+            ("high-mid", base.with_(trace=TraceSpec.constant(0.9, 120.0))),
+            (
+                "collocated",
+                base.with_(
+                    trace=TraceSpec.constant(0.5, 100.0),
+                    batch_jobs="spec:calculix",
+                ),
+            ),
+            ("mid", base.with_(trace=TraceSpec.constant(0.5, 100.0))),
+            ("tiny-b", base.with_(trace=TraceSpec.constant(0.1, 10.0), seed=1)),
+        ]
+        chunks = plan_chunks(pending, jobs=2)
+        assert [[key for key, _ in chunk] for chunk in chunks] == [
+            ["high-mid"],
+            ["collocated"],
+            ["high-short"],
+            ["mid"],
+            ["low-long"],
+            ["low-short", "tiny-a", "tiny-b"],
+        ]
 
 
 class TestRunnerBasics:

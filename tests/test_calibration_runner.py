@@ -21,7 +21,11 @@ from repro.experiments.runner import (
 from repro.loadgen.traces import ConstantTrace
 from repro.policies.static import static_all_big
 from repro.sim.engine import run_experiment
-from repro.sim.records import ExperimentResult, IntervalObservation
+from repro.sim.records import (
+    ExperimentResult,
+    IntervalObservation,
+    ObservationTable,
+)
 from repro.workloads.memcached import memcached
 from repro.workloads.websearch import websearch
 
@@ -138,7 +142,7 @@ class TestExperimentResultInvariants:
     def test_empty_result_rejected(self):
         with pytest.raises(ValueError):
             ExperimentResult(
-                [], workload_name="x", manager_name="y",
+                ObservationTable(0), workload_name="x", manager_name="y",
                 target_latency_ms=1.0, interval_s=1.0,
             )
 

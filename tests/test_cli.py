@@ -82,7 +82,7 @@ class TestRejections:
         with pytest.raises(SystemExit) as excinfo:
             main(["table2", "--output", "somewhere.json"])
         assert excinfo.value.code == 2
-        assert "--output only applies to 'bench'" in error_message(capsys)
+        assert "--output only applies to 'pack run'" in error_message(capsys)
 
 
 class TestStatsSummary:
@@ -127,87 +127,6 @@ class TestStatsSummary:
     def test_no_pool_line_before_any_spawn(self, tmp_path):
         lines = render_stats(self.runner_with(tmp_path))
         assert len(lines) == 1 and lines[0].startswith("[cache]")
-
-
-class TestBenchSubcommand:
-    @pytest.mark.parametrize("command", ["bench", "bench-batch"])
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--quick"],
-            ["--seed", "7"],
-            ["--jobs", "2"],
-            ["--cache-dir", "/tmp/somewhere"],
-        ],
-    )
-    def test_bench_rejects_fixed_protocol_knobs(self, command, flags, capsys):
-        """The benchmark protocols are fixed; knobs they ignore error."""
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, *flags])
-        assert excinfo.value.code == 2
-        assert f"does not apply to '{command}'" in error_message(capsys)
-
-    def test_bench_accepts_output(self):
-        args = build_parser().parse_args(["bench", "--output", "B.json"])
-        assert args.experiment == "bench"
-        assert args.output == "B.json"
-
-    def test_bench_writes_report(self, tmp_path, monkeypatch, capsys):
-        """`bench` measures, renders and writes the report file."""
-        import repro.sim.bench as bench_mod
-
-        def fake_measure_point(arrivals, collocate, **kwargs):
-            return bench_mod.BenchPointResult(
-                arrivals=arrivals,
-                collocate=collocate,
-                reference_ips=1000.0,
-                optimized_ips=3456.0,
-                speedup=3.46,
-            )
-
-        def fake_measure_epoch_point(name, arrivals, **kwargs):
-            return bench_mod.EpochPointResult(
-                name=name,
-                arrivals=arrivals,
-                reference_ips=10_000.0,
-                optimized_ips=31_000.0,
-                speedup=3.10,
-            )
-
-        monkeypatch.setattr(bench_mod, "measure_point", fake_measure_point)
-        monkeypatch.setattr(
-            bench_mod, "measure_epoch_point", fake_measure_epoch_point
-        )
-        out = tmp_path / "BENCH_engine.json"
-        assert main(["bench", "--output", str(out)]) == 0
-        report = bench_mod.load_report(out)
-        assert report["schema"] == 1
-        assert len(report["points"]) == len(bench_mod.BENCH_POINTS) + len(
-            bench_mod.EPOCH_POINTS
-        )
-        assert "3.46x" in capsys.readouterr().out
-
-    def test_bench_batch_writes_report(self, tmp_path, monkeypatch, capsys):
-        """`bench-batch` measures, renders and writes the batch report."""
-        import repro.sim.bench_batch as bb
-
-        def fake_measure_all(pairs=bb.DEFAULT_PAIRS):
-            result = bb.BenchPointResult(
-                key="fleet-64/warm-memory",
-                baseline_wall_s=1.2,
-                optimized_wall_s=0.1,
-                speedup=12.0,
-                spec_requests=640,
-            )
-            return {result.key: result}
-
-        monkeypatch.setattr(bb, "measure_all", fake_measure_all)
-        out = tmp_path / "BENCH_batch.json"
-        assert main(["bench-batch", "--output", str(out)]) == 0
-        report = bb.load_report(out)
-        assert report["schema"] == 2
-        assert report["points"]["fleet-64/warm-memory"]["speedup"] == 12.0
-        assert "12.00x" in capsys.readouterr().out
 
 
 class TestFleetFlagsAccepted:
@@ -289,6 +208,37 @@ class TestPackSubcommand:
             main(["table2", "extra-arg"])
         assert excinfo.value.code == 2
         assert "pack arguments" in error_message(capsys)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--output", "x.json"],
+            ["--strict"],
+            ["--jobs", "3"],
+            ["--cache-dir", "cache"],
+            ["--cache-dir", "cache", "--resume"],
+        ],
+        ids=["output", "strict", "jobs", "cache-dir", "resume"],
+    )
+    @pytest.mark.parametrize("action", ["validate", "list"])
+    def test_non_run_actions_reject_run_only_flags(
+        self, action, flags, tmp_path, monkeypatch, capsys
+    ):
+        """Only ``pack run`` runs scenarios or writes a summary; the
+        other actions reject the flags they would silently ignore."""
+        monkeypatch.chdir(tmp_path)
+        file = self.write_pack(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pack", action, str(file), *flags])
+        assert excinfo.value.code == 2
+        assert f"'pack {action}' ignores it" in error_message(capsys)
+        assert list(tmp_path.iterdir()) == [file]
+
+    def test_quick_applies_to_every_action(self, tmp_path, capsys):
+        file = self.write_pack(tmp_path)
+        assert main(["pack", "validate", str(file), "--quick"]) == 0
+        assert main(["pack", "list", str(file), "--quick"]) == 0
+        assert "cli-smoke" in capsys.readouterr().out
 
     def test_workload_flag_rejected_for_pack(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -23,6 +23,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from engine_reference import run_reference_experiment
 from repro.hardware.counters import PerfCounters
 from repro.hardware.power import PowerModel
 from repro.hardware.soc import KernelConfig
@@ -33,7 +34,6 @@ from repro.hardware.topology import Configuration
 from repro.scenarios import DEFAULT_REGISTRY
 from repro.sim.contention import aggregate_pressure, aggregate_pressure_indexed
 from repro.sim.engine import run_experiment
-from repro.sim.engine_reference import run_reference_experiment
 from repro.sim.latency import linear_quantile
 from repro.sim.queueing import DispatchQueue
 from repro.workloads.memcached import memcached

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from engine_reference import append_row, table_from_rows
 from repro.fleet.spec import FleetSpec
 from repro.hardware.topology import Configuration
 from repro.policies.base import Decision
@@ -103,7 +104,7 @@ def sample_result(n: int = 7, seed: int = 0) -> ExperimentResult:
         fields["config_label"] = LABELS[i % len(LABELS)]
         rows.append(IntervalObservation(**fields))
     return ExperimentResult(
-        rows,
+        table_from_rows(rows),
         workload_name="memcached",
         manager_name="static-big",
         target_latency_ms=500.0,
@@ -115,14 +116,14 @@ class TestRoundTrip:
     @settings(max_examples=50, deadline=None)
     @given(st.data())
     def test_table_row_round_trip_is_exact(self, data):
-        """Property: from_observations . rows == identity, bit for bit
+        """Property: table_from_rows . rows == identity, bit for bit
         (dataclass equality plus exact reprs, which see -0.0 and every
         last ulp)."""
         n = data.draw(st.integers(min_value=1, max_value=12))
         rows = tuple(
             data.draw(observations(index=i), label=f"row{i}") for i in range(n)
         )
-        table = ObservationTable.from_observations(rows)
+        table = table_from_rows(rows)
         back = table.rows()
         assert back == rows
         for a, b in zip(back, rows):
@@ -138,7 +139,7 @@ class TestRoundTrip:
         rows = tuple(
             data.draw(observations(index=i), label=f"row{i}") for i in range(n)
         )
-        table = ObservationTable.from_observations(rows)
+        table = table_from_rows(rows)
         clone = pickle.loads(pickle.dumps(table, pickle.HIGHEST_PROTOCOL))
         assert clone.rows() == rows
 
@@ -179,9 +180,9 @@ class TestTableBehaviour:
     def test_capacity_is_enforced(self):
         table = ObservationTable(1)
         row = sample_result(n=2).observations
-        table.append_observation(row[0])
+        append_row(table, row[0])
         with pytest.raises(IndexError, match="capacity"):
-            table.append_observation(row[1])
+            append_row(table, row[1])
 
     def test_pickling_a_live_table_does_not_freeze_it(self):
         """Snapshotting (pickle/deepcopy) a mid-build table must not
@@ -191,11 +192,11 @@ class TestTableBehaviour:
 
         rows = sample_result(n=3).observations
         table = ObservationTable(3)
-        table.append_observation(rows[0])
+        append_row(table, rows[0])
         snapshot = pickle.loads(pickle.dumps(table))
         deep = copy.deepcopy(table)
-        table.append_observation(rows[1])  # must not raise
-        table.append_observation(rows[2])
+        append_row(table, rows[1])  # must not raise
+        append_row(table, rows[2])
         assert snapshot.rows() == rows[:1]
         assert deep.rows() == rows[:1]
         assert table.freeze().rows() == rows
@@ -203,13 +204,13 @@ class TestTableBehaviour:
     def test_frozen_table_rejects_appends(self):
         result = sample_result(n=2)
         with pytest.raises(RuntimeError, match="frozen"):
-            result.table.append_observation(result.observations[0])
+            append_row(result.table, result.observations[0])
 
     def test_partial_fill_freezes_to_length(self):
         rows = sample_result(n=5).observations
         table = ObservationTable(10)
         for row in rows[:3]:
-            table.append_observation(row)
+            append_row(table, row)
         table.freeze()
         assert len(table) == 3
         assert table.rows() == rows[:3]
@@ -238,7 +239,7 @@ class TestTableBehaviour:
             interval_s=1.0,
         )
         with pytest.raises(ValueError, match="at least one interval"):
-            ExperimentResult([], **meta)
+            ExperimentResult(table_from_rows([]), **meta)
         with pytest.raises(ValueError, match="at least one interval"):
             ExperimentResult(ObservationTable(0), **meta)
 
@@ -378,7 +379,7 @@ class TestBlockPayload:
             with pytest.raises(ValueError, match="read-only"):
                 clone.column(name)[0] = 0
         with pytest.raises(RuntimeError, match="frozen"):
-            clone.append_observation(table.row(0))
+            append_row(clone, table.row(0))
         assert clone.rows() == table.rows()
 
     def test_out_of_band_buffers_round_trip(self):
@@ -392,18 +393,18 @@ class TestBlockPayload:
         rows = sample_result(n=4).observations
         table = ObservationTable(10)
         for row in rows[:3]:
-            table.append_observation(row)
+            append_row(table, row)
         snapshot = pickle.loads(pickle.dumps(table, pickle.HIGHEST_PROTOCOL))
         assert len(snapshot) == 3 and snapshot.rows() == rows[:3]
         self.assert_block_backed(snapshot)
-        table.append_observation(rows[3])  # the source is still live
+        append_row(table, rows[3])  # the source is still live
         assert table.freeze().rows() == rows
         self.assert_block_backed(table)
 
     def test_extend_writes_through_the_block_views(self):
         rows = sample_result(n=3).observations
         table = ObservationTable(5)
-        table.append_observation(rows[0])
+        append_row(table, rows[0])
         columns = {name: getattr(rows[1], name) for name in SCALAR_FIELDS}
         table.extend(
             2,
@@ -426,7 +427,7 @@ class TestBlockPayload:
 
     def test_from_observations_is_block_backed(self):
         rows = sample_result(n=7).observations
-        table = ObservationTable.from_observations(rows)
+        table = table_from_rows(rows)
         self.assert_block_backed(table)
         assert table.rows() == rows
 
