@@ -16,7 +16,7 @@ when one is close enough.
 from __future__ import annotations
 
 import difflib
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 
 def suggest(name: str, choices: Iterable[str]) -> str | None:
@@ -144,6 +144,20 @@ class SpecFailedError(ExecutionError):
     def __init__(self, message: str, *, exception_type: str = "", **kwargs):
         super().__init__(message, **kwargs)
         self.exception_type = exception_type
+
+    @classmethod
+    def raised(
+        cls, key: str, spec: Any, exception_type: str, message: str, suffix: str = ""
+    ) -> "SpecFailedError":
+        """The error for ``spec`` (cache key ``key``) having raised
+        ``exception_type: message``; ``suffix`` names the execution mode."""
+        return cls(
+            f"spec {spec.describe()} ({key}) raised "
+            f"{exception_type}: {message}{suffix}",
+            fingerprint=key,
+            spec_description=spec.describe(),
+            exception_type=exception_type,
+        )
 
 
 class RunInterruptedError(ReproError):

@@ -26,7 +26,6 @@ from repro.fleet.balancer import (
     build_balancer,
 )
 from repro.fleet.faults import (
-    CORRELATED_KINDS,
     FAULT_KINDS,
     FaultClause,
     FaultEvent,
@@ -42,7 +41,6 @@ from repro.fleet.spec import FLEET_SCHEMA_VERSION, FleetSpec
 
 __all__ = [
     "BALANCER_FACTORIES",
-    "CORRELATED_KINDS",
     "FAULT_KINDS",
     "FLEET_SCHEMA_VERSION",
     "FaultClause",

@@ -317,10 +317,10 @@ class FleetOutcome:
         return self.fleet_powers
 
     def resilience_report(self):
-        """The blast-radius digest, or ``None`` for a fleet that never
-        engaged the resilience layer (see
-        :meth:`~repro.fleet.spec.FleetSpec.uses_resilience`)."""
-        if not self.spec.uses_resilience():
+        """The blast-radius digest, or ``None`` for a fleet without fault
+        clauses.  A fleet whose clauses lower to no events still gets
+        one (``0 event(s)``); instant detection is zero lag."""
+        if not self.spec.faults:
             return None
         from repro.fleet.resilience import build_resilience_report
 

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -119,13 +120,6 @@ FAULT_KINDS: dict[str, tuple[str, ...]] = {
         "detection_s",
     ),
 }
-
-#: The clause kinds the resilience layer introduced.  A spec using any
-#: of them (or ``detection_s`` / ``repair_s`` on an independent kind)
-#: fingerprints at the resilience schema version and gets a resilience
-#: report; every faulted spec splits through the same timeline.
-CORRELATED_KINDS = frozenset({"rack-death", "cascading-straggler", "brownout-wave"})
-
 
 @dataclass(frozen=True)
 class FaultClause:
@@ -241,14 +235,6 @@ class FaultClause:
             return self.factor
         return 1.0 / self.slowdown
 
-    def uses_timeline(self) -> bool:
-        """Whether this clause needs the detection/recovery timeline."""
-        return (
-            self.kind in CORRELATED_KINDS
-            or self.detection_s > 0.0
-            or self.repair_s is not None
-        )
-
 
 def freeze_clauses(clauses) -> tuple[Params, ...]:
     """Normalize a clause list (mappings or frozen pairs) into frozen
@@ -287,36 +273,55 @@ class FaultEvent:
         return min(self.detect_interval, self.end_interval)
 
 
+#: A fleet topology: ``(rack_name, node_indices)`` blocks.
+Racks = tuple[tuple[str, tuple[int, ...]], ...]
+
+
 #: The default topology: every node in one rack (index order).
-def _default_racks(n_nodes: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+def _default_racks(n_nodes: int) -> Racks:
     return (("rack0", tuple(range(n_nodes))),)
 
 
-def _detect(
-    clause: FaultClause, start: int, end: int, interval_s: float
-) -> int | None:
-    """The detect interval for a window, or ``None`` (instant)."""
-    if clause.detection_s <= 0.0:
-        return None
-    return min(start + math.ceil(clause.detection_s / interval_s), end)
-
-
-def _window(
+def _fault_events(
     clause: FaultClause,
+    members: tuple[int, ...],
     onset_s: float,
     *,
     n_intervals: int,
     interval_s: float,
-) -> tuple[int, int]:
-    """``[start, end)`` intervals for one fired clause at ``onset_s``."""
+) -> list[FaultEvent]:
+    """The events of ``members`` faulting together from ``onset_s``.
+
+    The one place a :class:`FaultEvent` is built: the window runs for
+    ``duration_s`` (the transient kinds), until ``repair_s`` or to the
+    end of the run, and detection lags onset by ``detection_s``
+    (``None`` means instantly).  An empty window yields no events.
+    """
     start = min(int(onset_s / interval_s), n_intervals)
-    if clause.kind in ("straggler", "cascading-straggler", "brownout-wave"):
+    if clause.duration_s > 0.0:
         end = start + math.ceil(clause.duration_s / interval_s)
     elif clause.repair_s is not None:
         end = start + math.ceil(clause.repair_s / interval_s)
     else:
         end = n_intervals
-    return start, min(end, n_intervals)
+    end = min(end, n_intervals)
+    if start >= end:
+        return []
+    detect = None
+    if clause.detection_s > 0.0:
+        detect = min(start + math.ceil(clause.detection_s / interval_s), end)
+    multiplier = clause.capacity_multiplier()
+    return [
+        FaultEvent(
+            node=node,
+            kind=clause.kind,
+            start_interval=start,
+            end_interval=end,
+            multiplier=multiplier,
+            detect_interval=detect,
+        )
+        for node in members
+    ]
 
 
 def lower_faults(
@@ -326,7 +331,7 @@ def lower_faults(
     n_nodes: int,
     n_intervals: int,
     interval_s: float,
-    racks: tuple[tuple[str, tuple[int, ...]], ...] | None = None,
+    racks: Racks | None = None,
 ) -> tuple[FaultEvent, ...]:
     """Lower probabilistic clauses into a deterministic event schedule.
 
@@ -336,8 +341,7 @@ def lower_faults(
     one clause's probability never reshuffles the events another clause
     produces.  The rng stream is derived from the fleet seed alone.
     ``racks`` supplies the topology for the correlated kinds (defaults
-    to one rack holding every node); independent kinds ignore it, so a
-    topology-free spec lowers exactly as before.
+    to one rack holding every node); the node kinds ignore it.
     """
     if not clauses:
         return ()
@@ -351,101 +355,65 @@ def lower_faults(
         latest = clause.latest_s if clause.latest_s is not None else duration_s
         latest = min(latest, duration_s)
         earliest = min(clause.earliest_s, latest)
-        if clause.kind == "rack-death":
-            _lower_rack_death(
-                clause,
-                racks,
-                rng,
-                events,
-                earliest=earliest,
-                latest=latest,
-                n_intervals=n_intervals,
-                interval_s=interval_s,
-            )
-        elif clause.kind == "cascading-straggler":
-            _lower_cascading(
-                clause,
-                racks,
-                rng,
-                events,
-                earliest=earliest,
-                latest=latest,
-                n_nodes=n_nodes,
-                n_intervals=n_intervals,
-                interval_s=interval_s,
-            )
-        elif clause.kind == "brownout-wave":
-            _lower_brownout(
-                clause,
-                racks,
-                rng,
-                events,
-                earliest=earliest,
-                latest=latest,
-                n_intervals=n_intervals,
-                interval_s=interval_s,
-            )
+        if clause.kind == "cascading-straggler":
+            draw = _cascading_strikes
         else:
-            # The independent kinds: exactly two variates per node, in
-            # node order -- byte-identical draws to the pre-resilience
-            # lowering for clauses without detection/repair.
-            for node in range(n_nodes):
-                fire = float(rng.random())
-                onset_s = float(rng.uniform(earliest, latest))
-                if fire >= clause.probability:
-                    continue
-                start, end = _window(
+            draw = _unit_strikes
+        for members, onset_s in draw(clause, racks, rng, earliest, latest, n_nodes):
+            events.extend(
+                _fault_events(
                     clause,
+                    members,
                     onset_s,
                     n_intervals=n_intervals,
                     interval_s=interval_s,
                 )
-                if start >= end:
-                    continue
-                events.append(
-                    FaultEvent(
-                        node=node,
-                        kind=clause.kind,
-                        start_interval=start,
-                        end_interval=end,
-                        multiplier=clause.capacity_multiplier(),
-                        detect_interval=_detect(clause, start, end, interval_s),
-                    )
-                )
+            )
     return tuple(events)
 
 
-def _lower_rack_death(
-    clause, racks, rng, events, *, earliest, latest, n_intervals, interval_s
-) -> None:
-    """One fire/onset draw per rack; a struck rack dies as one."""
-    for _name, members in racks:
+def _unit_strikes(
+    clause: FaultClause,
+    racks: Racks,
+    rng: np.random.Generator,
+    earliest: float,
+    latest: float,
+    n_nodes: int,
+) -> Iterator[tuple[tuple[int, ...], float]]:
+    """``(members, onset_s)`` for every fired draw unit of a clause.
+
+    Each unit takes one fire/onset draw and lists its strikes as
+    ``(onset offset, members)``: the node kinds draw per node,
+    ``rack-death`` per rack, and ``brownout-wave`` once for the fleet,
+    striking rack ``rank`` ``rank x stagger_s`` seconds late.
+    """
+    if clause.kind == "rack-death":
+        units = [((0.0, members),) for _name, members in racks]
+    elif clause.kind == "brownout-wave":
+        units = [
+            tuple(
+                (rank * clause.stagger_s, members)
+                for rank, (_name, members) in enumerate(racks)
+            )
+        ]
+    else:
+        units = [((0.0, (node,)),) for node in range(n_nodes)]
+    for unit in units:
         fire = float(rng.random())
         onset_s = float(rng.uniform(earliest, latest))
-        if fire >= clause.probability:
-            continue
-        start, end = _window(
-            clause, onset_s, n_intervals=n_intervals, interval_s=interval_s
-        )
-        if start >= end:
-            continue
-        detect = _detect(clause, start, end, interval_s)
-        for node in members:
-            events.append(
-                FaultEvent(
-                    node=node,
-                    kind=clause.kind,
-                    start_interval=start,
-                    end_interval=end,
-                    multiplier=0.0,
-                    detect_interval=detect,
-                )
-            )
+        if fire < clause.probability:
+            for offset_s, members in unit:
+                yield members, onset_s + offset_s
 
 
-def _lower_cascading(
-    clause, racks, rng, events, *, earliest, latest, n_nodes, n_intervals, interval_s
-) -> None:
+def _cascading_strikes(
+    clause: FaultClause,
+    racks: Racks,
+    rng: np.random.Generator,
+    earliest: float,
+    latest: float,
+    n_nodes: int,
+) -> Iterator[tuple[tuple[int, ...], float]]:
     """Seed stragglers plus rack-neighbour cascades.
 
     Two draw phases, both fixed-count: (1) per node, fire/onset for the
@@ -462,88 +430,20 @@ def _lower_cascading(
     for _name, members in racks:
         for node in members:
             rack_of[node] = members
-    multiplier = clause.capacity_multiplier()
     for node in range(n_nodes):
         fired, onset_s = seeds[node]
         if fired:
-            start, end = _window(
-                clause,
-                onset_s,
-                n_intervals=n_intervals,
-                interval_s=interval_s,
-            )
-            if start < end:
-                events.append(
-                    FaultEvent(
-                        node=node,
-                        kind=clause.kind,
-                        start_interval=start,
-                        end_interval=end,
-                        multiplier=multiplier,
-                        detect_interval=_detect(clause, start, end, interval_s),
-                    )
-                )
+            yield (node,), onset_s
         for neighbor in rack_of.get(node, ()):
             if neighbor == node:
                 continue
             cascade = float(rng.random())
             jitter = float(rng.uniform(0.5, 1.5))
-            if not fired or cascade >= clause.spread:
-                continue
-            lag_onset = onset_s + clause.lag_s * jitter
-            start, end = _window(
-                clause,
-                lag_onset,
-                n_intervals=n_intervals,
-                interval_s=interval_s,
-            )
-            if start >= end:
-                continue
-            events.append(
-                FaultEvent(
-                    node=neighbor,
-                    kind=clause.kind,
-                    start_interval=start,
-                    end_interval=end,
-                    multiplier=multiplier,
-                    detect_interval=_detect(clause, start, end, interval_s),
-                )
-            )
-
-
-def _lower_brownout(
-    clause, racks, rng, events, *, earliest, latest, n_intervals, interval_s
-) -> None:
-    """One fleet-level draw; racks brown out in block order, staggered."""
-    fire = float(rng.random())
-    onset_s = float(rng.uniform(earliest, latest))
-    if fire >= clause.probability:
-        return
-    for rank, (_name, members) in enumerate(racks):
-        start, end = _window(
-            clause,
-            onset_s + rank * clause.stagger_s,
-            n_intervals=n_intervals,
-            interval_s=interval_s,
-        )
-        if start >= end:
-            continue
-        detect = _detect(clause, start, end, interval_s)
-        for node in members:
-            events.append(
-                FaultEvent(
-                    node=node,
-                    kind=clause.kind,
-                    start_interval=start,
-                    end_interval=end,
-                    multiplier=clause.factor,
-                    detect_interval=detect,
-                )
-            )
+            if fired and cascade < clause.spread:
+                yield (neighbor,), onset_s + clause.lag_s * jitter
 
 
 __all__ = [
-    "CORRELATED_KINDS",
     "FAULT_KINDS",
     "FaultClause",
     "FaultEvent",

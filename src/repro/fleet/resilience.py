@@ -25,7 +25,7 @@ post-redistribution / post-repair are just consecutive segments -- so
 node specs stay frozen, cacheable, and byte-identical serial or
 ``--jobs N``.
 
-:class:`ResilienceReport` condenses a resilient fleet's outcome into
+:class:`ResilienceReport` condenses a faulted fleet's outcome into
 the numbers an operator asks after a drill: how deep QoS dipped during
 the failure windows, how long recovery took, how far the blast spread
 beyond the nodes that actually failed, and how hot the survivors ran.
@@ -128,7 +128,7 @@ def split_with_timeline(
 
 @dataclass(frozen=True)
 class ResilienceReport:
-    """The blast-radius digest of a resilient fleet run.
+    """The blast-radius digest of a faulted fleet run.
 
     ``blast_radius`` is nodes whose planned load changed divided by
     nodes that actually faulted -- 1.0 means the damage stayed put,
@@ -220,7 +220,7 @@ def build_resilience_report(
     interval_s: float,
     node_peak_ratios: np.ndarray | None = None,
 ) -> ResilienceReport:
-    """Condense a resilient fleet's plan + measurements into a report.
+    """Condense a faulted fleet's plan + measurements into a report.
 
     ``planned_levels`` are the timeline split's per-node levels,
     ``baseline_levels`` the counterfactual faultless split of the same
@@ -254,7 +254,7 @@ def build_resilience_report(
         outside = ~window
         if outside.any():
             qos_baseline = float(ok[outside].mean())
-        # No fault windows (topology declared, nothing fired): the
+        # No fault windows (the clauses lowered to no events): the
         # during-faults QoS degenerates to the baseline, depth 0.
         qos_during = float(ok[window].mean()) if window.any() else qos_baseline
         for event in events:

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import UnknownNameError
 from repro.fleet.balancer import BALANCER_FACTORIES, build_balancer
-from repro.fleet.faults import FaultClause, FaultEvent, freeze_clauses, lower_faults
+from repro.fleet.faults import FaultEvent, freeze_clauses, lower_faults
 from repro.fleet.resilience import split_with_timeline
 from repro.scenarios.spec import (
     DEFAULT_SEED,
@@ -43,19 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Bump to invalidate fleet-derived node fingerprints when the expansion
 #: semantics change (capacity model, seed derivation, balancer contract).
-#: 2 = fault clauses + heterogeneous workload mixes fold into the
-#: fingerprint payload (faultless homogeneous fleets still expand to
-#: byte-identical node specs, so their cached node outcomes survive).
-#: 3 = the resilience layer: topology racks, correlated fault clauses
-#: and detection/repair timelines.  Only specs that *use* those (see
-#: :meth:`FleetSpec.uses_resilience`) fingerprint at 3 -- everything
-#: else keeps the version-2 payload, so existing fingerprints and
-#: cached outcomes survive untouched.
-FLEET_SCHEMA_VERSION = 3
-
-#: The fingerprint payload version for specs untouched by the
-#: resilience layer (kept so their identities never move).
-_LEGACY_FLEET_SCHEMA_VERSION = 2
+#: 2 = fault clauses + heterogeneous workload mixes; 3 = topology racks,
+#: correlated fault clauses and detection/repair timelines; 4 = one
+#: payload for every spec, topology included.
+FLEET_SCHEMA_VERSION = 4
 
 #: Offset mixed into per-node seeds so node RNG streams never collide
 #: with the fleet seed itself or with neighbouring single-node runs.
@@ -191,17 +182,9 @@ class FleetSpec:
         return replace(self, **changes)
 
     def fingerprint(self) -> str:
-        """Stable identity over every expansion-affecting field.
-
-        Specs untouched by the resilience layer hash the exact
-        version-2 payload so their fingerprints (and every cached node
-        outcome behind them) never move; resilience specs append the
-        topology and hash at :data:`FLEET_SCHEMA_VERSION`.
-        """
+        """Stable identity over every expansion-affecting field."""
         payload = (
-            FLEET_SCHEMA_VERSION
-            if self.uses_resilience()
-            else _LEGACY_FLEET_SCHEMA_VERSION,
+            FLEET_SCHEMA_VERSION,
             SCHEMA_VERSION,
             KERNEL_VERSION,
             self.workload,
@@ -219,9 +202,8 @@ class FleetSpec:
             self.batch_jobs,
             self.seed,
             self.interval_s,
+            self.topology,
         )
-        if self.uses_resilience():
-            payload = payload + (self.topology,)
         return hashlib.sha256(repr(payload).encode()).hexdigest()[:24]
 
     def describe(self) -> str:
@@ -315,21 +297,6 @@ class FleetSpec:
             blocks.append((name, tuple(range(cursor, cursor + count))))
             cursor += count
         return tuple(blocks)
-
-    def uses_resilience(self) -> bool:
-        """Whether this spec engages the resilience layer.
-
-        True when a topology is declared, a correlated fault kind is
-        used, or any clause carries ``detection_s`` / ``repair_s``.
-        It selects only the fingerprint payload version and whether the
-        outcome carries a resilience report; every faulted fleet
-        expands through the same timeline split either way.
-        """
-        if self.topology:
-            return True
-        return any(
-            FaultClause.from_params(clause).uses_timeline() for clause in self.faults
-        )
 
     # ------------------------------------------------------------------
     # fault lowering

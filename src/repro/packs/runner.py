@@ -98,12 +98,8 @@ class PackResult:
         return rows
 
     def resilience_reports(self) -> list[tuple[str, Any]]:
-        """``(key, ResilienceReport)`` for every resilient fleet entry.
-
-        Empty unless an entry's fleet engaged the resilience layer
-        (topology, correlated clauses, or detection/repair timelines),
-        so plain packs render and summarize exactly as before.
-        """
+        """``(key, ResilienceReport)`` for every fleet entry with fault
+        clauses, in entry order (failed entries have none)."""
         reports = []
         for item, outcome in zip(self.pack.items, self.outcomes):
             if not item.is_fleet or isinstance(outcome, ExecutionError):
@@ -118,9 +114,9 @@ class PackResult:
 
         Failed entries carry ``null`` metrics, their ``status`` names
         the error type, and the top level counts ``failed`` entries so
-        CI can gate on partial success without parsing rows.  Resilient
-        fleet entries additionally carry a ``resilience`` mapping
-        (blast radius, degradation depth, time-to-recover; see
+        CI can gate on partial success without parsing rows.  Fleet
+        entries with fault clauses additionally carry a ``resilience``
+        mapping (blast radius, degradation depth, time-to-recover; see
         :class:`~repro.fleet.resilience.ResilienceReport`).
         """
         reports = dict(self.resilience_reports())

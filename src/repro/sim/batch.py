@@ -15,8 +15,9 @@ scenario specs (:mod:`repro.scenarios`) and the per-run engine
   lazily on first use and reused across ``run()`` calls, so a whole
   ``hipster-repro all`` invocation pays the pool spawn (and the worker
   warm-start imports) once instead of once per experiment,
-* dispatches in **longest-job-first** order via ``submit`` +
-  ``as_completed`` using a spec cost model with two fixed constants
+* dispatches in **longest-job-first** order through
+  :class:`~repro.sim.supervise.PoolSupervisor`'s ``wait(FIRST_COMPLETED)``
+  loop, using a spec cost model with two fixed constants
   (:func:`estimate_cost`), with cheap specs adaptively chunked so
   inter-process overhead amortizes, and
 * returns outcomes in input order (:meth:`BatchRunner.run`) or streams
@@ -165,12 +166,6 @@ CHUNKS_PER_WORKER = 4
 def execute_scenario(spec: "ScenarioSpec") -> "ScenarioOutcome":
     """Run one scenario in the current process."""
     return spec.run()
-
-
-def execute_chunk(specs: Sequence["ScenarioSpec"]) -> list["ScenarioOutcome"]:
-    """Run a chunk of scenarios in the current process (the pool's work
-    item); one submission amortizes dispatch overhead over the chunk."""
-    return [spec.run() for spec in specs]
 
 
 def _warm_worker() -> None:
@@ -935,15 +930,8 @@ class BatchRunner:
                 outcome = execute_scenario(spec)
             except Exception as exc:
                 self.specs_failed += 1
-                yield (
-                    key,
-                    SpecFailedError(
-                        f"spec {spec.describe()} ({key}) raised "
-                        f"{type(exc).__name__}: {exc}",
-                        fingerprint=key,
-                        spec_description=spec.describe(),
-                        exception_type=type(exc).__name__,
-                    ),
+                yield key, SpecFailedError.raised(
+                    key, spec, type(exc).__name__, str(exc)
                 )
                 continue
             self._cache_store_many([(key, outcome)])

@@ -111,17 +111,22 @@ def _warn_unknown_env(known: set[str]) -> None:
         )
 
 
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ[name])
-    except (KeyError, ValueError):
+def _env_number(name: str, default: float, parse: type) -> float:
+    """``parse`` of the ``name`` override, or ``default`` when it is
+    unset or malformed (flagged on stderr once per name per process)."""
+    raw = os.environ.get(name)
+    if raw is None:
         return default
-
-
-def _env_int(name: str, default: int) -> int:
     try:
-        return int(os.environ[name])
-    except (KeyError, ValueError):
+        return parse(raw)
+    except ValueError:
+        if name not in _warned_env:
+            _warned_env.add(name)
+            print(
+                f"[env] malformed {name}={raw!r} (ignored) -- "
+                f"using the default {default}",
+                file=sys.stderr,
+            )
         return default
 
 
@@ -154,19 +159,17 @@ class RetryPolicy:
     def from_env(cls) -> "RetryPolicy":
         """The default policy with ``REPRO_*`` environment overrides.
 
-        Unrecognized ``REPRO_*`` variables are flagged on stderr with a
-        did-you-mean (once per process) instead of silently using the
-        defaults.
+        Unrecognized ``REPRO_*`` variables (with a did-you-mean) and
+        malformed values are flagged on stderr, once per process,
+        instead of silently using the defaults.
         """
         values = {}
         known = {"REPRO_CHAOS"}  # the chaos harness's own knob
         for spec in fields(cls):
             env = f"REPRO_{spec.name.upper()}"
             known.add(env)
-            if spec.type in ("int", int):
-                values[spec.name] = _env_int(env, spec.default)
-            else:
-                values[spec.name] = _env_float(env, spec.default)
+            parse = int if spec.type in ("int", int) else float
+            values[spec.name] = _env_number(env, spec.default, parse)
         _warn_unknown_env(known)
         return cls(**values)
 
@@ -400,12 +403,8 @@ class PoolSupervisor:
                 self._ready.append(
                     (
                         key,
-                        SpecFailedError(
-                            f"spec {spec.describe()} ({key}) raised "
-                            f"{result.exception_type}: {result.message}",
-                            fingerprint=key,
-                            spec_description=spec.describe(),
-                            exception_type=result.exception_type,
+                        SpecFailedError.raised(
+                            key, spec, result.exception_type, result.message
                         ),
                     )
                 )
@@ -520,13 +519,12 @@ class PoolSupervisor:
                     self._ready.append(
                         (
                             key,
-                            SpecFailedError(
-                                f"spec {spec.describe()} ({key}) raised "
-                                f"{type(exc).__name__}: {exc} "
-                                "(degraded serial mode)",
-                                fingerprint=key,
-                                spec_description=spec.describe(),
-                                exception_type=type(exc).__name__,
+                            SpecFailedError.raised(
+                                key,
+                                spec,
+                                type(exc).__name__,
+                                str(exc),
+                                " (degraded serial mode)",
                             ),
                         )
                     )

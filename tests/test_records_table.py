@@ -460,7 +460,7 @@ class TestCacheKeyPins:
     #: compaction uses to reclaim stranded records); the FleetSpec
     #: fingerprint is an identity, not a disk cache key, so it stays a
     #: bare hash (it folds ``SCHEMA_VERSION`` in too, so it moves with
-    #: every bump).
+    #: every bump, and with every ``FLEET_SCHEMA_VERSION`` bump).
     PINS = {
         "steady": (
             "s3-lindley-v1-cc2d1ba014fa8a928accf015",
@@ -471,7 +471,7 @@ class TestCacheKeyPins:
             "s2-lindley-v1-4c9ce613370ea460dff8697b",
         ),
         "fleet": (
-            "210d90bb8bef75837c9ef183",
+            "8bb4d0f6a75afabded5cd9b3",
             "8fe464a0205a745695a3e711",
         ),
         "fleet-node0": (

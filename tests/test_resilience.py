@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.fleet import (
-    CORRELATED_KINDS,
+    FAULT_KINDS,
     FaultClause,
     FleetSpec,
     lower_faults,
@@ -99,10 +99,12 @@ class TestGoldenPins:
     """Values recorded at the commit before this layer landed.
 
     Fingerprints and node keys fold in ``SCHEMA_VERSION`` and were
-    re-pinned at its 2 -> 3 bump; render digests never move."""
+    re-pinned at its 2 -> 3 bump; fleet fingerprints were re-pinned
+    again at ``FLEET_SCHEMA_VERSION`` 4.  Node keys, fault windows and
+    render digests never move."""
 
     def test_faultless_fleet_fingerprint_unmoved(self):
-        assert plain_fleet().fingerprint() == "aadbe92a0be17adc3a2fd0a2"
+        assert plain_fleet().fingerprint() == "01eb1f7a95de6e64fc1ecd09"
 
     def test_faultless_fleet_node_fingerprints_unmoved(self):
         expected = [
@@ -136,7 +138,7 @@ class TestGoldenPins:
             balancer="least-loaded",
             quick=True,
         )
-        assert spec.fingerprint() == "8ad7ecb055c13e4cb16d1443"
+        assert spec.fingerprint() == "718bd7e0369d0225623d70ac"
         joined = ",".join(s.fingerprint() for s in spec.node_specs())
         assert hashlib.sha256(joined.encode()).hexdigest() == (
             "f8156ed1d8b1481b3203cc5de6329dee917581a617e6da6218c21254102688fd"
@@ -155,8 +157,7 @@ class TestGoldenPins:
                 },
             ),
         )
-        assert not spec.uses_resilience()
-        assert spec.fingerprint() == "2688296b119d17bad8b72a35"
+        assert spec.fingerprint() == "dfdf60157024483a789675b2"
         joined = ",".join(s.fingerprint() for s in spec.node_specs())
         assert hashlib.sha256(joined.encode()).hexdigest() == (
             "cdbe43ab3ebef407269039f4ce771e30504437ed47a3e8470dff17d0f62616d5"
@@ -182,17 +183,17 @@ class TestGoldenPins:
         [
             (
                 "round-robin",
-                "960c5eabccd34b709dc20359",
+                "24b246ec49bef9b60f1919d3",
                 "1c8b6acef9424701cd7004029b57f39def0e4c9350419da6b08466ffdcff67ec",
             ),
             (
                 "least-loaded",
-                "ec29f40a6118116410157237",
+                "b45d0f5837d0c14405f4a250",
                 "be2bf505793f9dc0beb720fbec709521842b1312635391772c7da038d4addc74",
             ),
             (
                 "power-aware",
-                "589426e6d87b68700aa89659",
+                "e07d4c785e9f6cca7321a029",
                 "958fe184d8034fd22825ce56217b50315d8a9fc2939542b50089833d254a7e45",
             ),
         ],
@@ -220,7 +221,6 @@ class TestGoldenPins:
                 },
             ),
         )
-        assert not spec.uses_resilience()
         assert {e.kind for e in spec.fault_schedule()} == {
             "node-death",
             "degradation",
@@ -239,8 +239,7 @@ class TestGoldenPins:
 class TestCorrelatedClauses:
     def test_new_kinds_validate(self):
         for clause in CORRELATED_FAULTS:
-            parsed = FaultClause.from_params(clause)
-            assert parsed.uses_timeline()
+            FaultClause.from_params(clause)
         wave = FaultClause.from_params(
             {
                 "kind": "brownout-wave",
@@ -250,16 +249,6 @@ class TestCorrelatedClauses:
             }
         )
         assert wave.capacity_multiplier() == 0.5
-
-    def test_legacy_clause_with_detection_uses_timeline(self):
-        clause = FaultClause.from_params(
-            {"kind": "node-death", "probability": 0.5, "detection_s": 3.0}
-        )
-        assert clause.uses_timeline()
-        plain = FaultClause.from_params(
-            {"kind": "node-death", "probability": 0.5}
-        )
-        assert not plain.uses_timeline()
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError, match="spread"):
@@ -542,6 +531,169 @@ class TestTimelineSplit:
         assert len(schedules) > 1
 
 
+#: One clause per fault kind, each with a detector lag so the spill onto
+#: survivors (undetected faults) is exercised alongside re-splits.
+ORACLE_CLAUSES = {
+    "node-death": {
+        "kind": "node-death",
+        "probability": 0.35,
+        "earliest_s": 10.0,
+        "detection_s": 3.0,
+        "repair_s": 20.0,
+    },
+    "degradation": {
+        "kind": "degradation",
+        "probability": 0.5,
+        "factor": 0.5,
+        "detection_s": 3.0,
+    },
+    "straggler": {
+        "kind": "straggler",
+        "probability": 0.5,
+        "slowdown": 2.0,
+        "duration_s": 15.0,
+        "detection_s": 2.0,
+    },
+    "rack-death": {
+        "kind": "rack-death",
+        "probability": 0.5,
+        "detection_s": 3.0,
+        "repair_s": 20.0,
+    },
+    "cascading-straggler": {
+        "kind": "cascading-straggler",
+        "probability": 0.3,
+        "slowdown": 2.0,
+        "duration_s": 12.0,
+        "spread": 0.6,
+        "detection_s": 2.0,
+    },
+    "brownout-wave": {
+        "kind": "brownout-wave",
+        "probability": 1.0,
+        "factor": 0.5,
+        "duration_s": 15.0,
+        "stagger_s": 10.0,
+        "detection_s": 4.0,
+    },
+}
+
+
+class TestConservationOracle:
+    """The timeline split conserves offered load, checked from first
+    principles rather than against another implementation: what the
+    physically alive nodes serve (planned level x physical capacity
+    multiplier) sums to the fleet's demand in every interval where no
+    node hit :data:`MAX_NODE_LEVEL`, and never exceeds it."""
+
+    @pytest.mark.parametrize("topology", [None, {"a": 3, "b": 5}])
+    @pytest.mark.parametrize("balancer", ["round-robin", "least-loaded", "power-aware"])
+    @pytest.mark.parametrize("kind", sorted(ORACLE_CLAUSES))
+    def test_split_conserves_demand(self, kind, balancer, topology):
+        from repro.fleet.balancer import MAX_NODE_LEVEL
+
+        checked_fault_intervals = 0
+        for seed in range(4):
+            spec = plain_fleet(
+                trace=TraceSpec.constant(0.7, 80.0),
+                balancer=balancer,
+                topology=topology or {},
+                faults=(ORACLE_CLAUSES[kind],),
+                seed=seed,
+            )
+            events = spec.fault_schedule()
+            if not events:
+                continue
+            physical, _known = timeline_multipliers(
+                events, n_nodes=spec.n_nodes, n_intervals=len(spec.fleet_loads())
+            )
+            if not (physical > 0.0).any(axis=1).all():
+                # One rack holding the whole fleet died: nothing can serve.
+                with pytest.raises(ValueError, match="kills every node"):
+                    spec.planned_levels()
+                continue
+            levels = spec.planned_levels()
+            assert np.all(levels[physical == 0.0] == 0.0)
+            served = (levels * physical).sum(axis=1)
+            demand = spec.fleet_loads() * spec.n_nodes
+            assert np.all(served <= demand * (1.0 + 1e-9))
+            uncapped = ~(levels >= MAX_NODE_LEVEL).any(axis=1)
+            np.testing.assert_allclose(
+                served[uncapped], demand[uncapped], rtol=1e-9, atol=0.0
+            )
+            checked_fault_intervals += int(
+                (uncapped & (physical < 1.0).any(axis=1)).sum()
+            )
+        if kind == "rack-death" and topology is None:
+            return
+        assert checked_fault_intervals > 0
+
+
+#: ``sha256`` of every ``(node, kind, start, end, multiplier, detect)``
+#: tuple the grid in :class:`TestSchedulePin` lowers to, recorded
+#: before the draw-unit loop merged the per-kind lowerings.
+SCHEDULE_PIN_SHA256 = "80041fac267544893bb67006a2fc7e5738e0a032c9902f98999aa064a22a072e"
+
+SCHEDULE_PIN_CLAUSES = (
+    {"kind": "node-death", "probability": 0.3, "earliest_s": 10.0},
+    {"kind": "degradation", "probability": 0.4, "factor": 0.6},
+    {"kind": "straggler", "probability": 0.5, "slowdown": 2.0, "duration_s": 8.0},
+    {"kind": "rack-death", "probability": 0.5, "earliest_s": 5.0},
+    {
+        "kind": "cascading-straggler",
+        "probability": 0.4,
+        "slowdown": 2.0,
+        "duration_s": 10.0,
+        "spread": 0.6,
+    },
+    {
+        "kind": "brownout-wave",
+        "probability": 0.8,
+        "factor": 0.5,
+        "duration_s": 10.0,
+        "stagger_s": 5.0,
+    },
+)
+
+
+class TestSchedulePin:
+    def test_fault_schedules_unmoved(self):
+        """Every kind alone and all six together, with and without
+        detection/repair, on no topology, two even racks and four
+        uneven ones, seeds 0-2."""
+
+        def timed(clause):
+            timed = dict(clause, detection_s=3.0)
+            if clause["kind"] in ("node-death", "degradation", "rack-death"):
+                timed["repair_s"] = 12.0
+            return timed
+
+        rows = []
+        for topology in ({}, {"a": 4, "b": 4}, {"w": 1, "x": 2, "y": 2, "z": 3}):
+            for seed in range(3):
+                for with_timing in (False, True):
+                    base = tuple(
+                        timed(c) if with_timing else c for c in SCHEDULE_PIN_CLAUSES
+                    )
+                    for faults in (*((c,) for c in base), base):
+                        spec = plain_fleet(seed=seed, topology=topology, faults=faults)
+                        rows.extend(
+                            (
+                                e.node,
+                                e.kind,
+                                e.start_interval,
+                                e.end_interval,
+                                e.multiplier,
+                                e.detect_interval,
+                            )
+                            for e in spec.fault_schedule()
+                        )
+        assert len(rows) == 706
+        assert {row[1] for row in rows} == set(FAULT_KINDS)
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == SCHEDULE_PIN_SHA256
+
+
 # ----------------------------------------------------------------------
 # spec plumbing: topology, fingerprints, gating
 # ----------------------------------------------------------------------
@@ -565,9 +717,15 @@ class TestSpecPlumbing:
         )
 
     def test_topology_alone_engages_resilience(self):
+        """A topology alone moves the identity and gives the correlated
+        kinds their racks (it is in the one fingerprint payload)."""
         spec = plain_fleet(topology={"a": 4, "b": 4})
-        assert spec.uses_resilience()
         assert spec.fingerprint() != plain_fleet().fingerprint()
+        struck = spec.with_(
+            faults=({"kind": "rack-death", "probability": 1.0},)
+        ).fault_schedule()
+        assert {e.node for e in struck} == set(range(8))
+        assert len({e.start_interval for e in struck}) == 2
 
     def test_detection_on_legacy_kind_moves_fingerprint(self):
         base = plain_fleet(
@@ -582,14 +740,7 @@ class TestSpecPlumbing:
                 },
             )
         )
-        assert not base.uses_resilience()
-        assert detected.uses_resilience()
         assert base.fingerprint() != detected.fingerprint()
-
-    def test_correlated_kinds_registered(self):
-        from repro.fleet import FAULT_KINDS
-
-        assert CORRELATED_KINDS <= set(FAULT_KINDS)
 
     def test_pack_dsl_accepts_topology_and_correlated_clauses(self):
         from repro.packs import compile_pack
@@ -624,7 +775,7 @@ class TestSpecPlumbing:
         )
         pack.validate_buildable()
         (item,) = pack.items
-        assert item.spec.uses_resilience()
+        assert item.spec.rack_blocks() == (("a", (0, 1)), ("b", (2, 3)))
 
 
 # ----------------------------------------------------------------------
@@ -634,9 +785,61 @@ class TestSpecPlumbing:
 
 class TestResilienceReport:
     def test_plain_fleet_has_no_report(self):
-        outcome = plain_fleet(n_nodes=3).run()
-        assert outcome.resilience_report() is None
-        assert "resilience:" not in outcome.render()
+        for spec in (
+            plain_fleet(n_nodes=3),
+            plain_fleet(n_nodes=3, topology={"a": 1, "b": 2}),
+        ):
+            outcome = spec.run()
+            assert outcome.resilience_report() is None
+            assert "resilience:" not in outcome.render()
+
+    def test_every_faulted_fleet_has_a_report(self):
+        """Instantly detected independent kinds -- no topology, no
+        ``detection_s`` -- get a report like any other faulted fleet."""
+        spec = plain_fleet(
+            seed=0,
+            faults=(
+                {"kind": "node-death", "probability": 0.3, "earliest_s": 10.0},
+                {
+                    "kind": "straggler",
+                    "probability": 0.6,
+                    "slowdown": 2.0,
+                    "duration_s": 8.0,
+                },
+            ),
+        )
+        events = spec.fault_schedule()
+        assert events and all(e.detect_interval is None for e in events)
+        outcome = spec.run()
+        report = outcome.resilience_report()
+        assert report is not None
+        assert report.n_events == len(events) == 6
+        assert report.nodes_faulted == 6
+        assert f"resilience: {len(events)} event(s)" in outcome.render()
+
+    def test_clauses_that_lower_to_nothing_still_report(self):
+        spec = plain_fleet(
+            n_nodes=3, faults=({"kind": "node-death", "probability": 0.0},)
+        )
+        assert spec.fault_schedule() == ()
+        outcome = spec.run()
+        report = outcome.resilience_report()
+        assert report is not None
+        assert (report.n_events, report.nodes_faulted, report.nodes_affected) == (
+            0,
+            0,
+            0,
+        )
+        assert report.blast_radius == 0.0
+        assert report.fault_intervals == 0
+        assert report.qos_during_faults == report.qos_baseline
+        assert report.degradation_depth == 0.0
+        assert report.time_to_recover_s_max == 0.0
+        assert report.recoveries_censored == 0
+        assert report.overload_peak_level == pytest.approx(0.6)
+        values = [v for v in report.as_dict().values() if v is not None]
+        assert all(np.isfinite(values))
+        assert "resilience: 0 event(s) on 0 node(s)" in outcome.render()
 
     def test_report_fields_and_render(self):
         outcome = resilient_fleet().run()

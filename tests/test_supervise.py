@@ -70,9 +70,16 @@ class TestRetryPolicy:
         assert policy.timeout_floor_s == 12.5
         assert policy.max_pool_rebuilds == 5  # untouched default
 
-    def test_malformed_env_falls_back_to_default(self, monkeypatch):
+    def test_malformed_env_falls_back_to_default(self, monkeypatch, capsys):
+        import repro.sim.supervise as supervise
+
+        monkeypatch.setattr(supervise, "_warned_env", set())
         monkeypatch.setenv("REPRO_MAX_DISPATCHES", "not-a-number")
         assert RetryPolicy.from_env().max_dispatches == 3
+        assert RetryPolicy.from_env().max_dispatches == 3
+        err = capsys.readouterr().err
+        assert err.count("[env] malformed REPRO_MAX_DISPATCHES") == 1
+        assert "'not-a-number' (ignored) -- using the default 3" in err
 
     def test_backoff_is_exponential_and_capped(self):
         policy = RetryPolicy(backoff_base_s=0.1, backoff_cap_s=0.5)
@@ -205,6 +212,33 @@ class TestSupervisedPool:
         assert runner.worker_crashes >= 2
         assert_same_results(golden, outcomes)
 
+    def test_degraded_serial_exception_names_the_mode(self, monkeypatch):
+        specs = tiny_specs()
+        bad = specs[3].fingerprint()
+        real = ScenarioSpec.run
+
+        def flaky(self):
+            if self.fingerprint() == bad:
+                raise ValueError("boom")
+            return real(self)
+
+        monkeypatch.setattr(ScenarioSpec, "run", flaky)
+        config = chaos.ChaosConfig(
+            seed=0,
+            poison_fingerprints=tuple(s.fingerprint() for s in specs),
+        )
+        policy = RetryPolicy(max_pool_rebuilds=1, backoff_base_s=0.01)
+        with chaos.active_config(config):
+            with BatchRunner(jobs=2, retry_policy=policy) as runner:
+                _outcomes, errors = _collect(runner, specs)
+        assert runner.degraded
+        assert set(errors) == {3}
+        assert isinstance(errors[3], SpecFailedError)
+        assert str(errors[3]) == (
+            f"spec {specs[3].describe()} ({bad}) raised ValueError: boom "
+            "(degraded serial mode)"
+        )
+
 
 class TestSpecExceptions:
     def test_serial_engine_exception_isolated(self, monkeypatch, golden):
@@ -223,6 +257,10 @@ class TestSpecExceptions:
         assert set(errors) == {2}
         assert isinstance(errors[2], SpecFailedError)
         assert errors[2].exception_type == "RuntimeError"
+        assert str(errors[2]) == (
+            f"spec {specs[2].describe()} ({bad}) raised RuntimeError: "
+            "engine blew up"
+        )
         assert runner.specs_failed == 1
         assert_same_results(
             [golden[0], golden[1], golden[3]],
@@ -267,6 +305,9 @@ class TestSpecExceptions:
         assert set(errors) == {1}
         assert isinstance(errors[1], SpecFailedError)
         assert errors[1].exception_type == "ValueError"
+        assert str(errors[1]) == (
+            f"spec {specs[1].describe()} ({bad}) raised ValueError: boom"
+        )
         assert runner.worker_crashes == 0  # the worker survived
         assert_same_results(
             [golden[0], golden[2], golden[3]],
