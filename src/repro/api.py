@@ -39,7 +39,7 @@ from repro.errors import (
     UnknownParamError,
     WorkerCrashError,
 )
-from repro.fleet.aggregate import FleetOutcome
+from repro.fleet.aggregate import FleetOutcome, run_specs
 from repro.fleet.spec import FleetSpec
 from repro.packs.runner import PackResult, run_pack
 from repro.scenarios.registry import DEFAULT_REGISTRY
@@ -60,7 +60,7 @@ def open_runner(
     Use as a context manager (``with open_runner(jobs=4) as runner:``)
     so the worker pool shuts down and the disk cache gets its compaction
     pass.  Extra ``options`` forward to :class:`BatchRunner` (e.g.
-    ``memory_entries``).
+    ``retry_policy`` or ``journal``).
     """
     return BatchRunner(jobs=jobs, cache_dir=cache_dir, **options)
 
@@ -94,11 +94,8 @@ def run_scenario(
                 "use spec.with_(...) to modify an explicit spec"
             )
         spec = scenario
-    if isinstance(spec, ScenarioSpec):
-        from repro.sim.batch import get_runner
-
-        return get_runner(runner).run_one(spec)
-    return spec.run(runner)
+    (outcome,) = run_specs([spec], runner)
+    return outcome
 
 
 def sweep(
@@ -113,9 +110,10 @@ def sweep(
     ``over`` maps parameter names to the values to sweep; the grid is
     the cartesian product over **sorted** names, so result order (and
     caching) is independent of mapping order.  Returns
-    ``(assignment, outcome)`` pairs in grid order.  Single-node specs
-    all go to the runner in one batch (cost-aware scheduling plans the
-    whole sweep); fleet specs run after, through the same runner.
+    ``(assignment, outcome)`` pairs in grid order.  The whole grid --
+    single-node specs and every fleet's node specs alike -- goes to the
+    runner as one :func:`~repro.fleet.aggregate.run_specs` batch, so
+    cost-aware scheduling plans the whole sweep.
     """
     names = sorted(over)
     grids = [list(over[name]) for name in names]
@@ -129,28 +127,7 @@ def sweep(
         _build_spec(family, {**common, **assignment})
         for assignment in assignments
     ]
-    from repro.sim.batch import get_runner
-
-    active = get_runner(runner)
-    try:
-        outcomes: list[Any] = [None] * len(specs)
-        single = [
-            (i, spec)
-            for i, spec in enumerate(specs)
-            if isinstance(spec, ScenarioSpec)
-        ]
-        if single:
-            for (i, _), outcome in zip(
-                single, active.run([spec for _, spec in single])
-            ):
-                outcomes[i] = outcome
-        for i, spec in enumerate(specs):
-            if outcomes[i] is None:
-                outcomes[i] = spec.run(active)
-    finally:
-        if runner is None:
-            active.close()
-    return list(zip(assignments, outcomes))
+    return list(zip(assignments, run_specs(specs, runner)))
 
 
 __all__ = [

@@ -8,9 +8,10 @@ setting matches the paper's.
 
 Modules declare their runs as :class:`~repro.scenarios.spec.ScenarioSpec`
 grids (via :data:`repro.scenarios.DEFAULT_REGISTRY`) and execute them
-through the ``runner`` -- a :class:`~repro.sim.batch.BatchRunner` --
-so a shared runner parallelizes every figure's scenario batch over
-worker processes and caches results across invocations.  Passing
+with :func:`repro.fleet.run_specs` on the ``runner`` -- a
+:class:`~repro.sim.batch.BatchRunner` -- so a shared runner
+parallelizes every figure's scenario batch over worker processes and
+caches results across invocations.  Passing
 ``runner=None`` gets a serial, uncached run with identical output.
 
 =================================================  =======================

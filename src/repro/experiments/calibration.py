@@ -20,10 +20,11 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
+from repro.fleet import run_specs
 from repro.hardware.soc import Platform
 from repro.scenarios import DEFAULT_REGISTRY
 from repro.scenarios.factories import build_platform, build_workload
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 from repro.workloads.base import LatencyCriticalWorkload
 
 #: Quantile of per-interval tails pinned to the target at 100% load.
@@ -82,7 +83,7 @@ def edge_tail_ms(
     spec = DEFAULT_REGISTRY.build(
         "edge-load", workload=workload.name, duration_s=duration_s, seed=seed
     ).with_(workload_params=overrides)
-    (result,) = get_runner(runner).results([spec])
+    result = run_specs([spec], runner)[0].result
     return float(np.quantile(result.tails_ms, quantile))
 
 

@@ -15,8 +15,9 @@ import numpy as np
 
 from repro.experiments.reporting import ascii_table, series_block
 from repro.experiments.runner import DEFAULT_SEED
+from repro.fleet import run_specs
 from repro.scenarios import DEFAULT_REGISTRY
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ def run(
         quick=quick,
         seed=seed,
     )
-    (result,) = get_runner(runner).results([spec])
+    result = run_specs([spec], runner)[0].result
     power = result.powers_w
     return Fig1Result(
         times_s=result.times_s,

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.experiments.reporting import ascii_table
 from repro.experiments.runner import DEFAULT_SEED, workload_by_name
+from repro.fleet import run_specs
 from repro.hardware.juno import juno_r1
 from repro.hardware.topology import (
     Configuration,
@@ -26,7 +27,7 @@ from repro.hardware.topology import (
     octopus_man_ladder,
 )
 from repro.scenarios import DEFAULT_REGISTRY, ScenarioSpec
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 from repro.sim.records import ExperimentResult
 from repro.workloads.base import LatencyCriticalWorkload, capacity_rps
 
@@ -173,7 +174,7 @@ def best_configuration(
     eligible, specs = candidate_specs(
         workload, platform, load, configs, duration_s=duration_s, seed=seed
     )
-    return pick_winner(load, eligible, get_runner(runner).results(specs))
+    return pick_winner(load, eligible, [o.result for o in run_specs(specs, runner)])
 
 
 def run(
@@ -207,7 +208,7 @@ def run(
             grid.append((policy_space, load, eligible, specs))
 
     all_specs = [spec for _, _, _, specs in grid for spec in specs]
-    all_results = iter(get_runner(runner).results(all_specs))
+    all_results = (o.result for o in run_specs(all_specs, runner))
     winners: dict[str, list[LoadLevelChoice | None]] = {"hetcmp": [], "baseline": []}
     for policy_space, load, eligible, specs in grid:
         results = [next(all_results) for _ in specs]

@@ -25,8 +25,9 @@ from repro.experiments.fig02_efficiency import (
 )
 from repro.experiments.reporting import ascii_table
 from repro.experiments.runner import DEFAULT_SEED
+from repro.fleet import run_specs
 from repro.scenarios import DEFAULT_REGISTRY, ScenarioSpec
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 from repro.sim.records import ExperimentResult
 
 
@@ -142,7 +143,7 @@ def _cross_rows(
         )
         pending.append((load, own_choice.config_label, candidates))
 
-    results = iter(get_runner(runner).results(specs))
+    results = (o.result for o in run_specs(specs, runner))
     rows = []
     for load, own_label, candidates in pending:
         own_eff, _ = _efficiency(next(results))

@@ -16,9 +16,10 @@ import numpy as np
 
 from repro.experiments.reporting import ascii_table, series_block
 from repro.experiments.runner import DEFAULT_SEED
+from repro.fleet import run_specs
 from repro.metrics.summary import PolicySummary, summarize
 from repro.scenarios import DEFAULT_REGISTRY
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 from repro.sim.records import ExperimentResult
 
 #: The heuristic-family line-up of Figure 5.
@@ -99,7 +100,7 @@ def run(
         )
         for manager in FIG5_POLICIES
     ]
-    results = get_runner(runner).results(specs)
+    results = [o.result for o in run_specs(specs, runner)]
     runs = dict(zip(FIG5_POLICIES, results))
     summaries = {name: summarize(result) for name, result in runs.items()}
     return Fig5Result(workload_name=workload_name, runs=runs, summaries=summaries)

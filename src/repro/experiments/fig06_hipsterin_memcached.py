@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 from repro.experiments.reporting import ascii_table, series_block
 from repro.experiments.runner import DEFAULT_SEED, learning_seconds
+from repro.fleet import run_specs
 from repro.scenarios import DEFAULT_REGISTRY
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 from repro.sim.records import ExperimentResult
 
 WORKLOAD_NAME = "memcached"
@@ -103,7 +104,7 @@ def run_hipster_trace(
         quick=quick,
         seed=seed,
     )
-    outcome = get_runner(runner).run_one(spec)
+    (outcome,) = run_specs([spec], runner)
     return HipsterTraceResult(
         workload_name=workload_name,
         result=outcome.result,

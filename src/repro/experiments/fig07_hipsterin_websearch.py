@@ -14,8 +14,9 @@ from repro.experiments.fig06_hipsterin_memcached import (
     run_hipster_trace,
 )
 from repro.experiments.runner import DEFAULT_SEED
+from repro.fleet import run_specs
 from repro.scenarios import DEFAULT_REGISTRY
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 
 WORKLOAD_NAME = "websearch"
 
@@ -49,7 +50,7 @@ def migration_ratio_vs_octopus(
         quick=quick,
         seed=seed,
     )
-    (octopus,) = get_runner(runner).results([octopus_spec])
+    octopus = run_specs([octopus_spec], runner)[0].result
     octo_rate = octopus.slice(hipster.learning_s).migration_events() / max(
         len(octopus.slice(hipster.learning_s)), 1
     )

@@ -18,8 +18,9 @@ import numpy as np
 
 from repro.experiments.reporting import ascii_table, series_block
 from repro.experiments.runner import DEFAULT_SEED
+from repro.fleet import run_specs
 from repro.scenarios import DEFAULT_REGISTRY
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 from repro.sim.records import ExperimentResult
 
 #: The measured ramp (paper: 50% -> 100% over 175 s).
@@ -109,7 +110,7 @@ def run(
         )
         for manager in ("hipster-in", "octopus-man")
     ]
-    hipster, octopus = get_runner(runner).results(specs)
+    hipster, octopus = [o.result for o in run_specs(specs, runner)]
     return Fig8Result(hipster=hipster, octopus=octopus, warmup_s=warmup_s)
 
 

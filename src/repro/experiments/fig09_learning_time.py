@@ -14,8 +14,9 @@ import numpy as np
 
 from repro.experiments.reporting import ascii_table
 from repro.experiments.runner import DEFAULT_SEED
+from repro.fleet import run_specs
 from repro.scenarios import DEFAULT_REGISTRY
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 
 #: Figure 9's setup: learning phase shortened to 200 s, 100 s windows.
 FIG9_LEARNING_S = 200.0
@@ -85,7 +86,7 @@ def run(
         )
         for manager in ("hipster-in", "octopus-man")
     ]
-    hipster, octopus = get_runner(runner).results(specs)
+    hipster, octopus = [o.result for o in run_specs(specs, runner)]
     return Fig9Result(
         hipster_windows=hipster.windowed_qos_guarantee(WINDOW_S),
         octopus_windows=octopus.windowed_qos_guarantee(WINDOW_S),

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from repro.core.buckets import DEFAULT_BUCKET_SIZE, PAPER_BUCKET_SWEEP
 from repro.experiments.reporting import ascii_table
 from repro.experiments.runner import DEFAULT_SEED
+from repro.fleet import run_specs
 from repro.scenarios import DEFAULT_REGISTRY
 from repro.scenarios.spec import thaw_params
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def run(
             for bucket_size in sweep
         )
 
-    results = iter(get_runner(runner).results(specs))
+    results = (o.result for o in run_specs(specs, runner))
     rows: list[BucketRow] = []
     for workload_name, sweep in groups:
         baseline = next(results)

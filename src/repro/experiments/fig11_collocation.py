@@ -20,8 +20,9 @@ import numpy as np
 
 from repro.experiments.reporting import ascii_table
 from repro.experiments.runner import DEFAULT_SEED
+from repro.fleet import run_specs
 from repro.scenarios import DEFAULT_REGISTRY
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 from repro.workloads.spec import SPEC_CPU2006
 
 
@@ -125,7 +126,7 @@ def run(
             for manager, params in _MANAGER_PARAMS.items()
         )
 
-    results = iter(get_runner(runner).results(specs))
+    results = (o.result for o in run_specs(specs, runner))
     rows: list[CollocationRow] = []
     for name in names:
         static = next(results)

@@ -12,15 +12,14 @@ skew -- the cluster-level analogue of Hipster's own core-mapping story.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.experiments.reporting import ascii_table
 from repro.experiments.runner import DEFAULT_SEED
-from repro.fleet.aggregate import FleetAccumulator, FleetOutcome
+from repro.fleet.aggregate import FleetOutcome, run_specs
 from repro.scenarios import DEFAULT_REGISTRY
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 
 #: Balancer line-up, in display order.
 BALANCERS = ("round-robin", "least-loaded", "power-aware")
@@ -129,22 +128,9 @@ def run(
         for n_nodes in node_counts
     ]
 
-    # One flat batch over every node of every fleet: the runner dedupes
+    # One batch over every node of every fleet: the runner dedupes
     # shared node specs and fans the whole grid out across its pool.
-    # Streamed straight into per-fleet accumulators -- node outcomes are
-    # reduced on arrival, never collected into a grid-wide list.
-    shared = get_runner(runner)
-    all_nodes = [spec for fleet in fleet_specs for spec in fleet.node_specs()]
-    accumulators = [FleetAccumulator(fleet) for fleet in fleet_specs]
-    offsets = []
-    start = 0
-    for fleet in fleet_specs:
-        offsets.append(start)
-        start += fleet.n_nodes
-    for flat_index, outcome in shared.iter_run(all_nodes):
-        fleet_index = bisect_right(offsets, flat_index) - 1
-        accumulators[fleet_index].add(flat_index - offsets[fleet_index], outcome)
-    outcomes = [accumulator.finish() for accumulator in accumulators]
+    outcomes = run_specs(fleet_specs, runner)
 
     rows = tuple(
         FleetScaleRow(

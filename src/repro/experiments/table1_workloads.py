@@ -16,8 +16,9 @@ import numpy as np
 from repro.experiments.calibration import EDGE_QUANTILE
 from repro.experiments.reporting import ascii_table
 from repro.experiments.runner import DEFAULT_SEED
+from repro.fleet import run_specs
 from repro.scenarios import DEFAULT_REGISTRY
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 from repro.workloads.memcached import memcached
 from repro.workloads.websearch import websearch
 
@@ -74,7 +75,7 @@ def run(
         )
         for w in workloads
     ]
-    results = get_runner(runner).results(specs)
+    results = [o.result for o in run_specs(specs, runner)]
     rows = []
     for workload, result in zip(workloads, results):
         tail = float(np.quantile(result.tails_ms, EDGE_QUANTILE))

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 from repro.experiments.reporting import ascii_table
 from repro.experiments.runner import DEFAULT_SEED
+from repro.fleet import run_specs
 from repro.metrics.summary import PolicySummary, summarize
 from repro.scenarios.registry import STANDARD_POLICIES, standard_policy_specs
-from repro.sim.batch import BatchRunner, get_runner
+from repro.sim.batch import BatchRunner
 
 #: Policy display order, as in the paper's table.
 POLICY_ORDER = STANDARD_POLICIES
@@ -75,7 +76,7 @@ def run(
         for workload_name in ("memcached", "websearch")
     ]
     all_specs = [spec for _, specs in grid for spec in specs.values()]
-    results = iter(get_runner(runner).results(all_specs))
+    results = (o.result for o in run_specs(all_specs, runner))
 
     summaries: dict[tuple[str, str], PolicySummary] = {}
     for workload_name, specs in grid:

@@ -16,7 +16,12 @@ Importing this package registers the fleet scenario families
 """
 
 from repro.fleet import families  # noqa: F401  (registers fleet families)
-from repro.fleet.aggregate import FleetAccumulator, FleetOutcome, NodeReduction
+from repro.fleet.aggregate import (
+    FleetAccumulator,
+    FleetOutcome,
+    NodeReduction,
+    run_specs,
+)
 from repro.fleet.balancer import (
     BALANCER_FACTORIES,
     LeastLoadedBalancer,
@@ -52,6 +57,7 @@ __all__ = [
     "ResilienceReport",
     "build_resilience_report",
     "lower_faults",
+    "run_specs",
     "split_with_timeline",
     "timeline_multipliers",
     "LeastLoadedBalancer",

@@ -22,11 +22,14 @@ is a sequential left fold), no matter the completion order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Iterable
 
 import numpy as np
 
+from repro.errors import ExecutionError
 from repro.fleet.spec import FleetSpec
-from repro.scenarios.spec import ScenarioOutcome
+from repro.scenarios.spec import ScenarioOutcome, ScenarioSpec
+from repro.sim.batch import BatchRunner
 from repro.sim.latency import qos_tardiness
 
 
@@ -414,3 +417,63 @@ class FleetOutcome:
                 ),
             ]
         )
+
+
+def run_specs(
+    specs: Iterable[ScenarioSpec | FleetSpec],
+    runner: BatchRunner | None = None,
+    *,
+    on_failure: str = "raise",
+) -> list:
+    """Run scenarios and fleets, in any mix, as one batch.
+
+    Every fleet expands into its :meth:`~FleetSpec.node_specs`, and the
+    whole flat list goes through **one**
+    :meth:`~repro.sim.batch.BatchRunner.iter_run` call, so the runner
+    deduplicates and schedules across every entry at once.  Node
+    outcomes stream into per-fleet :class:`FleetAccumulator`s in
+    completion order: each node is reduced to its column aggregates and
+    dropped, so a fleet's footprint is bounded by its accumulator (and
+    the runner's LRU tier), not by ``n_nodes x n_intervals`` observation
+    storage.
+
+    Returns one ``ScenarioOutcome`` / :class:`FleetOutcome` per input,
+    in input order.  ``on_failure`` follows ``iter_run``: ``"raise"``
+    raises the first definitive failure after every other spec ran;
+    with ``"yield"`` a failed entry's slot holds its
+    :class:`~repro.errors.ExecutionError` (for a fleet, that of its
+    lowest-indexed failed node).  A runner is created, and closed
+    before returning, only when ``runner`` is ``None``.
+    """
+    entries = list(specs)
+    flat: list[ScenarioSpec] = []
+    owners: list[tuple[int, int | None]] = []  # flat index -> (entry, node)
+    accumulators: dict[int, FleetAccumulator] = {}
+    for index, spec in enumerate(entries):
+        if isinstance(spec, FleetSpec):
+            accumulators[index] = FleetAccumulator(spec)
+            nodes = spec.node_specs()
+            flat.extend(nodes)
+            owners.extend((index, node) for node in range(len(nodes)))
+        else:
+            flat.append(spec)
+            owners.append((index, None))
+    outcomes: list[Any] = [None] * len(entries)
+    failed_nodes: dict[int, dict[int, ExecutionError]] = {}
+    active = BatchRunner() if runner is None else runner
+    try:
+        for position, outcome in active.iter_run(flat, on_failure=on_failure):
+            index, node = owners[position]
+            if node is None:
+                outcomes[index] = outcome
+            elif isinstance(outcome, ExecutionError):
+                failed_nodes.setdefault(index, {})[node] = outcome
+            else:
+                accumulators[index].add(node, outcome)
+    finally:
+        if runner is None:
+            active.close()
+    for index, accumulator in accumulators.items():
+        errors = failed_nodes.get(index)
+        outcomes[index] = errors[min(errors)] if errors else accumulator.finish()
+    return outcomes

@@ -404,21 +404,14 @@ class FleetSpec:
     # ------------------------------------------------------------------
 
     def run(self, runner: "BatchRunner | None" = None) -> "FleetOutcome":
-        """Run every node through the batch layer and aggregate.
+        """Run every node through the batch layer and aggregate (one
+        :func:`~repro.fleet.aggregate.run_specs` batch).
 
-        Node runs fan out across the runner's worker pool and land in
-        its fingerprint cache individually, so re-running a fleet after
-        a code or spec change only recomputes the nodes it affected.
-        Outcomes stream through a :class:`~repro.fleet.aggregate.
-        FleetAccumulator` in completion order: each node is reduced to
-        its column aggregates and dropped, so fleet size is bounded by
-        the accumulator (and the runner's LRU tier), not by
-        ``n_nodes x n_intervals`` observation storage.
+        Node runs land in the runner's fingerprint cache individually,
+        so re-running a fleet after a code or spec change only
+        recomputes the nodes it affected.
         """
-        from repro.fleet.aggregate import FleetAccumulator
-        from repro.sim.batch import get_runner
+        from repro.fleet.aggregate import run_specs
 
-        accumulator = FleetAccumulator(self)
-        for index, outcome in get_runner(runner).iter_run(self.node_specs()):
-            accumulator.add(index, outcome)
-        return accumulator.finish()
+        (outcome,) = run_specs([self], runner)
+        return outcome

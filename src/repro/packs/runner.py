@@ -1,10 +1,10 @@
 """Execute compiled packs with pack-level sweep planning.
 
-``run_pack`` hands **all** of a pack's single-node scenario specs to
-one :meth:`~repro.sim.batch.BatchRunner.iter_run` call, so the runner's
-cost-aware longest-job-first scheduler and two-tier cache plan across
-the whole pack instead of entry by entry; fleets run afterwards through
-the same runner (their node expansions batch internally).  Because
+``run_pack`` runs the **whole** pack -- its scenario entries and every
+fleet entry's node specs -- as one :func:`~repro.fleet.aggregate.
+run_specs` batch, so the runner's cost-aware longest-job-first
+scheduler and two-tier cache plan across the pack instead of entry by
+entry, and a node spec shared by several entries runs once.  Because
 every item is a frozen spec, a pack's results are byte-identical
 serial or ``--jobs N``, and repeated runs hit the outcome cache.
 
@@ -19,11 +19,11 @@ still reports the other N-1.
 from __future__ import annotations
 
 import math
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ExecutionError
+from repro.fleet.aggregate import run_specs
 from repro.packs.compiler import CompiledPack, compile_pack
 from repro.scenarios.spec import ScenarioOutcome
 
@@ -194,33 +194,9 @@ def run_pack(
         if isinstance(pack, CompiledPack)
         else compile_pack(pack, quick=quick)
     )
-    outcomes: list[Any] = [None] * len(compiled.items)
-    scenario_indexed = [
-        (index, item)
-        for index, item in enumerate(compiled.items)
-        if not item.is_fleet
-    ]
-    fleet_indexed = [
-        (index, item)
-        for index, item in enumerate(compiled.items)
-        if item.is_fleet
-    ]
-    with ExitStack() as stack:
-        if runner is None:
-            from repro.sim.batch import BatchRunner
-
-            runner = stack.enter_context(BatchRunner())
-        if scenario_indexed:
-            specs = [item.spec for _, item in scenario_indexed]
-            for position, outcome in runner.iter_run(
-                specs, on_failure="yield"
-            ):
-                outcomes[scenario_indexed[position][0]] = outcome
-        for index, item in fleet_indexed:
-            try:
-                outcomes[index] = item.spec.run(runner)
-            except ExecutionError as exc:
-                outcomes[index] = exc
+    outcomes = run_specs(
+        [item.spec for item in compiled.items], runner, on_failure="yield"
+    )
     return PackResult(pack=compiled, outcomes=tuple(outcomes))
 
 

@@ -12,7 +12,7 @@ scenario specs (:mod:`repro.scenarios`) and the per-run engine
   code or storage-format changes invalidate stale entries),
 * fans the remaining runs out over a **persistent**
   :class:`~concurrent.futures.ProcessPoolExecutor` that is created
-  lazily on first use and reused across ``run()`` calls, so a whole
+  lazily on first use and reused across batches, so a whole
   ``hipster-repro all`` invocation pays the pool spawn (and the worker
   warm-start imports) once instead of once per experiment,
 * dispatches in **longest-job-first** order through
@@ -21,8 +21,9 @@ scenario specs (:mod:`repro.scenarios`) and the per-run engine
   (:func:`estimate_cost`), with cheap specs adaptively chunked so
   inter-process overhead amortizes, and
 * returns outcomes in input order (:meth:`BatchRunner.run`) or streams
-  them in completion order (:meth:`BatchRunner.iter_run`, which the
-  fleet layer folds node-by-node without retaining the full batch).
+  them in completion order (:meth:`BatchRunner.iter_run`, which
+  :func:`repro.fleet.aggregate.run_specs` folds into fleet outcomes
+  node by node without retaining the full batch).
 
 Completion order never affects results: every run is a pure function of
 its spec (per-spec-seed determinism), so serial and pooled execution
@@ -129,15 +130,16 @@ QUARANTINE_MAX_ENTRIES = 256
 #: generations for stranded-record reclamation.
 _GENERATION_RE = re.compile(r"^s(\d+)-")
 
-#: Default capacity of the in-process LRU tier (entries); 0 disables it.
-DEFAULT_MEMORY_ENTRIES = 1024
+#: Capacity of the in-process LRU tier (entries); 0 disables it (every
+#: lookup then goes to disk).  Read at call time, like the other bounds.
+MEMORY_MAX_ENTRIES = 1024
 
 #: Size-aware companion bound: total interval observations held across
 #: all LRU entries (a proxy for resident bytes -- outcomes range from a
 #: ~30-interval calibration probe to a ~1400-interval paper-length day,
 #: so an entry count alone is blind to an order of magnitude of memory).
 #: 0 disables the size bound.
-DEFAULT_MEMORY_OBSERVATIONS = 500_000
+MEMORY_MAX_OBSERVATIONS = 500_000
 
 #: Compaction trigger (see :meth:`DiskCache.close`): rewrite the pack
 #: when at least this many dead bytes have accumulated...
@@ -674,22 +676,15 @@ class BatchRunner:
     jobs:
         Worker processes; 1 runs everything in-process (serial).  The
         pool is created lazily on the first parallel batch and reused by
-        every later :meth:`run` call until :meth:`close`.
+        every later batch until :meth:`close`.
     cache_dir:
         Directory for the on-disk tier (a :class:`DiskCache`: one
         append-only pack of checksummed records); ``None`` keeps
-        results only in the in-process LRU.  Corrupt, unreadable or
-        legacy-format records are treated as misses, and a corrupt
-        record's bytes are copied to ``<cache_dir>/quarantine/`` on
-        detection.
-    memory_entries:
-        Capacity of the in-process LRU tier; 0 disables it (every lookup
-        then goes to disk, and duplicate specs across ``run()`` calls
-        recompute when there is no ``cache_dir``).
-    memory_observations:
-        Size-aware cap on the LRU: total interval observations across
-        cached outcomes (oldest entries evict beyond it); 0 removes the
-        size bound and leaves only the entry count.
+        results only in the in-process LRU (bounded by
+        :data:`MEMORY_MAX_ENTRIES` and :data:`MEMORY_MAX_OBSERVATIONS`).
+        Corrupt, unreadable or legacy-format records are treated as
+        misses, and a corrupt record's bytes are copied to
+        ``<cache_dir>/quarantine/`` on detection.
     retry_policy:
         Bounds on the fault-tolerance layer (crash retries, watchdog
         deadlines, serial degradation); ``None`` takes the defaults
@@ -703,8 +698,6 @@ class BatchRunner:
 
     jobs: int = 1
     cache_dir: str | Path | None = None
-    memory_entries: int = DEFAULT_MEMORY_ENTRIES
-    memory_observations: int = DEFAULT_MEMORY_OBSERVATIONS
     retry_policy: RetryPolicy | None = None
     journal: RunJournal | None = None
     cache_hits: int = field(default=0, init=False)
@@ -727,10 +720,6 @@ class BatchRunner:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.memory_entries < 0:
-            raise ValueError("memory_entries must be >= 0")
-        if self.memory_observations < 0:
-            raise ValueError("memory_observations must be >= 0")
         if self.retry_policy is None:
             self.retry_policy = RetryPolicy.from_env()
         self._disk: DiskCache | None = None
@@ -837,7 +826,7 @@ class BatchRunner:
         never materializes the whole outcome list, so a streaming
         consumer (the fleet aggregation fold) can reduce each outcome
         and drop it -- only the in-process LRU (bounded by
-        ``memory_observations``) retains references.
+        :data:`MEMORY_MAX_OBSERVATIONS`) retains references.
 
         A spec that definitively fails (poison spec, repeated watchdog
         timeout, Python exception in the engine) does not abort its
@@ -894,14 +883,6 @@ class BatchRunner:
         if deferred is not None:
             raise deferred
 
-    def results(self, specs: Iterable["ScenarioSpec"]):
-        """Like :meth:`run` but unwrapped to bare ``ExperimentResult``s."""
-        return [outcome.result for outcome in self.run(specs)]
-
-    def run_one(self, spec: "ScenarioSpec") -> "ScenarioOutcome":
-        """Convenience wrapper for a single spec."""
-        return self.run([spec])[0]
-
     def _execute(
         self, pending: Sequence[tuple[str, "ScenarioSpec"]]
     ) -> Iterable[tuple[str, "ScenarioOutcome | ExecutionError"]]:
@@ -954,7 +935,7 @@ class BatchRunner:
     # ------------------------------------------------------------------
 
     def _memory_get(self, key: str) -> "ScenarioOutcome | None":
-        if self.memory_entries == 0:
+        if MEMORY_MAX_ENTRIES == 0:
             return None
         outcome = self._memory.get(key)
         if outcome is not None:
@@ -962,7 +943,7 @@ class BatchRunner:
         return outcome
 
     def _memory_put(self, key: str, outcome: "ScenarioOutcome") -> None:
-        if self.memory_entries == 0:
+        if MEMORY_MAX_ENTRIES == 0:
             return
         weight = max(1, len(outcome.result))
         if key in self._memory:
@@ -972,10 +953,10 @@ class BatchRunner:
         self._memory_weight += weight
         self._memory.move_to_end(key)
         while len(self._memory) > 1 and (
-            len(self._memory) > self.memory_entries
+            len(self._memory) > MEMORY_MAX_ENTRIES
             or (
-                self.memory_observations
-                and self._memory_weight > self.memory_observations
+                MEMORY_MAX_OBSERVATIONS
+                and self._memory_weight > MEMORY_MAX_OBSERVATIONS
             )
         ):
             evicted, _ = self._memory.popitem(last=False)
@@ -1008,7 +989,3 @@ class BatchRunner:
             ]
         )
 
-
-def get_runner(runner: BatchRunner | None) -> BatchRunner:
-    """The given runner, or a fresh serial one (LRU tier only)."""
-    return runner if runner is not None else BatchRunner()

@@ -17,7 +17,6 @@ from repro.sim.batch import (
     BatchRunner,
     DiskCache,
     estimate_cost,
-    get_runner,
     plan_chunks,
 )
 
@@ -79,9 +78,10 @@ class TestDeterminism:
 
 
 class TestPersistentPool:
-    def test_pool_reused_across_run_calls(self):
+    def test_pool_reused_across_run_calls(self, monkeypatch):
         specs = tiny_specs()
-        with BatchRunner(jobs=2, memory_entries=0) as runner:
+        monkeypatch.setattr(batch, "MEMORY_MAX_ENTRIES", 0)
+        with BatchRunner(jobs=2) as runner:
             runner.run(specs[:2])
             first_pool = runner._pool
             assert first_pool is not None
@@ -110,11 +110,12 @@ class TestPersistentPool:
             assert runner._pool is not None
         assert runner._pool is None
 
-    def test_single_spec_runs_in_process_until_pool_exists(self):
+    def test_single_spec_runs_in_process_until_pool_exists(self, monkeypatch):
         """One pending spec is not worth a pool spawn; once workers are
         warm they are used."""
         specs = tiny_specs()
-        with BatchRunner(jobs=2, memory_entries=0) as runner:
+        monkeypatch.setattr(batch, "MEMORY_MAX_ENTRIES", 0)
+        with BatchRunner(jobs=2) as runner:
             runner.run([specs[0]])
             assert runner.pool_spawns == 0
             runner.run(specs)  # >1 pending: pool spawns
@@ -174,40 +175,37 @@ class TestMemoryTier:
         specs[0].with_(seed=specs[0].seed + 1).fingerprint()
         assert calls
 
-    def test_memory_tier_can_be_disabled(self):
+    def test_memory_tier_can_be_disabled(self, monkeypatch):
         spec = tiny_specs()[0]
-        runner = BatchRunner(memory_entries=0)
+        monkeypatch.setattr(batch, "MEMORY_MAX_ENTRIES", 0)
+        runner = BatchRunner()
         runner.run([spec])
         runner.run([spec])
         assert runner.cache_misses == 2 and runner.memory_hits == 0
 
-    def test_lru_evicts_beyond_capacity(self):
+    def test_lru_evicts_beyond_capacity(self, monkeypatch):
         specs = tiny_specs()
-        runner = BatchRunner(memory_entries=2)
+        monkeypatch.setattr(batch, "MEMORY_MAX_ENTRIES", 2)
+        runner = BatchRunner()
         runner.run(specs)  # 4 unique specs through a 2-entry LRU
         assert len(runner._memory) == 2
         # The two most recent stay; the two oldest recompute.
         runner.run(specs[2:])
         assert runner.memory_hits == 2
 
-    def test_size_bound_evicts_oldest_but_keeps_newest(self):
+    def test_size_bound_evicts_oldest_but_keeps_newest(self, monkeypatch):
         """The observation-weighted bound caps resident outcomes even
         when the entry count is nowhere near its limit -- but never
         evicts the entry just inserted."""
         specs = tiny_specs()  # 15 observations per outcome
-        runner = BatchRunner(memory_observations=20)
+        monkeypatch.setattr(batch, "MEMORY_MAX_OBSERVATIONS", 20)
+        runner = BatchRunner()
         runner.run(specs)
         assert len(runner._memory) == 1  # any second entry busts 20 obs
         assert runner._memory_weight == 15
         # The survivor is the most recently stored outcome.
         (key,) = runner._memory
         assert key == specs[-1].fingerprint()
-
-    def test_rejects_negative_capacity(self):
-        with pytest.raises(ValueError, match="memory_entries"):
-            BatchRunner(memory_entries=-1)
-        with pytest.raises(ValueError, match="memory_observations"):
-            BatchRunner(memory_observations=-1)
 
 
 class TestDiskCache:
@@ -269,7 +267,7 @@ class TestCacheCorruption:
         reloaded = DiskCache(tmp_path).load(spec.fingerprint())
         assert reloaded is not None and reloaded.spec == spec
 
-    def test_scribbled_pack_record_quarantined(self, tmp_path, capsys):
+    def test_scribbled_pack_record_quarantined(self, tmp_path, capsys, monkeypatch):
         """A bit-rotted manifest record is copied to quarantine/ and the
         spec recomputes to the same bytes."""
         spec = tiny_specs()[0]
@@ -280,7 +278,8 @@ class TestCacheCorruption:
         data[len(data) // 2] ^= 0xFF
         manifest.write_bytes(bytes(data))
 
-        runner = BatchRunner(cache_dir=tmp_path, memory_entries=0)
+        monkeypatch.setattr(batch, "MEMORY_MAX_ENTRIES", 0)
+        runner = BatchRunner(cache_dir=tmp_path)
         (outcome,) = runner.run([spec])
         assert runner.cache_misses == 1
         assert_same_results([original], [outcome])
@@ -764,17 +763,6 @@ class TestRunnerBasics:
     def test_rejects_non_specs(self):
         with pytest.raises(TypeError, match="ScenarioSpec"):
             BatchRunner().run(["fig1"])
-
-    def test_results_unwraps(self):
-        spec = tiny_specs()[0]
-        (result,) = BatchRunner().results([spec])
-        assert result.manager_name == "static-big"
-
-    def test_get_runner_default_is_serial_uncached(self):
-        runner = get_runner(None)
-        assert runner.jobs == 1 and runner.cache_dir is None
-        shared = BatchRunner(jobs=3)
-        assert get_runner(shared) is shared
 
 
 class TestExperimentEquivalence:

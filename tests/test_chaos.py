@@ -9,7 +9,7 @@ import os
 import pytest
 
 from repro.scenarios import ScenarioSpec, TraceSpec
-from repro.sim import chaos
+from repro.sim import batch, chaos
 from repro.sim.batch import MANIFEST_NAME, BatchRunner
 from repro.sim.chaos import ChaosConfig
 
@@ -118,14 +118,17 @@ class TestCorruptCache:
         assert any("truncated" in action for action in report.actions)
         assert any("scribbled" in action for action in report.actions)
 
-    def test_corrupted_cache_recomputes_to_identical_results(self, tmp_path):
+    def test_corrupted_cache_recomputes_to_identical_results(
+        self, tmp_path, monkeypatch
+    ):
         """The end-to-end corruption property: damage the cache, rerun,
         get byte-identical outcomes (recomputed or still-valid), with
         the run completing normally."""
         cache, specs = self._populated(tmp_path, "d")
         golden = BatchRunner().run(specs)
         chaos.corrupt_cache(cache, seed=1)
-        runner = BatchRunner(cache_dir=cache, memory_entries=0)
+        monkeypatch.setattr(batch, "MEMORY_MAX_ENTRIES", 0)
+        runner = BatchRunner(cache_dir=cache)
         outcomes = runner.run(specs)
         assert len(outcomes) == len(golden)
         for left, right in zip(golden, outcomes):
@@ -133,7 +136,7 @@ class TestCorruptCache:
             assert left.result.observations == right.result.observations
         # The recovery run's appends are all reachable: nothing misses
         # and nothing is quarantined again.
-        recovered = BatchRunner(cache_dir=cache, memory_entries=0)
+        recovered = BatchRunner(cache_dir=cache)
         again = recovered.run(specs)
         assert recovered.cache_misses == 0
         assert recovered.disk.corrupt_entries == 0

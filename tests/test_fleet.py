@@ -9,12 +9,15 @@ import pytest
 
 from repro.fleet import (
     BALANCER_FACTORIES,
+    FleetOutcome,
     FleetSpec,
     build_balancer,
+    run_specs,
 )
 from repro.fleet.balancer import MAX_NODE_LEVEL, LoadBalancer
 from repro.loadgen.traces import SampledTrace
 from repro.scenarios import DEFAULT_REGISTRY, ScenarioSpec, TraceSpec
+from repro.scenarios.spec import ScenarioOutcome
 from repro.sim.batch import BatchRunner
 
 
@@ -264,8 +267,8 @@ class TestFleetExecution:
         # Tail-of-tails dominates every node's own tail (node results
         # re-derived independently: the outcome no longer retains them).
         tails = outcome.fleet_tails_ms()
-        for result in BatchRunner().results(fleet.node_specs()):
-            assert (tails >= result.tails_ms - 1e-12).all()
+        for node in BatchRunner().run(fleet.node_specs()):
+            assert (tails >= node.result.tails_ms - 1e-12).all()
         # All-nodes-met is at most the weakest node's guarantee.
         assert outcome.fleet_qos_guarantee() <= (
             outcome.node_qos_guarantees().min() + 1e-12
@@ -335,7 +338,7 @@ class TestStreamingAggregation:
         spec = tiny_fleet(n_nodes=2)
         outcomes = self.node_outcomes(spec)
         short_spec = spec.node_specs()[1].with_(n_intervals=3)
-        short = BatchRunner().run_one(short_spec)
+        (short,) = BatchRunner().run([short_spec])
         accumulator = FleetAccumulator(spec)
         accumulator.add(0, outcomes[0])
         with pytest.raises(ValueError, match="unequal interval counts"):
@@ -373,6 +376,77 @@ class TestStreamingAggregation:
         assert outcome.total_mean_power_w() > 0
         assert 0.0 <= outcome.fleet_qos_guarantee() <= 1.0
         assert "node255" in outcome.render()
+
+
+class TestRunSpecs:
+    """The mixed-batch primitive: scenarios and fleets in one dispatch."""
+
+    def test_mixed_batch_dedups_and_keeps_input_order(self):
+        """Two fleets that differ only in their (unfingerprinted) label
+        share every node spec, and a scenario equal to one of those
+        nodes adds nothing: each distinct fingerprint runs once."""
+        fleet_a = tiny_fleet(n_nodes=3, label="a")
+        fleet_b = tiny_fleet(n_nodes=3, label="b")
+        node = fleet_a.node_specs()[1]
+        runner = BatchRunner()
+        outcomes = run_specs([fleet_a, node, fleet_b], runner)
+        assert runner.specs_dispatched == 3
+        assert [type(o) for o in outcomes] == [
+            FleetOutcome,
+            ScenarioOutcome,
+            FleetOutcome,
+        ]
+        assert outcomes[0].spec is fleet_a and outcomes[2].spec is fleet_b
+        assert outcomes[1].spec == node
+        alone = fleet_a.run()
+        assert outcomes[0].render() == alone.render()
+        np.testing.assert_array_equal(outcomes[2].fleet_tails, alone.fleet_tails)
+
+    def test_default_runner_is_created_and_closed(self, monkeypatch):
+        from repro.fleet import aggregate
+
+        created = []
+
+        class Recording(BatchRunner):
+            closed = False
+
+            def __post_init__(self):
+                super().__post_init__()
+                created.append(self)
+
+            def close(self):
+                self.closed = True
+                super().close()
+
+        monkeypatch.setattr(aggregate, "BatchRunner", Recording)
+        spec = tiny_fleet(n_nodes=1).node_specs()[0]
+        (outcome,) = run_specs([spec])
+        assert outcome.spec == spec
+        (made,) = created
+        assert made.closed and made.jobs == 1 and made.cache_dir is None
+        shared = Recording()
+        run_specs([spec], shared)
+        assert created == [made, shared]  # a caller's runner is used as-is
+        assert not shared.closed and shared.cache_misses == 1
+
+    def test_yield_mode_reports_lowest_failed_node(self):
+        from repro.errors import WorkerCrashError
+        from repro.sim import chaos
+
+        fleet = tiny_fleet(n_nodes=3)
+        solo = tiny_fleet(n_nodes=1, seed=9).node_specs()[0]
+        nodes = fleet.node_specs()
+        victims = (nodes[2].fingerprint(), nodes[0].fingerprint())
+        config = chaos.ChaosConfig(seed=0, poison_fingerprints=victims)
+        with chaos.active_config(config):
+            with BatchRunner(jobs=2) as runner:
+                failed, outcome = run_specs(
+                    [fleet, solo], runner, on_failure="yield"
+                )
+        assert isinstance(failed, WorkerCrashError)
+        assert failed.fingerprint == nodes[0].fingerprint()
+        assert outcome.spec == solo
+        assert runner.specs_failed == 2
 
 
 class TestFleetFamilies:

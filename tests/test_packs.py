@@ -246,6 +246,31 @@ class TestCompilation:
             pack.validate_buildable()
 
 
+MIXED_PACK = doc("""
+    name: mixed
+    scenarios:
+      - scenario:
+          workload: memcached
+          manager: static-big
+          trace: {kind: constant, level: 0.5, duration_s: 15}
+        label: solo
+      - fleet:
+          n_nodes: 3
+          workload: memcached
+          manager: static-big
+          trace: {kind: constant, level: 0.6, duration_s: 12}
+          seed: 2
+        label: fleet-a
+      - fleet:
+          n_nodes: 2
+          workload: memcached
+          manager: static-big
+          trace: {kind: constant, level: 0.4, duration_s: 12}
+          seed: 3
+        label: fleet-b
+""")
+
+
 class TestExecution:
     def test_serial_and_parallel_runs_identical(self):
         """The pack's fault schedules and outcomes are fixed before any
@@ -293,3 +318,71 @@ class TestExecution:
             pack.validate_buildable()
             fingerprints = pack.fingerprints()
             assert len(set(fingerprints)) == len(fingerprints), file
+
+
+class TestMixedDispatch:
+    """A pack is one batch: one ``iter_run`` call, per-entry failure."""
+
+    @pytest.fixture
+    def dispatches(self, monkeypatch):
+        """Counts ``BatchRunner.iter_run`` calls."""
+        calls = []
+        original = BatchRunner.iter_run
+
+        def spy(runner, specs, *args, **kwargs):
+            calls.append(len(specs))
+            return original(runner, specs, *args, **kwargs)
+
+        monkeypatch.setattr(BatchRunner, "iter_run", spy)
+        return calls
+
+    def test_whole_pack_is_one_dispatch(self, dispatches):
+        with BatchRunner(jobs=2) as runner:
+            result = run_pack(compile_pack(MIXED_PACK), runner=runner)
+        assert dispatches == [1 + 3 + 2]
+        assert [status for *_, status in result.rows()] == ["ok"] * 3
+        assert runner.specs_dispatched == 6
+
+    def test_poisoned_fleet_node_fails_only_its_fleet(self):
+        from repro.errors import WorkerCrashError
+        from repro.sim import chaos
+
+        pack = compile_pack(MIXED_PACK)
+        clean = run_pack(pack).rows()
+        fleet_a = next(item for item in pack.items if item.key == "fleet-a")
+        victim = fleet_a.spec.node_specs()[1].fingerprint()
+        config = chaos.ChaosConfig(seed=0, poison_fingerprints=(victim,))
+        with chaos.active_config(config):
+            with BatchRunner(jobs=2) as runner:
+                result = run_pack(pack, runner=runner)
+        rows = {row[0]: row for row in result.rows()}
+        assert rows["fleet-a"][5] == "failed: WorkerCrashError"
+        ((key, error),) = result.failures()
+        assert key == "fleet-a" and isinstance(error, WorkerCrashError)
+        assert error.fingerprint == victim
+        for row in clean:
+            if row[0] != "fleet-a":
+                assert rows[row[0]] == row
+        assert runner.specs_failed == 1
+
+    def test_fleet_run_raises_after_its_other_nodes_ran(self):
+        from repro.errors import WorkerCrashError
+        from repro.sim import chaos
+
+        fleet = next(
+            item.spec
+            for item in compile_pack(MIXED_PACK).items
+            if item.key == "fleet-a"
+        )
+        nodes = fleet.node_specs()
+        victim = nodes[0].fingerprint()
+        config = chaos.ChaosConfig(seed=0, poison_fingerprints=(victim,))
+        with chaos.active_config(config):
+            with BatchRunner(jobs=2) as runner:
+                with pytest.raises(WorkerCrashError):
+                    fleet.run(runner)
+                dispatched = runner.specs_dispatched
+                runner.run(nodes[1:])  # already computed: memory hits
+        assert dispatched == len(nodes)
+        assert runner.specs_dispatched == dispatched
+        assert runner.memory_hits == len(nodes) - 1

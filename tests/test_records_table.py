@@ -302,7 +302,9 @@ class TestVersionedPayloads:
         with pytest.raises(ValueError, match="storage format"):
             ObservationTable.__new__(ObservationTable).__setstate__(state)
 
-    def test_cache_treats_legacy_payload_as_miss_and_quarantines_it(self, tmp_path):
+    def test_cache_treats_legacy_payload_as_miss_and_quarantines_it(
+        self, tmp_path, monkeypatch
+    ):
         """End to end: a legacy payload planted as a pack record under a
         current cache key is rejected on decode, quarantined, and
         recomputed."""
@@ -330,7 +332,8 @@ class TestVersionedPayloads:
 
         key = spec.fingerprint()
         DiskCache(tmp_path).store_many([(key, pickle.dumps(LegacyPickle()))])
-        runner = BatchRunner(cache_dir=tmp_path, memory_entries=0)
+        monkeypatch.setattr(batch, "MEMORY_MAX_ENTRIES", 0)
+        runner = BatchRunner(cache_dir=tmp_path)
         assert runner._cache_load(key) is None
         assert runner.disk.corrupt_entries == 1
         assert (runner.disk.quarantine_path / f"{key}.pack-record").exists()
