@@ -5,6 +5,12 @@ Python loop; it now evaluates the FCFS Lindley recursion vectorized.
 This benchmark records both kernels on identical inputs at increasing
 arrival counts and asserts the headline speedup the refactor promises:
 >= 5x at 10k+ requests per interval.
+
+The ``run-drawn`` group records the whole per-interval queue evaluation
+(``DispatchQueue.run_drawn``) at the engine's hot shapes -- HiPSTER-in
+on memcached, about 900 requests over four or two servers.  Those
+points are record-only: they land in the benchmark JSON and assert no
+wall-clock bound.
 """
 
 from __future__ import annotations
@@ -86,3 +92,29 @@ def test_run_interval_end_to_end_10k(benchmark):
 
     stats = benchmark.pedantic(one_interval, rounds=3, iterations=1)
     assert stats.arrivals > 5_000
+
+
+@pytest.mark.benchmark(group="run-drawn")
+@pytest.mark.parametrize(
+    "speeds",
+    [[1.0, 1.0, 0.45, 0.45], [1.0, 1.0]],
+    ids=["k4-900", "k2-900"],
+)
+def test_run_drawn_hot_interval(benchmark, speeds):
+    """One pre-drawn interval of ~900 requests, from the same queue state
+    every round (record-only)."""
+    queue = DispatchQueue(
+        rng=np.random.default_rng(3), balance_exponent=0.55, max_backlog_s=4.0
+    )
+    queue.reconfigure(speeds, now=0.0)
+    drawn = queue.draw_interval(
+        0.0, 1.0, 900.0, lambda rng, n: rng.lognormal(np.log(1e-3), 0.8, size=n)
+    )
+    free = queue._free.copy()
+
+    def one_interval():
+        queue._free[:] = free
+        return queue.run_drawn(0.0, 1.0, drawn)
+
+    stats = benchmark(one_interval)
+    assert 800 < stats.arrivals < 1000

@@ -28,6 +28,11 @@ computed once per distinct decision (:class:`_DecisionState`) and reused.
 When a manager repeats its previous decision (the common case for static
 and converged table-driven policies) the engine skips the affinity
 re-apply, pressure recomputation and queue reconfiguration outright.
+Within an interval the queue evaluates every server in one
+server-contiguous pass (:meth:`~repro.sim.queueing.DispatchQueue.run_drawn`),
+and cluster power is accumulated from the utilization tuple as Python
+floats; the dense per-core IPS vector is only built when the
+perf-counter bug is armed.
 The optimization is implementation-only: the rng stream and every
 observation are bit-identical to the reference implementation that the
 test suite preserves as an oracle, which the equivalence tests enforce;
@@ -49,6 +54,7 @@ set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +145,16 @@ class EngineConfig:
     epoch_fast_path: bool = True
 
     def __post_init__(self) -> None:
+        # NaN slips past every ordered comparison below (a NaN backlog
+        # bound never sheds), so non-finite values are rejected first.
+        for name in (
+            "interval_s",
+            "migration_penalty_s",
+            "max_backlog_s",
+            "balance_exponent",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.interval_s <= 0:
             raise ValueError("interval_s must be positive")
         if self.migration_penalty_s < 0:
@@ -189,7 +205,7 @@ class _DecisionState:
     small_batch_sum: float
     batch_ips_sum: float
     true_ips_base: np.ndarray
-    utils_base: np.ndarray
+    utils_base: list[float]
 
 
 class IntervalSimulator:
@@ -446,18 +462,19 @@ class IntervalSimulator:
                 latencies_ms, self._qos_percentile, destructive=True
             )
 
-        # Batch execution and perf counters (dense, core-indexed).  The
-        # per-server utilizations scatter into the dense core vectors by
-        # fancy index; with unique targets this assigns the identical
-        # floats the old element loop did.  Only an armed perf-counter
-        # bug reads the per-core IPS vector; otherwise the batch sums are
-        # the decision-state constants.
-        lc_index = state.lc_index_arr
-        u_arr = np.asarray(stats.utilizations)[: lc_index.size]
+        # Batch execution and perf counters (dense, core-indexed).  Only
+        # an armed perf-counter bug reads the per-core IPS vector, whose
+        # per-server utilizations scatter in by fancy index (unique
+        # targets, so the identical floats the old element loop wrote);
+        # otherwise the batch sums are the decision-state constants.
+        utilizations = stats.utilizations
         garbage = False
         if self._counters_armed:
+            lc_index = state.lc_index_arr
             true_ips = state.true_ips_base.copy()
-            true_ips[lc_index] = state.lc_coeff_arr * u_arr
+            true_ips[lc_index] = state.lc_coeff_arr * np.asarray(
+                utilizations[: lc_index.size]
+            )
             counter_vec, garbage = self._counters.read_array(true_ips, self._rng)
         if garbage:
             big_batch = sum(float(counter_vec[i]) for i in state.batch_big_index)
@@ -468,17 +485,18 @@ class IntervalSimulator:
         batch_instructions = state.batch_ips_sum * dt
 
         # Power and energy (per-operating-point coefficients cached in
-        # the decision state; arithmetic identical to PowerModel's).
-        utils_vec = state.utils_base.copy()
-        utils_vec[lc_index] = u_arr
+        # the decision state; arithmetic identical to PowerModel's).  The
+        # per-core utilizations are plain Python floats throughout, which
+        # is what cluster_power_w converts each element to anyway.
+        utils = state.utils_base.copy()
+        for i, u in zip(state.lc_used_index, utilizations):
+            utils[i] = u
         gate = self._power_gate
         n_big = self._n_big
         breakdown = PowerBreakdown(
-            big_w=state.big_power.cluster_power_w(
-                utils_vec[:n_big], power_gate_idle=gate
-            ),
+            big_w=state.big_power.cluster_power_w(utils[:n_big], power_gate_idle=gate),
             small_w=state.small_power.cluster_power_w(
-                utils_vec[n_big:], power_gate_idle=gate
+                utils[n_big:], power_gate_idle=gate
             ),
             rest_w=self._rest_of_system_w,
         )
@@ -609,9 +627,7 @@ class IntervalSimulator:
         # copies of the decision's dense base vector exactly as the
         # scalar path does per interval.
         lc_index = state.lc_index_arr
-        utils_mat = np.broadcast_to(
-            state.utils_base, (n_epoch, state.utils_base.size)
-        ).copy()
+        utils_mat = np.tile(state.utils_base, (n_epoch, 1))
         utils_mat[:, lc_index] = stats.utilizations[:, : lc_index.size]
         n_big = self._n_big
         gate = self._power_gate
@@ -736,7 +752,7 @@ class IntervalSimulator:
         # Ground-truth batch IPS per core and the counter sums derived
         # from it; these only change when the decision does.
         true_ips_base = np.zeros(platform.n_cores)
-        utils_base = np.zeros(platform.n_cores)
+        utils_base = [0.0] * platform.n_cores
         for cid, job in placement.batch_assignment.items():
             program = self.batch_jobs.program_for_job(job)
             cluster = platform.cluster_of(cid)

@@ -18,10 +18,15 @@ crossovers (Figure 2).  The engine always passes its own value down, so
 here only applies when a queue is constructed directly.
 
 Each server's FCFS backlog evolves by the Lindley recursion
-``C_j = max(arrival_j, C_{j-1}) + service_j``; :meth:`DispatchQueue.run_interval`
-evaluates it vectorized per server (``np.cumsum`` over service plus a
-running maximum over arrival slack) instead of looping per request,
-which is what keeps 10k+ arrivals per interval cheap.
+``C_j = max(arrival_j, C_{j-1}) + service_j``, which unrolls into a
+``np.cumsum`` over service plus a running maximum over arrival slack
+(:func:`lindley_completion_times`).  :meth:`DispatchQueue.run_drawn`
+evaluates it for all servers in one server-contiguous pass: the
+interval's requests are ordered by server once, the elementwise steps
+run over the whole flat array, and only the order-dependent scans run
+per server, on contiguous views.  The per-interval cost is thus a fixed
+number of numpy calls plus three per server, whatever the arrival
+count.
 
 The queue state (per-core virtual "free time") carries over between
 monitoring intervals, so overload causes multi-interval latency blow-ups
@@ -262,8 +267,9 @@ class DispatchQueue:
         new_speeds = np.asarray(speeds, dtype=float)
         if new_speeds.ndim != 1 or len(new_speeds) == 0:
             raise ValueError("need at least one server")
-        if np.any(new_speeds <= 0):
-            raise ValueError("server speeds must be positive")
+        # min and max propagate NaN, which fails both comparisons.
+        if not (new_speeds.min() > 0 and new_speeds.max() < np.inf):
+            raise ValueError("server speeds must be positive and finite")
 
         same_count = len(new_speeds) == self.n_servers
         if same_count and not migration:
@@ -310,36 +316,23 @@ class DispatchQueue:
 
     def _assign(self, u: np.ndarray) -> np.ndarray:
         """Server index per already-drawn dispatch uniform (see
-        :meth:`_dispatch`; separated so the epoch path can assign a whole
-        epoch's stored uniforms with the identical comparisons)."""
+        :meth:`_dispatch`; separated so the queue kernels can assign
+        stored uniforms with the identical comparisons).
+
+        Up to nine servers the indices accumulate in ``uint8`` (each
+        comparison mask reinterpreted as 0/1 bytes), whose stable argsort
+        is a radix sort; wider server sets fall back to a binary search.
+        """
         cdf = self._cdf
         last = len(cdf) - 1  # cdf[-1] == 1.0 > u always, never counted
         if last == 0:
-            return np.zeros(len(u), dtype=np.intp)
+            return np.zeros(len(u), dtype=np.uint8)
         if last > 8:
             return cdf.searchsorted(u, side="right")
-        assigned = (u >= cdf[0]).astype(np.intp)
+        assigned = (u >= cdf[0]).view(np.uint8)
         for j in range(1, last):
-            assigned += u >= cdf[j]
+            assigned += (u >= cdf[j]).view(np.uint8)
         return assigned
-
-    def _group_from_u(self, u: np.ndarray) -> list[np.ndarray] | None:
-        """Per-server request index arrays for stored dispatch uniforms.
-
-        Same assignment as :meth:`_dispatch` (the draw happened in
-        :meth:`draw_interval`); ``None`` means a single server takes all.
-        Two servers -- the platform's big-cores-only configurations, the
-        most common case in practice -- group from one comparison mask
-        without ever materializing the assignment array.
-        """
-        k = self.n_servers
-        if k == 1:
-            return None
-        if k == 2:
-            mask = u >= self._cdf[0]
-            return [(~mask).nonzero()[0], mask.nonzero()[0]]
-        assigned = self._assign(u)
-        return [(assigned == j).nonzero()[0] for j in range(k)]
 
     def draw_interval(
         self,
@@ -387,7 +380,30 @@ class DispatchQueue:
     def run_drawn(
         self, t0: float, t1: float, drawn: DrawnInterval
     ) -> IntervalQueueStats:
-        """Evaluate one interval whose randomness was already drawn."""
+        """Evaluate one interval whose randomness was already drawn.
+
+        The kernel is server-contiguous: it orders the requests by server
+        once (identity for one server, a mask split for two, a stable
+        argsort of the assignment beyond), gathers demands and arrival
+        times once, runs the Lindley recursion over the whole flat array
+        and restores arrival order with one scatter.  Its floats are
+        byte-identical to running :func:`lindley_completion_times` on
+        each server's requests in turn, because
+
+        * the order is stable, so each server's segment holds its
+          requests in arrival order, exactly as a per-server index
+          gather would;
+        * the order-dependent steps -- the running sum, the running
+          maximum and the pairwise service sum, whose summation tree
+          depends on the operand length -- run per server on
+          exact-length contiguous views, never across a segment
+          boundary (the running sum calls ``np.add.accumulate``, the
+          loop ``cumsum`` itself runs, without the method's argument
+          handling);
+        * every other pass (the speed division, both subtractions, the
+          free-time maximum and the completion add) is elementwise, so
+          the layout of the requests cannot change its results.
+        """
         dt = t1 - t0
         n_servers = self.n_servers
         scalar = n_servers < _SCALAR_SERVER_LIMIT
@@ -412,47 +428,60 @@ class DispatchQueue:
             )
 
         arrivals = drawn.times
-        demands = drawn.demands
-        groups = self._group_from_u(drawn.dispatch_u)
-
-        service_sums = [0.0] * n_servers
         free = self._free
         speeds = self._speeds
-        # The per-server block below is lindley_completion_times inlined
-        # (same six array ops), so the kernel pays no call overhead at
-        # interval rates of ~10k/s.
-        maximum = np.maximum
-        if groups is None:
-            # Single server: no grouping work at all (the dispatch draw
-            # still happened, keeping the stream aligned).
-            service = demands / speeds[0]
+        service_sums = [0.0] * n_servers
+        if n_servers == 1:
+            # One server: already contiguous, nothing to order.
+            service = drawn.demands / speeds[0]
             service_sums[0] = float(np.add.reduce(service))
-            cum = service.cumsum()
+            cum = np.add.accumulate(service)
             buf = cum - service
             np.subtract(arrivals, buf, out=buf)
-            maximum.accumulate(buf, out=buf)
-            maximum(buf, free[0], out=buf)
+            np.maximum.accumulate(buf, out=buf)
+            np.maximum(buf, free[0], out=buf)
             np.add(cum, buf, out=buf)
             free[0] = buf[-1]
             latencies = np.subtract(buf, arrivals, out=buf)
         else:
+            u = drawn.dispatch_u
+            if n_servers == 2:
+                # Two servers (the big-cores-only configurations): one
+                # comparison mask splits them, cheaper than an argsort.
+                mask = u >= self._cdf[0]
+                high = mask.nonzero()[0]
+                order = np.concatenate(((~mask).nonzero()[0], high))
+                counts = [n - len(high), len(high)]
+            else:
+                assigned = self._assign(u)
+                order = assigned.argsort(kind="stable")
+                counts = np.bincount(assigned, minlength=n_servers).tolist()
+            arr = arrivals[order]
+            service = drawn.demands[order]
+            np.divide(service, speeds.repeat(counts), out=service)
+            # Server j owns the contiguous segment [lo, hi).
+            segments = []
+            hi = 0
+            for j, c in enumerate(counts):
+                if c:
+                    segments.append((j, hi, hi + c))
+                    hi += c
+            cum = np.empty(n)
+            for j, lo, hi in segments:
+                seg = service[lo:hi]
+                service_sums[j] = float(np.add.reduce(seg))
+                np.add.accumulate(seg, out=cum[lo:hi])
+            buf = cum - service
+            np.subtract(arr, buf, out=buf)
+            for _, lo, hi in segments:
+                np.maximum.accumulate(buf[lo:hi], out=buf[lo:hi])
+            np.maximum(buf, free.repeat(counts), out=buf)
+            np.add(cum, buf, out=buf)
+            for j, _, hi in segments:
+                free[j] = buf[hi - 1]
+            np.subtract(buf, arr, out=buf)
             latencies = np.empty(n)
-            for k in range(n_servers):
-                idx = groups[k]
-                if len(idx) == 0:
-                    continue
-                service = demands[idx] / speeds[k]
-                service_sums[k] = float(np.add.reduce(service))
-                arr_k = arrivals[idx]
-                cum = service.cumsum()
-                buf = cum - service
-                np.subtract(arr_k, buf, out=buf)
-                maximum.accumulate(buf, out=buf)
-                maximum(buf, free[k], out=buf)
-                np.add(cum, buf, out=buf)
-                free[k] = buf[-1]
-                np.subtract(buf, arr_k, out=buf)
-                latencies[idx] = buf
+            latencies[order] = buf
 
         if scalar:
             utils = tuple(
@@ -525,8 +554,8 @@ class DispatchQueue:
             if k == 1:
                 assigned = None
             elif k == 2:
-                # Matches _group_from_u's mask grouping: server 0 takes
-                # ~mask, server 1 takes mask.
+                # Matches run_drawn's mask split: server 0 takes ~mask,
+                # server 1 takes mask.
                 assigned = (u_all >= self._cdf[0]).astype(np.intp)
             else:
                 assigned = self._assign(u_all)

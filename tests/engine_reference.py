@@ -21,6 +21,9 @@ Both engines consume the rng stream in exactly the same order;
 :class:`ReferenceDispatchQueue` likewise keeps the original
 ``rng.choice``-based dispatch (the optimized queue evaluates the same
 draws through a cheaper, stream-identical formulation).
+:class:`PerServerDispatchQueue` keeps the per-server ``run_drawn``
+kernel that the server-contiguous one replaced, as the oracle of
+``test_queue_kernel.py``.
 
 It also holds the row-to-table conversion (:func:`append_row`,
 :func:`table_from_rows`) that only the reference engine and hand-built
@@ -47,7 +50,11 @@ from repro.policies.base import ManagerContext, TaskManager
 from repro.sim.contention import ContentionModel, aggregate_pressure
 from repro.sim.engine import EngineConfig
 from repro.sim.latency import LatencySample
-from repro.sim.queueing import DispatchQueue, IntervalQueueStats
+from repro.sim.queueing import (
+    _SCALAR_SERVER_LIMIT,
+    DispatchQueue,
+    IntervalQueueStats,
+)
 from repro.sim.records import (
     POOLED_FIELDS,
     SCALAR_FIELDS,
@@ -174,6 +181,114 @@ class ReferenceDispatchQueue(DispatchQueue):
             arrival_times_s=arrivals,
             arrivals=n,
             utilizations=tuple(float(u) for u in utils),
+            shed_work_s=shed,
+        )
+
+
+class PerServerDispatchQueue(DispatchQueue):
+    """The per-server ``run_drawn`` kernel, kept as the byte-identity oracle.
+
+    Before the server-contiguous kernel, :meth:`DispatchQueue.run_drawn`
+    grouped requests with one index array per server and ran a gather,
+    the six-op Lindley kernel and a scatter for each server in turn.
+    This subclass keeps that implementation verbatim (bookkeeping
+    included), so the property tests can compare every output of the
+    current kernel against it by bytes.
+    """
+
+    def _group_from_u(self, u: np.ndarray) -> list[np.ndarray] | None:
+        k = self.n_servers
+        if k == 1:
+            return None
+        if k == 2:
+            mask = u >= self._cdf[0]
+            return [(~mask).nonzero()[0], mask.nonzero()[0]]
+        cdf = self._cdf
+        if k > 9:
+            assigned = cdf.searchsorted(u, side="right")
+        else:
+            assigned = (u >= cdf[0]).astype(np.intp)
+            for j in range(1, k - 1):
+                assigned += u >= cdf[j]
+        return [(assigned == j).nonzero()[0] for j in range(k)]
+
+    def run_drawn(self, t0, t1, drawn) -> IntervalQueueStats:
+        dt = t1 - t0
+        n_servers = self.n_servers
+        scalar = n_servers < _SCALAR_SERVER_LIMIT
+        n = drawn.n
+        if scalar:
+            free_list = self._free.tolist()
+            carried_busy = [max(min(f, t1) - t0, 0.0) for f in free_list]
+        else:
+            carried_busy = np.maximum(np.minimum(self._free, t1) - t0, 0.0)
+        if n == 0:
+            if scalar:
+                utils = tuple(min(c / dt, 1.0) for c in carried_busy)
+            else:
+                utils = tuple(float(u) for u in np.minimum(carried_busy / dt, 1.0))
+            shed = self._shed(t1)
+            return IntervalQueueStats(
+                latencies_s=np.empty(0),
+                arrival_times_s=np.empty(0),
+                arrivals=0,
+                utilizations=utils,
+                shed_work_s=shed,
+            )
+
+        arrivals = drawn.times
+        demands = drawn.demands
+        groups = self._group_from_u(drawn.dispatch_u)
+
+        service_sums = [0.0] * n_servers
+        free = self._free
+        speeds = self._speeds
+        maximum = np.maximum
+        if groups is None:
+            service = demands / speeds[0]
+            service_sums[0] = float(np.add.reduce(service))
+            cum = service.cumsum()
+            buf = cum - service
+            np.subtract(arrivals, buf, out=buf)
+            maximum.accumulate(buf, out=buf)
+            maximum(buf, free[0], out=buf)
+            np.add(cum, buf, out=buf)
+            free[0] = buf[-1]
+            latencies = np.subtract(buf, arrivals, out=buf)
+        else:
+            latencies = np.empty(n)
+            for k in range(n_servers):
+                idx = groups[k]
+                if len(idx) == 0:
+                    continue
+                service = demands[idx] / speeds[k]
+                service_sums[k] = float(np.add.reduce(service))
+                arr_k = arrivals[idx]
+                cum = service.cumsum()
+                buf = cum - service
+                np.subtract(arr_k, buf, out=buf)
+                maximum.accumulate(buf, out=buf)
+                maximum(buf, free[k], out=buf)
+                np.add(cum, buf, out=buf)
+                free[k] = buf[-1]
+                np.subtract(buf, arr_k, out=buf)
+                latencies[idx] = buf
+
+        if scalar:
+            utils = tuple(
+                [min((c + s) / dt, 1.0) for c, s in zip(carried_busy, service_sums)]
+            )
+        else:
+            utils = tuple(
+                float(u)
+                for u in np.minimum((carried_busy + np.asarray(service_sums)) / dt, 1.0)
+            )
+        shed = self._shed(t1)
+        return IntervalQueueStats(
+            latencies_s=latencies,
+            arrival_times_s=arrivals,
+            arrivals=n,
+            utilizations=utils,
             shed_work_s=shed,
         )
 

@@ -65,6 +65,19 @@ class TestEngineBasics:
         with pytest.raises(ValueError):
             EngineConfig(migration_penalty_s=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_backlog_s", float("nan")),
+            ("migration_penalty_s", float("nan")),
+            ("balance_exponent", float("nan")),
+            ("interval_s", float("inf")),
+        ],
+    )
+    def test_non_finite_engine_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            EngineConfig(**{field: value})
+
 
 class TestPhysicalSanity:
     def test_latency_increases_with_load(self, platform):

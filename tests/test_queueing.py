@@ -37,6 +37,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             queue.reconfigure([1.0, -1.0], now=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_speeds(self, bad):
+        queue = make_queue()
+        queue.reconfigure([1.0, 2.0], now=0)
+        with pytest.raises(ValueError, match="finite"):
+            queue.reconfigure([1.0, bad], now=0)
+        # The rejected vector left the queue as it was.
+        assert queue._speeds.tolist() == [1.0, 2.0]
+
     def test_zero_rate_interval(self):
         queue = make_queue()
         queue.reconfigure([1.0], now=0)

@@ -218,6 +218,12 @@ class TestScenarioSpec:
         result = spec.run().result
         assert result.interval_s == 2.0
 
+    def test_nan_engine_override_rejected(self):
+        """A NaN backlog bound would silently never shed."""
+        spec = quick_spec(engine={"max_backlog_s": float("nan")})
+        with pytest.raises(ValueError, match="max_backlog_s must be finite"):
+            spec.run()
+
     def test_manager_stats_carry_phase_switches(self):
         spec = quick_spec(
             manager="hipster-in", manager_params={"learning_duration_s": 5.0}
