@@ -11,6 +11,13 @@ The ``run-drawn`` group records the whole per-interval queue evaluation
 on memcached, about 900 requests over four or two servers.  Those
 points are record-only: they land in the benchmark JSON and assert no
 wall-clock bound.
+
+The ``floor`` group records the whole per-interval cost of the engine --
+queue draw and kernel, latency summary, power, the observation row and
+the HiPSTER update -- as microseconds per interval of a HiPSTER-in
+memcached run at constant load: 0.005 (about 7 requests per interval,
+where the fixed per-interval cost dominates) and 0.75 (about 1,100).
+Also record-only.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.scenarios import ScenarioSpec, TraceSpec
 from repro.sim.queueing import (
     DispatchQueue,
     lindley_completion_times,
@@ -118,3 +126,26 @@ def test_run_drawn_hot_interval(benchmark, speeds):
 
     stats = benchmark(one_interval)
     assert 800 < stats.arrivals < 1000
+
+
+@pytest.mark.benchmark(group="floor")
+@pytest.mark.parametrize("level", [0.005, 0.75], ids=["load0.005", "load0.75"])
+def test_interval_floor(benchmark, level):
+    """Microseconds per interval of a 600-interval HiPSTER-in run: 500
+    learning intervals (the default phase length), then exploitation.
+    Record-only; the manager's set-up is included, amortized over the
+    run."""
+    spec = ScenarioSpec(
+        workload="memcached",
+        trace=TraceSpec.constant(level, 600.0),
+        manager="hipster-in",
+        seed=0,
+    )
+    outcome = benchmark.pedantic(spec.run, rounds=5, iterations=1, warmup_rounds=1)
+    n = len(outcome.result)
+    assert n == 600
+    benchmark.extra_info["intervals"] = n
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        us = benchmark.stats.stats.min / n * 1e6
+        benchmark.extra_info["us_per_interval"] = us
+        print(f"\nper-interval floor at load {level}: {us:.1f} us")

@@ -53,13 +53,17 @@ def hipster_ladder(
     """
     from repro.hardware.topology import (
         PAPER_FIG2C_LADDER,
-        config_by_label,
         enumerate_configurations,
     )
 
     configs = enumerate_configurations(platform, max_total_cores=max_total_cores)
+    # One pass over the labels (the first configuration of each label
+    # wins, as with config_by_label) instead of a scan per ladder rung.
+    by_label: dict[str, Configuration] = {}
+    for config in configs:
+        by_label.setdefault(config.label, config)
     try:
-        return tuple(config_by_label(configs, label) for label in PAPER_FIG2C_LADDER)
+        return tuple(by_label[label] for label in PAPER_FIG2C_LADDER)
     except KeyError:
         return pareto_ladder(platform, max_total_cores=max_total_cores)
 

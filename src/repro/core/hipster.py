@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.buckets import DEFAULT_BUCKET_SIZE, LoadBucketizer
 from repro.core.heuristic import build_heuristic_mapper
-from repro.core.rewards import RewardInputs, compute_reward
+from repro.core.rewards import reward_terms
 from repro.core.table import DEFAULT_ALPHA, DEFAULT_GAMMA, LookupTable
 from repro.hardware.topology import (
     Configuration,
@@ -132,7 +132,7 @@ class Hipster(TaskManager):
         self._phase = Phase.LEARNING
         self._phase_elapsed_s = 0.0
         self._configs: tuple[Configuration, ...] = ()
-        self._action_of: dict[Configuration, int] = {}
+        self._ladder_actions: tuple[int, ...] = ()
         self._decisions: tuple[Decision, ...] = ()
         self._table: LookupTable | None = None
         self._machine = None
@@ -142,6 +142,7 @@ class Hipster(TaskManager):
         self._pending: tuple[int, int] | None = None
         self._last_action: int | None = None
         self._qos_window: deque[bool] = deque()
+        self._qos_met_in_window = 0
         self._phase_switches = 0
 
     # ------------------------------------------------------------------
@@ -154,15 +155,17 @@ class Hipster(TaskManager):
         self._configs = enumerate_configurations(
             platform, max_total_cores=self.params.max_total_cores
         )
-        self._action_of = {config: i for i, config in enumerate(self._configs)}
+        action_of = {config: i for i, config in enumerate(self._configs)}
         # Run constants, resolved once: each action's decision (the
         # collocate flag cannot change mid-run) and the reward's
         # platform normalizers.
         collocate = self.variant is Variant.COLLOCATED and ctx.batch_present
+        self._collocate = collocate
         self._decisions = tuple(
             resolve_decision(platform, config, collocate_batch=collocate)
             for config in self._configs
         )
+        self._target_ms = ctx.workload.target_latency_ms
         self._tdp_w = platform.tdp_w
         self._max_ips_big = platform.big.max_microbench_ips()
         self._max_ips_small = platform.small.max_microbench_ips()
@@ -181,6 +184,11 @@ class Hipster(TaskManager):
             qos_safe=max(resolved_safe, self.params.learning_qos_safe),
             max_total_cores=self.params.max_total_cores,
         )
+        # The action of each ladder rung, so the learning phase maps the
+        # heuristic's position to an action without hashing a config.
+        self._ladder_actions = tuple(
+            action_of[config] for config in self._machine.ladder
+        )
         bucket_size = self.params.bucket_size or DEFAULT_BUCKET_SIZE.get(
             ctx.workload.name, 0.05
         )
@@ -195,6 +203,7 @@ class Hipster(TaskManager):
         )
         window = max(int(self.params.reenter_window_s / ctx.interval_s), 1)
         self._qos_window = deque(maxlen=window)
+        self._qos_met_in_window = 0
 
     # ------------------------------------------------------------------
     # introspection (reports/tests)
@@ -247,7 +256,7 @@ class Hipster(TaskManager):
         assert self._table is not None and self._machine is not None
         bucket = self._current_bucket
         if self._phase is Phase.LEARNING or not self._table.state_visited(bucket):
-            return self._action_of[self._machine.current]
+            return self._ladder_actions[self._machine.index]
         if self.params.epsilon > 0 and self.ctx.rng.random() < self.params.epsilon:
             explored = self._explore()
             if explored is not None:
@@ -289,38 +298,36 @@ class Hipster(TaskManager):
 
     def observe(self, observation: "IntervalObservation") -> None:
         assert self._table is not None and self._machine is not None
-        workload = self.ctx.workload
+        target_ms = self._target_ms
+        tail_ms = observation.tail_latency_ms
         next_bucket = self._bucketizer.bucket(observation.measured_load)
 
-        batch_active = (
-            self.variant is Variant.COLLOCATED
-            and self.ctx.batch_present
-            and observation.decision.run_batch
-        )
-        reward = compute_reward(
-            RewardInputs(
-                qos_curr_ms=observation.tail_latency_ms,
-                qos_target_ms=workload.target_latency_ms,
-                power_w=observation.power_w,
-                tdp_w=self._tdp_w,
-                batch_present=batch_active,
-                big_ips=observation.big_ips,
-                small_ips=observation.small_ips,
-                max_ips_big=self._max_ips_big,
-                max_ips_small=self._max_ips_small,
-            ),
+        reward = reward_terms(
+            tail_ms,
+            target_ms,
+            observation.power_w,
+            self._tdp_w,
+            self._collocate and observation.decision.run_batch,
+            observation.big_ips,
+            observation.small_ips,
+            self._max_ips_big,
+            self._max_ips_small,
             self.ctx.rng,
-            qos_danger=self.params.qos_danger,
-        )
+            self.params.qos_danger,
+        )[0]
         if self._pending is not None:
             state, action = self._pending
-            self._table.update(state, action, reward.total, next_bucket)
+            self._table.update(state, action, reward, next_bucket)
 
         if self._phase is Phase.LEARNING:
-            self._machine.step(
-                observation.tail_latency_ms, workload.target_latency_ms
-            )
-        self._qos_window.append(observation.qos_met)
+            self._machine.step(tail_ms, target_ms)
+        # The window's QoS-met count is kept running: a full deque drops
+        # its oldest entry on append.
+        window = self._qos_window
+        if len(window) == window.maxlen:
+            self._qos_met_in_window -= window[0]
+        window.append(observation.qos_met)
+        self._qos_met_in_window += observation.qos_met
         self._advance_phase(observation)
         self._current_bucket = next_bucket
 
@@ -332,9 +339,9 @@ class Hipster(TaskManager):
         else:
             window = self._qos_window
             if (
-                window.maxlen is not None
-                and len(window) == window.maxlen
-                and sum(window) / len(window) <= self.params.reenter_threshold
+                len(window) == window.maxlen
+                and self._qos_met_in_window / len(window)
+                <= self.params.reenter_threshold
             ):
                 # Algorithm 2, line 18: QoSGuarantee <= X -> learning phase.
                 self._machine.seed_from(observation.decision.config)
@@ -344,6 +351,7 @@ class Hipster(TaskManager):
         self._phase = phase
         self._phase_elapsed_s = 0.0
         self._qos_window.clear()
+        self._qos_met_in_window = 0
         self._phase_switches += 1
 
 

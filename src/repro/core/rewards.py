@@ -60,6 +60,56 @@ class RewardBreakdown:
     violated: bool
 
 
+def reward_terms(
+    qos_curr_ms: float,
+    qos_target_ms: float,
+    power_w: float,
+    tdp_w: float,
+    batch_present: bool,
+    big_ips: float,
+    small_ips: float,
+    max_ips_big: float,
+    max_ips_small: float,
+    rng: np.random.Generator,
+    qos_danger: float = DEFAULT_QOS_DANGER,
+) -> tuple[float, float, float, float, bool]:
+    """Algorithm 1, lines 1-15, on plain floats.
+
+    Returns ``(total, qos_part, stochastic_penalty, objective_part,
+    violated)``.  The arithmetic core of :func:`compute_reward`, which
+    managers call directly once per interval; it validates its inputs
+    exactly as :class:`RewardInputs` and :func:`compute_reward` do.
+    """
+    if not 0.0 < qos_danger <= 1.0:
+        raise ValueError("qos_danger must be within (0, 1]")
+    if qos_target_ms <= 0:
+        raise ValueError("qos_target_ms must be positive")
+    if power_w <= 0 or tdp_w <= 0:
+        raise ValueError("power_w and tdp_w must be positive")
+    if max_ips_big <= 0 or max_ips_small <= 0:
+        raise ValueError("max IPS denominators must be positive")
+    qos_reward = qos_curr_ms / qos_target_ms
+    stochastic = 0.0
+    violated = False
+    if qos_curr_ms < qos_target_ms * qos_danger:
+        qos_part = qos_reward + 1.0  # line 7
+    elif qos_curr_ms < qos_target_ms:
+        # Random(0, 1): uniform(0, 1) returns 0.0 + 1.0 * random(), the
+        # identical float from the identical draw, through a slower path.
+        stochastic = rng.random()  # line 9
+        qos_part = qos_reward + 1.0
+    else:
+        qos_part = -qos_reward - 1.0  # line 11
+        violated = True
+
+    if batch_present:
+        objective = (big_ips + small_ips) / (max_ips_big + max_ips_small)  # line 13
+    else:
+        objective = tdp_w / power_w  # line 15
+
+    return qos_part - stochastic + objective, qos_part, stochastic, objective, violated
+
+
 def compute_reward(
     inputs: RewardInputs,
     rng: np.random.Generator,
@@ -67,28 +117,19 @@ def compute_reward(
     qos_danger: float = DEFAULT_QOS_DANGER,
 ) -> RewardBreakdown:
     """Evaluate Algorithm 1, lines 1-15, for one interval."""
-    if not 0.0 < qos_danger <= 1.0:
-        raise ValueError("qos_danger must be within (0, 1]")
-    qos_reward = inputs.qos_curr_ms / inputs.qos_target_ms
-    stochastic = 0.0
-    violated = False
-    if inputs.qos_curr_ms < inputs.qos_target_ms * qos_danger:
-        qos_part = qos_reward + 1.0  # line 7
-    elif inputs.qos_curr_ms < inputs.qos_target_ms:
-        stochastic = float(rng.uniform(0.0, 1.0))  # line 9
-        qos_part = qos_reward + 1.0
-    else:
-        qos_part = -qos_reward - 1.0  # line 11
-        violated = True
-
-    if inputs.batch_present:
-        objective = (inputs.big_ips + inputs.small_ips) / (
-            inputs.max_ips_big + inputs.max_ips_small
-        )  # line 13
-    else:
-        objective = inputs.tdp_w / inputs.power_w  # line 15
-
-    total = qos_part - stochastic + objective
+    total, qos_part, stochastic, objective, violated = reward_terms(
+        inputs.qos_curr_ms,
+        inputs.qos_target_ms,
+        inputs.power_w,
+        inputs.tdp_w,
+        inputs.batch_present,
+        inputs.big_ips,
+        inputs.small_ips,
+        inputs.max_ips_big,
+        inputs.max_ips_small,
+        rng,
+        qos_danger,
+    )
     return RewardBreakdown(
         total=total,
         qos_part=qos_part,

@@ -82,13 +82,18 @@ class LookupTable:
 
         Unvisited entries count as 0, exactly as in the paper.  Ties are
         broken by ``tie_break`` order (e.g. the heuristic ladder, so equal
-        scores prefer lower-power configurations) or by index.
+        scores prefer lower-power configurations) or by index.  The state
+        is validated once; every ``tie_break`` action is range-checked.
         """
-        order = tie_break if tie_break is not None else range(self.n_actions)
+        if state < 0:
+            raise ValueError("state must be non-negative")
+        n_actions = self.n_actions
+        order = tie_break if tie_break is not None else range(n_actions)
         row = self._values.get(state)
         best_action, best_value = None, float("-inf")
         for action in order:
-            self._check(state, action)
+            if not 0 <= action < n_actions:
+                raise ValueError(f"action must be within [0, {n_actions})")
             value = row[action] if row is not None else 0.0
             if value > best_value:
                 best_action, best_value = action, value
@@ -107,38 +112,37 @@ class LookupTable:
     ) -> float:
         """Apply Algorithm 1's line 16; returns the new ``R(w, c)``."""
         self._check(state, action)
-        self._check(next_state, 0)
-        old = self.value(state, action)
-        alpha = self._effective_alpha(state, action)
-        new = old + alpha * (
-            reward + self.gamma * self.max_value(next_state) - old
-        )
+        bootstrap = self.max_value(next_state)
         row = self._values.get(state)
         if row is None:
             row = self._values[state] = [0.0] * self.n_actions
             self._visits[state] = [0] * self.n_actions
         visits = self._visits[state]
-        if not visits[action]:
+        n = visits[action]
+        old = row[action]
+        alpha = self._effective_alpha(n)
+        new = old + alpha * (reward + self.gamma * bootstrap - old)
+        if not n:
             self._entries.append((state, action))
         row[action] = new
-        visits[action] += 1
+        visits[action] = n + 1
         return new
 
-    def _effective_alpha(self, state: int, action: int) -> float:
-        """Learning rate for the next update of an entry.
+    def _effective_alpha(self, visits: int) -> float:
+        """Learning rate for the next update of an entry visited
+        ``visits`` times.
 
         ``fixed`` is the paper's constant alpha.  ``decay`` uses the
-        stochastic-approximation schedule ``1 / (n + 1) ** 0.6`` floored
-        at ``alpha_min``: the first visit of an entry jumps directly to
-        its bootstrap target (eliminating stale values from earlier in
-        the run, when the value scale was still growing), and subsequent
-        visits average measurement noise away while the floor preserves
-        adaptivity to drift.
+        stochastic-approximation schedule ``1 / (visits + 1) ** 0.6``
+        floored at ``alpha_min``: the first visit of an entry jumps
+        directly to its bootstrap target (eliminating stale values from
+        earlier in the run, when the value scale was still growing), and
+        subsequent visits average measurement noise away while the floor
+        preserves adaptivity to drift.
         """
         if self.alpha_schedule == "fixed":
             return self.alpha
-        n = self.visit_count(state, action)
-        return max(self.alpha_min, 1.0 / (n + 1) ** 0.6)
+        return max(self.alpha_min, 1.0 / (visits + 1) ** 0.6)
 
     def visit_count(self, state: int, action: int) -> int:
         """How many times the entry has been updated."""

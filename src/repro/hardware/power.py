@@ -11,7 +11,7 @@ energy registers read by ARM's ``readenergy`` tool.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -52,9 +52,11 @@ class ClusterPowerCoefficients:
         return total
 
 
-@dataclass(frozen=True)
-class PowerBreakdown:
-    """Instantaneous power split by measurement channel, watts."""
+class PowerBreakdown(NamedTuple):
+    """Instantaneous power split by measurement channel, watts.
+
+    A named tuple: the engine builds one per monitoring interval.
+    """
 
     big_w: float
     small_w: float

@@ -125,11 +125,12 @@ class TaskManager(abc.ABC):
     def observe(self, observation: "IntervalObservation") -> None:
         """Digest the interval that just finished (optional).
 
-        The engine hands a lazily decoded row view
-        (:class:`~repro.sim.records.ObservationRowView`) with the same
-        attribute surface as :class:`~repro.sim.records.
-        IntervalObservation`; every field reads as a plain Python
-        scalar, so managers cannot tell the difference.
+        ``observation`` is the interval's
+        :class:`~repro.sim.records.IntervalObservation` row, whose fields
+        are plain Python scalars.  On the scalar path it is the very
+        object the run's observation table stores; on the epoch path
+        it is rebuilt from the table (``table.row(i)``) with equal
+        values.  Managers must treat it as read-only.
         """
 
     # ------------------------------------------------------------------

@@ -374,6 +374,12 @@ class ScenarioSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
+        n = self.n_intervals
+        # bool is an int subclass, but True is not an interval count.
+        if n is not None and (type(n) is not int or n <= 0):
+            raise ValueError(
+                f"n_intervals must be None or a positive int, got {n!r}"
+            )
         for attr in ("manager_params", "workload_params", "engine"):
             object.__setattr__(self, attr, freeze_params(getattr(self, attr)))
         from repro.scenarios import factories

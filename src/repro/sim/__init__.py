@@ -20,7 +20,6 @@ from repro.sim.records import (
     STORAGE_VERSION,
     ExperimentResult,
     IntervalObservation,
-    ObservationRowView,
     ObservationTable,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "EngineConfig",
     "ExperimentResult",
     "IntervalObservation",
-    "ObservationRowView",
     "ObservationTable",
     "STORAGE_VERSION",
     "IntervalQueueStats",

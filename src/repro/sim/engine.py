@@ -11,7 +11,8 @@ Each monitoring interval (1 s by default, Section 3.6) it:
    resulting per-core speeds (including contention slowdowns);
 4. integrates power over the interval and samples the perf counters
    (through the Juno-bug model);
-5. hands the manager a row view of the interval's observation record.
+5. records the interval's observation row and hands the same row to the
+   manager.
 
 Everything stochastic draws from a single seeded generator, so a run is a
 pure function of ``(platform, workload, trace, manager, seed)``.
@@ -32,7 +33,12 @@ Within an interval the queue evaluates every server in one
 server-contiguous pass (:meth:`~repro.sim.queueing.DispatchQueue.run_drawn`),
 and cluster power is accumulated from the utilization tuple as Python
 floats; the dense per-core IPS vector is only built when the
-perf-counter bug is armed.
+perf-counter bug is armed.  The interval ends with one
+:class:`~repro.sim.records.IntervalObservation`, built positionally from
+the Python scalars already at hand: the table stores it and the manager
+observes the same object, so no field is written to numpy and read
+back.  Offered loads are read from a list converted once per run, and
+a migration's latency adder touches only the stalled requests.
 The optimization is implementation-only: the rng stream and every
 observation are bit-identical to the reference implementation that the
 test suite preserves as an oracle, which the equivalence tests enforce;
@@ -78,10 +84,9 @@ from repro.sim.queueing import (
     _SCALAR_SERVER_LIMIT,
     DispatchQueue,
     DrawnInterval,
-    IntervalQueueStats,
     exact_row_sums,
 )
-from repro.sim.records import ExperimentResult, ObservationTable
+from repro.sim.records import ExperimentResult, IntervalObservation, ObservationTable
 from repro.workloads.base import LatencyCriticalWorkload, lc_server_speeds_array
 from repro.workloads.batch import BatchJobSet
 
@@ -127,6 +132,9 @@ _EPOCH_MIN_INTERVALS = 16
 #: intervals rather than paying the setup again at the same boundary.
 _EPOCH_LIGHT_REQUESTS = 64
 _EPOCH_COOLDOWN_INTERVALS = 32
+
+#: Build an observation row from its 26 values, in field order.
+_make_row = IntervalObservation._make
 
 
 @dataclass(frozen=True)
@@ -178,6 +186,8 @@ class _DecisionState:
         "speeds",
         "n_servers",
         "config_label",
+        "big_freq_ghz",
+        "small_freq_ghz",
         "lc_used_index",
         "lc_ips_coeff",
         "lc_index_arr",
@@ -195,6 +205,9 @@ class _DecisionState:
 
     speeds: np.ndarray
     n_servers: int
+    config_label: str
+    big_freq_ghz: float
+    small_freq_ghz: float
     lc_used_index: list[int]
     lc_ips_coeff: list[float]
     lc_index_arr: np.ndarray
@@ -239,7 +252,7 @@ class IntervalSimulator:
         scale = workload.sim_scale
         # The migration cost is modelled as a latency adder on requests
         # arriving during the (wall-clock) migration window -- see
-        # _migration_latency_extra_ms -- so the queue itself only needs the
+        # _add_migration_latency -- so the queue itself only needs the
         # backlog bound (dilated, like every queue-internal delay).
         self._queue = DispatchQueue(
             rng=self._rng,
@@ -268,16 +281,24 @@ class IntervalSimulator:
         self._rest_of_system_w = platform.rest_of_system_w
         # Per-run invariants of the workload, bound once (attribute and
         # bound-method creation is measurable at ~100k intervals/s).
+        # Row fields are stored as float64, so the few that configuration
+        # may give as ints are converted once here: the row the manager
+        # observes then holds exactly what the table reads back.
         self._demand_sampler = workload.sample_demands
+        self._reported_latency_ms = workload.reported_latency_ms
         self._max_load_rps = workload.max_load_rps
         self._sim_scale = workload.sim_scale
         self._qos_percentile = workload.qos_percentile  # validated by workload
-        self._idle_latency_ms = workload.idle_latency_ms
+        self._idle_latency_ms = float(workload.idle_latency_ms)
         self._target_ms = workload.target_latency_ms  # qos_met / tardiness
+        self._dt = float(self.config.interval_s)
 
-        # Decision-epoch fast path: trace lookahead (filled by run()) and
-        # engagement counters (read by tests and the benchmark harness).
+        # The run's offered loads (filled by run(): an array for the
+        # epoch path's lookahead, a list for the scalar loop) and the
+        # epoch engagement counters (read by tests and the benchmark
+        # harness).
         self._loads: np.ndarray | None = None
+        self._loads_list: list[float] = []
         self.epochs_run = 0
         self.epoch_intervals = 0
 
@@ -302,9 +323,14 @@ class IntervalSimulator:
             raise RuntimeError("an IntervalSimulator instance runs exactly once")
         self._started = True
 
-        total = n_intervals or self.trace.n_intervals(self.config.interval_s)
-        if total <= 0:
-            raise ValueError("the trace is shorter than one interval")
+        if n_intervals is None:
+            total = self.trace.n_intervals(self.config.interval_s)
+            if total <= 0:
+                raise ValueError("the trace is shorter than one interval")
+        elif n_intervals <= 0:
+            raise ValueError("n_intervals must be positive")
+        else:
+            total = n_intervals
         self.manager.start(
             ManagerContext(
                 platform=self.platform,
@@ -320,9 +346,10 @@ class IntervalSimulator:
         # expression (arange holds exact integers), and load_at_many is
         # pinned bit-identical to per-call load_at, so both paths read
         # the identical floats.
-        dt = self.config.interval_s
+        dt = self._dt
         mids = np.arange(total, dtype=np.float64) * dt + dt / 2.0
         self._loads = self.trace.load_at_many(mids)
+        self._loads_list = self._loads.tolist()
 
         manager = self.manager
         manager_type = type(manager)
@@ -375,7 +402,7 @@ class IntervalSimulator:
                 and state.n_servers < _SCALAR_SERVER_LIMIT
                 and i + 1 < total
             ):
-                expected_requests = float(self._loads[i]) * epoch_rate_scale
+                expected_requests = self._loads_list[i] * epoch_rate_scale
                 heavy = expected_requests > _EPOCH_LIGHT_REQUESTS
                 # Light intervals batch profitably even in runs of two;
                 # heavy ones only amortize the epoch setup over a long
@@ -426,38 +453,33 @@ class IntervalSimulator:
         migrated_cores: int,
         migration_event: bool,
     ) -> None:
-        dt = self.config.interval_s
+        dt = self._dt
         t0 = index * dt
         t1 = t0 + dt
-        load = float(self._loads[index])
-        workload = self.workload
+        load = self._loads_list[index]
+        scale = self._sim_scale
 
         # Latency-critical queueing replica.  The inlined rate expression
         # is sim_arrival_rate() verbatim (same operation order).
         stats = self._queue.run_interval(
-            t0,
-            t1,
-            load * self._max_load_rps / self._sim_scale,
-            self._demand_sampler,
+            t0, t1, load * self._max_load_rps / scale, self._demand_sampler
         )
-        latencies_ms = workload.reported_latency_ms(stats.latencies_s)
-        if (
-            migration_event
-            and stats.arrivals > 0
-            and self.config.migration_penalty_s > 0
-        ):
-            latencies_ms = latencies_ms + self._migration_latency_extra_ms(
-                migrated_cores, stats, t0, state.n_servers
-            )
+        n = stats.arrivals
         # Inlined summarize_latencies (percentile validated once at start;
-        # latencies_ms is always a float64 array here): same quantile and
+        # latencies_ms is a fresh float64 array here): same quantile and
         # mean arithmetic, minus the per-interval wrapper work.  The mean
         # runs first -- pairwise summation is order-sensitive and the
         # quantile then partitions the buffer in place.
-        if latencies_ms.size == 0:
+        if n == 0:
             tail = mean_latency = self._idle_latency_ms
         else:
-            mean_latency = float(np.add.reduce(latencies_ms) / latencies_ms.size)
+            latencies_ms = self._reported_latency_ms(stats.latencies_s)
+            if migration_event and self.config.migration_penalty_s > 0:
+                self._add_migration_latency(
+                    latencies_ms, migrated_cores, stats.arrival_times_s, t0,
+                    state.n_servers,
+                )
+            mean_latency = float(np.add.reduce(latencies_ms)) / n
             tail = linear_quantile(
                 latencies_ms, self._qos_percentile, destructive=True
             )
@@ -477,12 +499,15 @@ class IntervalSimulator:
             )
             counter_vec, garbage = self._counters.read_array(true_ips, self._rng)
         if garbage:
-            big_batch = sum(float(counter_vec[i]) for i in state.batch_big_index)
-            small_batch = sum(float(counter_vec[i]) for i in state.batch_small_index)
+            big_batch = sum(
+                (float(counter_vec[i]) for i in state.batch_big_index), 0.0
+            )
+            small_batch = sum(
+                (float(counter_vec[i]) for i in state.batch_small_index), 0.0
+            )
         else:
             big_batch = state.big_batch_sum
             small_batch = state.small_batch_sum
-        batch_instructions = state.batch_ips_sum * dt
 
         # Power and energy (per-operating-point coefficients cached in
         # the decision state; arithmetic identical to PowerModel's).  The
@@ -494,45 +519,50 @@ class IntervalSimulator:
         gate = self._power_gate
         n_big = self._n_big
         breakdown = PowerBreakdown(
-            big_w=state.big_power.cluster_power_w(utils[:n_big], power_gate_idle=gate),
-            small_w=state.small_power.cluster_power_w(
-                utils[n_big:], power_gate_idle=gate
-            ),
-            rest_w=self._rest_of_system_w,
+            state.big_power.cluster_power_w(utils[:n_big], power_gate_idle=gate),
+            state.small_power.cluster_power_w(utils[n_big:], power_gate_idle=gate),
+            self._rest_of_system_w,
         )
         self._meter.record(breakdown, dt)
+        power_w = breakdown.total_w
 
-        arrivals_real = stats.arrivals * self._sim_scale
+        # One row, built positionally from plain Python scalars: the
+        # table stores it and the manager observes the same object.
+        arrivals_real = n * scale
         arrival_rps = arrivals_real / dt
-        table.append(
-            index=index,
-            t_start_s=t0,
-            duration_s=dt,
-            offered_load=load,
-            measured_load=min(arrival_rps / self._max_load_rps, 1.0),
-            arrival_rps=arrival_rps,
-            n_requests=int(arrivals_real),
-            tail_latency_ms=tail,
-            mean_latency_ms=mean_latency,
-            qos_met=tail <= self._target_ms,
-            tardiness=tail / self._target_ms,
-            power_w=breakdown.total_w,
-            energy_j=breakdown.total_w * dt,
-            big_ips=big_batch,
-            small_ips=small_batch,
-            counter_garbage=garbage,
-            decision=decision,
-            config_label=state.config_label,
-            big_freq_ghz=decision.big_freq_ghz,
-            small_freq_ghz=decision.small_freq_ghz,
-            migrated_cores=migrated_cores,
-            migration_event=migration_event,
-            mean_utilization=stats.mean_utilization,
-            backlog_s=self._queue.backlog_s(t1) / self._sim_scale,
-            shed_work_s=stats.shed_work_s / self._sim_scale,
-            batch_instructions=batch_instructions,
+        target = self._target_ms
+        row = _make_row(
+            (
+                index,
+                t0,  # t_start_s
+                dt,  # duration_s
+                load,  # offered_load
+                min(arrival_rps / self._max_load_rps, 1.0),  # measured_load
+                arrival_rps,
+                int(arrivals_real),  # n_requests
+                tail,  # tail_latency_ms
+                mean_latency,  # mean_latency_ms
+                tail <= target,  # qos_met
+                tail / target,  # tardiness
+                power_w,
+                power_w * dt,  # energy_j
+                big_batch,  # big_ips
+                small_batch,  # small_ips
+                garbage,  # counter_garbage
+                decision,
+                state.config_label,
+                state.big_freq_ghz,
+                state.small_freq_ghz,
+                migrated_cores,
+                migration_event,
+                stats.mean_utilization,
+                self._queue.backlog_s(t1) / scale,  # backlog_s
+                stats.shed_work_s / scale,  # shed_work_s
+                state.batch_ips_sum * dt,  # batch_instructions
+            )
         )
-        self.manager.observe(table.view(index))
+        table.append(row)
+        self.manager.observe(row)
 
     # ------------------------------------------------------------------
     # the decision-epoch fast path
@@ -564,7 +594,7 @@ class IntervalSimulator:
 
         Returns the number of intervals committed (>= 1).
         """
-        dt = self.config.interval_s
+        dt = self._dt
         manager = self.manager
         queue = self._queue
         scale = self._sim_scale
@@ -671,7 +701,7 @@ class IntervalSimulator:
         )
         if observe_overridden:
             for j in range(n_epoch):
-                manager.observe(table.view(row + j))
+                manager.observe(table.row(row + j))
         self.epochs_run += 1
         self.epoch_intervals += n_epoch
         return n_epoch
@@ -734,6 +764,8 @@ class IntervalSimulator:
 
         state = _DecisionState()
         state.config_label = config.label
+        state.big_freq_ghz = float(decision.big_freq_ghz)
+        state.small_freq_ghz = float(decision.small_freq_ghz)
         state.big_power = self._power.cluster_coefficients(
             platform.big, decision.big_freq_ghz
         )
@@ -779,13 +811,17 @@ class IntervalSimulator:
         state.utils_base = utils_base
         state.batch_big_index = [i for i in batch_index if i < n_big]
         state.batch_small_index = [i for i in batch_index if i >= n_big]
+        # Started at 0.0 so that an empty sum is a float too; a float
+        # start adds exactly like the int one.
         state.big_batch_sum = sum(
-            float(true_ips_base[i]) for i in state.batch_big_index
+            (float(true_ips_base[i]) for i in state.batch_big_index), 0.0
         )
         state.small_batch_sum = sum(
-            float(true_ips_base[i]) for i in state.batch_small_index
+            (float(true_ips_base[i]) for i in state.batch_small_index), 0.0
         )
-        state.batch_ips_sum = sum(float(true_ips_base[i]) for i in batch_index)
+        state.batch_ips_sum = sum(
+            (float(true_ips_base[i]) for i in batch_index), 0.0
+        )
 
         # Latency-critical cores actually used by worker threads, and the
         # factor turning a queue utilization into reported counter IPS.
@@ -815,14 +851,15 @@ class IntervalSimulator:
             self._microbench_ips_memo[key] = ips
         return ips
 
-    def _migration_latency_extra_ms(
+    def _add_migration_latency(
         self,
+        latencies_ms: np.ndarray,
         migrated_cores: int,
-        stats: IntervalQueueStats,
+        arrival_times_s: np.ndarray,
         t0: float,
         n_servers: int,
-    ) -> np.ndarray:
-        """Latency added by a core migration (wall-clock, not dilated).
+    ) -> None:
+        """Add the latency of a core migration (wall-clock, not dilated).
 
         Requests arriving while threads migrate and caches refill wait out
         the remainder of the migration window.  Only threads on *changed*
@@ -834,19 +871,18 @@ class IntervalSimulator:
 
         Only called when a migration happened, the penalty is positive and
         requests arrived -- exactly the cases in which the reference path
-        consumes an rng draw, so draw order is preserved while the common
-        no-migration interval allocates nothing at all.  (The draw itself
-        cannot be thinned further: it always covers every arrival in the
-        interval, stalled or not.)
+        consumes an rng draw.  The draw still covers every arrival in the
+        interval, stalled or not, so the stream is unchanged; the adds
+        then touch only the stalled requests of the in-window prefix of
+        the (sorted) arrival times, in place.  Skipping the others'
+        ``+ 0.0`` is invisible because no latency is ``-0.0``.
         """
-        penalty = self.config.migration_penalty_s
+        end = t0 + self.config.migration_penalty_s
         fraction = min(migrated_cores / max(n_servers, 1), 1.0)
-        in_window = stats.arrival_times_s < t0 + penalty
-        stalled = in_window & (self._rng.random(stats.arrivals) < fraction)
-        extra = np.zeros(stats.arrivals)
-        remaining_s = t0 + penalty - stats.arrival_times_s[stalled]
-        extra[stalled] = remaining_s * 1e3
-        return extra
+        draws = self._rng.random(arrival_times_s.size)
+        in_window = int(arrival_times_s.searchsorted(end))  # arrivals < end
+        stalled = (draws[:in_window] < fraction).nonzero()[0]
+        latencies_ms[stalled] += (end - arrival_times_s[stalled]) * 1e3
 
 
 def _epoch_cluster_power(

@@ -41,11 +41,13 @@ def linear_quantile(
 
     ``np.quantile`` fully dispatches through ``_ureduce`` and friends,
     which costs more than the selection itself on interval-sized samples.
-    This replica partitions the array at the two bracketing order
-    statistics and then applies numpy's own ``method="linear"``
-    interpolation formula (including its ``gamma >= 0.5`` rewrite, which
-    exists for floating-point symmetry) so the result is bit-identical to
-    ``np.quantile`` -- an equivalence pinned by a randomized test.
+    This replica selects the lower bracketing order statistic with one
+    partition and takes the upper one as the minimum of the tail after
+    it.  Both are exact values, so numpy's own
+    ``method="linear"`` interpolation formula (including its ``gamma >=
+    0.5`` rewrite, which exists for floating-point symmetry) gives a
+    result bit-identical to ``np.quantile`` -- an equivalence pinned by
+    randomized and structured tests.
 
     ``destructive=True`` partitions ``values`` in place (the quantile is
     permutation-invariant, but anything order-sensitive -- a pairwise
@@ -57,16 +59,19 @@ def linear_quantile(
     lower = int(virtual)
     gamma = virtual - lower
     part = values if destructive else values.copy()
+    part.partition(lower)
+    a = float(part[lower])
     if gamma == 0.0:
-        part.partition(lower)
-        return float(part[lower])
-    part.partition((lower, lower + 1))
-    a = part[lower]
-    b = part[lower + 1]
+        return a
+    # Everything after ``lower`` is no smaller, so the upper order
+    # statistic is the minimum of that tail (a short tail is cheaper to
+    # scan as a list than through a ufunc reduction).
+    tail = part[lower + 1 :]
+    b = float(np.minimum.reduce(tail)) if tail.size > 32 else min(tail.tolist())
     diff = b - a
     if gamma >= 0.5:
-        return float(b - diff * (1.0 - gamma))
-    return float(a + diff * gamma)
+        return b - diff * (1.0 - gamma)
+    return a + diff * gamma
 
 
 def linear_quantile_sorted(

@@ -39,6 +39,7 @@ transitions is central to the paper's argument (Section 2, citing Rubik).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -131,6 +132,18 @@ def exact_row_sums(padded: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _exact_sum(values: np.ndarray, running: np.ndarray, n: int) -> float:
+    """``np.add.reduce(values)`` given ``running = np.add.accumulate(values)``.
+
+    Below eight elements numpy's pairwise summation is the plain
+    sequential sum, which is the running sum's last entry: reading it
+    skips a reduction call.  Longer operands take the pairwise tree.
+    """
+    if n < 8:
+        return float(running[-1])
+    return float(np.add.reduce(values))
+
+
 class DrawnInterval(NamedTuple):
     """One interval's arrival randomness, drawn ahead of evaluation.
 
@@ -167,8 +180,7 @@ class EpochQueueStats(NamedTuple):
     backlog_s: np.ndarray
 
 
-@dataclass(frozen=True)
-class IntervalQueueStats:
+class IntervalQueueStats(NamedTuple):
     """What happened inside the queue during one monitoring interval."""
 
     latencies_s: np.ndarray
@@ -237,7 +249,7 @@ class DispatchQueue:
 
     def backlog_s(self, now: float) -> float:
         """Total queued work across servers, expressed in seconds of delay."""
-        k = self.n_servers
+        k = len(self._speeds)
         if k == 0:
             return 0.0
         if k < _SCALAR_SERVER_LIMIT:
@@ -267,29 +279,63 @@ class DispatchQueue:
         new_speeds = np.asarray(speeds, dtype=float)
         if new_speeds.ndim != 1 or len(new_speeds) == 0:
             raise ValueError("need at least one server")
-        # min and max propagate NaN, which fails both comparisons.
-        if not (new_speeds.min() > 0 and new_speeds.max() < np.inf):
+        # NaN fails both comparisons (and min/max propagate it).
+        if len(new_speeds) < _SCALAR_SERVER_LIMIT:
+            valid = all(0.0 < s < math.inf for s in new_speeds.tolist())
+        else:
+            valid = new_speeds.min() > 0 and new_speeds.max() < np.inf
+        if not valid:
             raise ValueError("server speeds must be positive and finite")
 
-        same_count = len(new_speeds) == self.n_servers
-        if same_count and not migration:
-            if not np.array_equal(new_speeds, self._speeds):
+        k = len(new_speeds)
+        k_old = self.n_servers
+        if k == k_old and not migration:
+            if k < _SCALAR_SERVER_LIMIT:
+                # The numpy expressions below, element by element on
+                # Python floats: free times are never -0.0, so Python's
+                # min/max pick exactly what np.minimum/np.maximum do.
+                old_speeds = self._speeds.tolist()
+                new_list = new_speeds.tolist()
+                if new_list == old_speeds:
+                    return
+                self._free = np.array(
+                    [
+                        now + min(f - now, 0.0) + max(f - now, 0.0) * (s_old / s_new)
+                        for f, s_old, s_new in zip(
+                            self._free.tolist(), old_speeds, new_list
+                        )
+                    ]
+                )
+            else:
+                if np.array_equal(new_speeds, self._speeds):
+                    return
                 backlog = np.maximum(self._free - now, 0.0)
                 ratio = self._speeds / new_speeds
                 self._free = now + np.minimum(self._free - now, 0.0) + backlog * ratio
-                self._speeds = new_speeds
-                self._set_weights(new_speeds)
+            self._speeds = new_speeds
+            self._set_weights(new_speeds)
             return
 
+        # np.sum over fewer than eight elements is a sequential sum, so
+        # the Python sums below are the identical floats.
         residual_work = 0.0
-        if self.n_servers:
+        if 0 < k_old < _SCALAR_SERVER_LIMIT:
+            residual_work = sum(
+                max(f - now, 0.0) * s
+                for f, s in zip(self._free.tolist(), self._speeds.tolist())
+            )
+        elif k_old:
             residual_work = float(
                 np.sum(np.maximum(self._free - now, 0.0) * self._speeds)
             )
+        if k < _SCALAR_SERVER_LIMIT:
+            total_speed = sum(new_speeds.tolist())
+        else:
+            total_speed = float(np.sum(new_speeds))
         start = now + (self.migration_penalty_s if migration else 0.0)
-        per_server_delay = residual_work / float(np.sum(new_speeds))
+        per_server_delay = residual_work / total_speed
         self._speeds = new_speeds
-        self._free = np.full(len(new_speeds), start + per_server_delay)
+        self._free = np.full(k, start + per_server_delay)
         self._set_weights(new_speeds)
 
     def _set_weights(self, speeds: np.ndarray) -> None:
@@ -312,27 +358,41 @@ class DispatchQueue:
         binary search, consumes the identical rng stream, and returns
         the identical assignment -- the equivalence is pinned by a test.
         """
-        return self._assign(self.rng.random(n))
+        return self._assign(self.rng.random(n))[0]
 
-    def _assign(self, u: np.ndarray) -> np.ndarray:
-        """Server index per already-drawn dispatch uniform (see
-        :meth:`_dispatch`; separated so the queue kernels can assign
-        stored uniforms with the identical comparisons).
+    def _assign(self, u: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Server index per already-drawn dispatch uniform, and the
+        per-server request counts (see :meth:`_dispatch`; separated so
+        the queue kernels can assign stored uniforms with the identical
+        comparisons).
 
         Up to nine servers the indices accumulate in ``uint8`` (each
         comparison mask reinterpreted as 0/1 bytes), whose stable argsort
         is a radix sort; wider server sets fall back to a binary search.
+        The CDF is non-decreasing, so the masks are nested: server ``j``
+        receives the draws that clear mask ``j - 1`` but not mask ``j``,
+        and its count is the difference of the two masks' popcounts.
         """
         cdf = self._cdf
+        n = len(u)
         last = len(cdf) - 1  # cdf[-1] == 1.0 > u always, never counted
         if last == 0:
-            return np.zeros(len(u), dtype=np.uint8)
+            return np.zeros(n, dtype=np.uint8), [n]
         if last > 8:
-            return cdf.searchsorted(u, side="right")
-        assigned = (u >= cdf[0]).view(np.uint8)
+            assigned = cdf.searchsorted(u, side="right")
+            return assigned, np.bincount(assigned, minlength=last + 1).tolist()
+        mask = u >= cdf[0]
+        above = int(np.count_nonzero(mask))
+        counts = [n - above]
+        assigned = mask.view(np.uint8)
         for j in range(1, last):
-            assigned += (u >= cdf[j]).view(np.uint8)
-        return assigned
+            mask = u >= cdf[j]
+            cleared = int(np.count_nonzero(mask))
+            counts.append(above - cleared)
+            above = cleared
+            assigned += mask.view(np.uint8)
+        counts.append(above)
+        return assigned, counts
 
     def draw_interval(
         self,
@@ -348,7 +408,7 @@ class DispatchQueue:
         dispatch uniforms -- so ``run_drawn(t0, t1, draw_interval(...))``
         is byte-identical to ``run_interval(...)``.
         """
-        if self.n_servers == 0:
+        if len(self._speeds) == 0:
             raise RuntimeError("reconfigure() must be called before run_interval()")
         if t1 <= t0:
             raise ValueError("interval must have positive duration")
@@ -400,12 +460,17 @@ class DispatchQueue:
           boundary (the running sum calls ``np.add.accumulate``, the
           loop ``cumsum`` itself runs, without the method's argument
           handling);
-        * every other pass (the speed division, both subtractions, the
-          free-time maximum and the completion add) is elementwise, so
-          the layout of the requests cannot change its results.
+        * every other pass (the speed division, both subtractions and
+          the completion add) is elementwise, so the layout of the
+          requests cannot change its results;
+        * the server's free time enters as the first element of its
+          running maximum rather than as an elementwise ``np.maximum``
+          after it: ``max(free, runmax_j)`` is ``max`` over
+          ``{free, slack_0..slack_j}`` either way, and a maximum is
+          exact.
         """
         dt = t1 - t0
-        n_servers = self.n_servers
+        n_servers = len(self._speeds)
         scalar = n_servers < _SCALAR_SERVER_LIMIT
         n = drawn.n
         if scalar:
@@ -418,14 +483,8 @@ class DispatchQueue:
                 utils = tuple(min(c / dt, 1.0) for c in carried_busy)
             else:
                 utils = tuple(float(u) for u in np.minimum(carried_busy / dt, 1.0))
-            shed = self._shed(t1)
-            return IntervalQueueStats(
-                latencies_s=np.empty(0),
-                arrival_times_s=np.empty(0),
-                arrivals=0,
-                utilizations=utils,
-                shed_work_s=shed,
-            )
+            empty = np.empty(0)
+            return IntervalQueueStats(empty, empty, 0, utils, self._shed(t1))
 
         arrivals = drawn.times
         free = self._free
@@ -434,12 +493,13 @@ class DispatchQueue:
         if n_servers == 1:
             # One server: already contiguous, nothing to order.
             service = drawn.demands / speeds[0]
-            service_sums[0] = float(np.add.reduce(service))
             cum = np.add.accumulate(service)
+            service_sums[0] = _exact_sum(service, cum, n)
             buf = cum - service
             np.subtract(arrivals, buf, out=buf)
+            if free[0] > buf[0]:
+                buf[0] = free[0]
             np.maximum.accumulate(buf, out=buf)
-            np.maximum(buf, free[0], out=buf)
             np.add(cum, buf, out=buf)
             free[0] = buf[-1]
             latencies = np.subtract(buf, arrivals, out=buf)
@@ -453,9 +513,8 @@ class DispatchQueue:
                 order = np.concatenate(((~mask).nonzero()[0], high))
                 counts = [n - len(high), len(high)]
             else:
-                assigned = self._assign(u)
+                assigned, counts = self._assign(u)
                 order = assigned.argsort(kind="stable")
-                counts = np.bincount(assigned, minlength=n_servers).tolist()
             arr = arrivals[order]
             service = drawn.demands[order]
             np.divide(service, speeds.repeat(counts), out=service)
@@ -469,13 +528,15 @@ class DispatchQueue:
             cum = np.empty(n)
             for j, lo, hi in segments:
                 seg = service[lo:hi]
-                service_sums[j] = float(np.add.reduce(seg))
                 np.add.accumulate(seg, out=cum[lo:hi])
+                service_sums[j] = _exact_sum(seg, cum[lo:hi], hi - lo)
             buf = cum - service
             np.subtract(arr, buf, out=buf)
-            for _, lo, hi in segments:
-                np.maximum.accumulate(buf[lo:hi], out=buf[lo:hi])
-            np.maximum(buf, free.repeat(counts), out=buf)
+            for j, lo, hi in segments:
+                seg = buf[lo:hi]
+                if free[j] > seg[0]:
+                    seg[0] = free[j]
+                np.maximum.accumulate(seg, out=seg)
             np.add(cum, buf, out=buf)
             for j, _, hi in segments:
                 free[j] = buf[hi - 1]
@@ -492,14 +553,7 @@ class DispatchQueue:
                 float(u)
                 for u in np.minimum((carried_busy + np.asarray(service_sums)) / dt, 1.0)
             )
-        shed = self._shed(t1)
-        return IntervalQueueStats(
-            latencies_s=latencies,
-            arrival_times_s=arrivals,
-            arrivals=n,
-            utilizations=utils,
-            shed_work_s=shed,
-        )
+        return IntervalQueueStats(latencies, arrivals, n, utils, self._shed(t1))
 
     def run_epoch_drawn(
         self,
@@ -558,7 +612,7 @@ class DispatchQueue:
                 # server 1 takes mask.
                 assigned = (u_all >= self._cdf[0]).astype(np.intp)
             else:
-                assigned = self._assign(u_all)
+                assigned = self._assign(u_all)[0]
         speeds = self._speeds
 
         # Per-server padded matrices: row i holds interval i's requests

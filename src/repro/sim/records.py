@@ -21,16 +21,18 @@ reasons this repo does:
   by zero-copy views instead of per-call ``np.array([getattr(o, a) for
   o in obs])`` rebuilds;
 * a cached outcome pickles as four typed blocks (one 2-D array per
-  column dtype) instead of thousands of per-interval dataclass
-  objects, which is what made warm-start cache reads unpickle-bound;
+  column dtype) instead of thousands of per-interval row objects,
+  which is what made warm-start cache reads unpickle-bound;
 * fleet aggregation can fold a node's columns into fixed-size
   accumulators and drop the node's table immediately.
 
-:class:`IntervalObservation` survives unchanged as the *row* view:
-``result.observations`` lazily materializes dataclass rows for existing
-call sites (managers, figure modules, the test-suite oracles),
-and the engine hands managers a lightweight :class:`ObservationRowView`
-backed directly by the column buffers.
+One interval, one row: the engine builds each interval's
+:class:`IntervalObservation` (a named tuple) once, from the Python
+floats it already holds, appends it to the table and hands that same
+object to ``manager.observe()``.  ``result.observations`` and
+:meth:`ObservationTable.row` rebuild rows of the same type from the
+column buffers, for the figure modules, the epoch path's deferred
+``observe`` replay and the test-suite oracles.
 
 ``STORAGE_VERSION`` stamps every pickled table/result; loading a
 payload from a different format version (e.g. a pre-columnar cache
@@ -40,8 +42,8 @@ the outcome cache treats as a miss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,8 +105,7 @@ BLOCKS = (
 )
 
 
-@dataclass(frozen=True)
-class IntervalObservation:
+class IntervalObservation(NamedTuple):
     """Everything measurable about one monitoring interval.
 
     The fields mirror the paper's QoS Monitor (Section 3.2): application
@@ -113,9 +114,9 @@ class IntervalObservation:
     the batch cores (and may therefore be garbage if the Juno perf bug
     fires -- see :mod:`repro.hardware.counters`).
 
-    Since the columnar overhaul this is the *row view* of an
-    :class:`ObservationTable`: materialized lazily from the column
-    buffers, never the storage format itself.
+    A named tuple, so building one from 26 positional values costs one
+    tuple allocation.  Every field holds a plain Python scalar, whether
+    the engine built the row or a table read it back.
     """
 
     index: int
@@ -146,6 +147,23 @@ class IntervalObservation:
     batch_instructions: float
 
 
+#: Where each row field is stored, in :class:`IntervalObservation` field
+#: order: ``(block number, row within that block)`` of :data:`BLOCKS`.
+_FIELD_SLOTS = tuple(
+    next(
+        (b, names.index(field))
+        for b, (_, names) in enumerate(BLOCKS)
+        if field in names
+    )
+    for field in IntervalObservation._fields
+)
+
+#: A row's float fields, in float-block order.
+_float_values = itemgetter(
+    *(IntervalObservation._fields.index(field) for field in FLOAT_FIELDS)
+)
+
+
 class ObservationTable:
     """Struct-of-arrays store for a run's interval observations.
 
@@ -164,6 +182,8 @@ class ObservationTable:
         "_cols",
         "_decision_pool",
         "_decision_index",
+        "_last_decision",
+        "_last_decision_code",
         "_label_pool",
         "_label_index",
         "_n",
@@ -179,6 +199,8 @@ class ObservationTable:
         )
         self._decision_pool: list["Decision"] = []
         self._decision_index: dict["Decision", int] | None = {}
+        self._last_decision: "Decision | None" = None
+        self._last_decision_code = -1
         self._label_pool: list[str] = []
         self._label_index: dict[str, int] | None = {}
         self._n = 0
@@ -216,79 +238,51 @@ class ObservationTable:
     # construction
     # ------------------------------------------------------------------
 
-    def append(
-        self,
-        *,
-        index: int,
-        t_start_s: float,
-        duration_s: float,
-        offered_load: float,
-        measured_load: float,
-        arrival_rps: float,
-        n_requests: int,
-        tail_latency_ms: float,
-        mean_latency_ms: float,
-        qos_met: bool,
-        tardiness: float,
-        power_w: float,
-        energy_j: float,
-        big_ips: float,
-        small_ips: float,
-        counter_garbage: bool,
-        decision: "Decision",
-        config_label: str,
-        big_freq_ghz: float,
-        small_freq_ghz: float,
-        migrated_cores: int,
-        migration_event: bool,
-        mean_utilization: float,
-        backlog_s: float,
-        shed_work_s: float,
-        batch_instructions: float,
-    ) -> int:
-        """Append one interval's scalars; returns the new row's index."""
+    def append(self, row: IntervalObservation) -> int:
+        """Store one interval's row; returns its index.
+
+        The float block takes the row's 18 floats in one assignment; the
+        few integer, boolean and pooled fields are single stores.
+        """
         if self._frozen:
             raise RuntimeError("cannot append to a frozen ObservationTable")
+        if type(row) is not IntervalObservation:
+            raise TypeError(
+                f"append() takes an IntervalObservation, got {type(row)!r}"
+            )
         i = self._n
         if i >= self._capacity:
             raise IndexError("ObservationTable capacity exhausted")
-        cols = self._cols
-        cols["index"][i] = index
-        cols["t_start_s"][i] = t_start_s
-        cols["duration_s"][i] = duration_s
-        cols["offered_load"][i] = offered_load
-        cols["measured_load"][i] = measured_load
-        cols["arrival_rps"][i] = arrival_rps
-        cols["n_requests"][i] = n_requests
-        cols["tail_latency_ms"][i] = tail_latency_ms
-        cols["mean_latency_ms"][i] = mean_latency_ms
-        cols["qos_met"][i] = qos_met
-        cols["tardiness"][i] = tardiness
-        cols["power_w"][i] = power_w
-        cols["energy_j"][i] = energy_j
-        cols["big_ips"][i] = big_ips
-        cols["small_ips"][i] = small_ips
-        cols["counter_garbage"][i] = counter_garbage
-        code = self._decision_index.get(decision)
-        if code is None:
-            code = len(self._decision_pool)
-            self._decision_pool.append(decision)
-            self._decision_index[decision] = code
-        cols["decision"][i] = code
-        code = self._label_index.get(config_label)
+        floats, ints, bools, codes = self._blocks
+        floats[:, i] = _float_values(row)
+        # Block rows in INT_FIELDS and BOOL_FIELDS order.
+        ints[0, i] = row.index
+        ints[1, i] = row.n_requests
+        ints[2, i] = row.migrated_cores
+        bools[0, i] = row.qos_met
+        bools[1, i] = row.counter_garbage
+        bools[2, i] = row.migration_event
+        # Consecutive rows mostly share one decision object; an identity
+        # check skips hashing the (nested) decision dataclass.
+        decision = row.decision
+        if decision is self._last_decision:
+            code = self._last_decision_code
+        else:
+            code = self._decision_index.get(decision)
+            if code is None:
+                code = len(self._decision_pool)
+                self._decision_pool.append(decision)
+                self._decision_index[decision] = code
+            self._last_decision = decision
+            self._last_decision_code = code
+        codes[0, i] = code
+        label = row.config_label
+        code = self._label_index.get(label)
         if code is None:
             code = len(self._label_pool)
-            self._label_pool.append(config_label)
-            self._label_index[config_label] = code
-        cols["config_label"][i] = code
-        cols["big_freq_ghz"][i] = big_freq_ghz
-        cols["small_freq_ghz"][i] = small_freq_ghz
-        cols["migrated_cores"][i] = migrated_cores
-        cols["migration_event"][i] = migration_event
-        cols["mean_utilization"][i] = mean_utilization
-        cols["backlog_s"][i] = backlog_s
-        cols["shed_work_s"][i] = shed_work_s
-        cols["batch_instructions"][i] = batch_instructions
+            self._label_pool.append(label)
+            self._label_index[label] = code
+        codes[1, i] = code
         self._n = i + 1
         return i
 
@@ -400,44 +394,24 @@ class ObservationTable:
         return tuple(pool[code] for code in self._cols["config_label"].tolist())
 
     def row(self, i: int) -> IntervalObservation:
-        """Materialize row ``i`` as a plain-scalar dataclass."""
-        cols = self._cols
-        return IntervalObservation(
-            index=cols["index"][i].item(),
-            t_start_s=cols["t_start_s"][i].item(),
-            duration_s=cols["duration_s"][i].item(),
-            offered_load=cols["offered_load"][i].item(),
-            measured_load=cols["measured_load"][i].item(),
-            arrival_rps=cols["arrival_rps"][i].item(),
-            n_requests=cols["n_requests"][i].item(),
-            tail_latency_ms=cols["tail_latency_ms"][i].item(),
-            mean_latency_ms=cols["mean_latency_ms"][i].item(),
-            qos_met=cols["qos_met"][i].item(),
-            tardiness=cols["tardiness"][i].item(),
-            power_w=cols["power_w"][i].item(),
-            energy_j=cols["energy_j"][i].item(),
-            big_ips=cols["big_ips"][i].item(),
-            small_ips=cols["small_ips"][i].item(),
-            counter_garbage=cols["counter_garbage"][i].item(),
-            decision=self._decision_pool[cols["decision"][i]],
-            config_label=self._label_pool[cols["config_label"][i]],
-            big_freq_ghz=cols["big_freq_ghz"][i].item(),
-            small_freq_ghz=cols["small_freq_ghz"][i].item(),
-            migrated_cores=cols["migrated_cores"][i].item(),
-            migration_event=cols["migration_event"][i].item(),
-            mean_utilization=cols["mean_utilization"][i].item(),
-            backlog_s=cols["backlog_s"][i].item(),
-            shed_work_s=cols["shed_work_s"][i].item(),
-            batch_instructions=cols["batch_instructions"][i].item(),
-        )
+        """Rebuild row ``i`` from the column buffers (plain scalars)."""
+        parts = [block[:, i].tolist() for block in self._blocks]
+        decision_code, label_code = parts[3]
+        parts[3] = [self._decision_pool[decision_code], self._label_pool[label_code]]
+        return IntervalObservation._make([parts[b][r] for b, r in _FIELD_SLOTS])
 
     def rows(self) -> tuple[IntervalObservation, ...]:
-        """Materialize every row, in order."""
-        return tuple(self.row(i) for i in range(self._n))
-
-    def view(self, i: int) -> "ObservationRowView":
-        """A lazy row view over row ``i`` (no dataclass construction)."""
-        return ObservationRowView(self, i)
+        """Rebuild every row, in order (one ``tolist`` per block)."""
+        n = self._n
+        parts = [block[:, :n].tolist() for block in self._blocks]
+        decision_codes, label_codes = parts[3]
+        decisions, labels = self._decision_pool, self._label_pool
+        parts[3] = [
+            [decisions[code] for code in decision_codes],
+            [labels[code] for code in label_codes],
+        ]
+        columns = [parts[b][r] for b, r in _FIELD_SLOTS]
+        return tuple(map(IntervalObservation._make, zip(*columns)))
 
     def take(self, indices: np.ndarray) -> "ObservationTable":
         """A new frozen table holding the given rows (in given order).
@@ -480,56 +454,12 @@ class ObservationTable:
         )
 
 
-class ObservationRowView:
-    """One table row, read lazily straight from the column buffers.
-
-    What the engine hands to ``manager.observe()``: attribute access
-    decodes the requested field on demand (managers touch a handful of
-    fields per interval), always as plain Python scalars, so manager
-    arithmetic is bit-identical to the dataclass era.
-    """
-
-    __slots__ = ("_table", "_i")
-
-    def __init__(self, table: ObservationTable, i: int):
-        self._table = table
-        self._i = i
-
-    def materialize(self) -> IntervalObservation:
-        """The full dataclass row (rarely needed; attribute access is
-        the intended interface)."""
-        return self._table.row(self._i)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ObservationRowView({self.materialize()!r})"
-
-
-def _add_view_accessors() -> None:
-    def scalar_property(field: str):
-        def get(self):
-            return self._table._cols[field][self._i].item()
-
-        return property(get)
-
-    for field in SCALAR_FIELDS:
-        setattr(ObservationRowView, field, scalar_property(field))
-    ObservationRowView.decision = property(
-        lambda self: self._table.decision_at(self._i)
-    )
-    ObservationRowView.config_label = property(
-        lambda self: self._table.label_at(self._i)
-    )
-
-
-_add_view_accessors()
-
-
 class ExperimentResult:
     """A run's observations plus the paper's summary metrics.
 
     Backed by an :class:`ObservationTable` (frozen on construction).
     Column accessors are zero-copy read-only views into the table;
-    ``observations`` materializes (and memoizes) dataclass rows for call
+    ``observations`` materializes (and memoizes) row tuples for call
     sites that want the row-oriented interface.
     """
 

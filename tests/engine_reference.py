@@ -25,9 +25,8 @@ draws through a cheaper, stream-identical formulation).
 kernel that the server-contiguous one replaced, as the oracle of
 ``test_queue_kernel.py``.
 
-It also holds the row-to-table conversion (:func:`append_row`,
-:func:`table_from_rows`) that only the reference engine and hand-built
-test fixtures need: the program itself writes tables column-wise.
+It also holds :func:`table_from_rows`, which builds a frozen table from
+hand-made rows for the reference engine and test fixtures.
 
 Import it with ``tests/`` on ``sys.path`` (``from engine_reference
 import ...``); it is not part of the installed package.
@@ -56,8 +55,6 @@ from repro.sim.queueing import (
     IntervalQueueStats,
 )
 from repro.sim.records import (
-    POOLED_FIELDS,
-    SCALAR_FIELDS,
     ExperimentResult,
     IntervalObservation,
     ObservationTable,
@@ -66,19 +63,12 @@ from repro.workloads.base import LatencyCriticalWorkload, lc_server_speeds
 from repro.workloads.batch import BatchJobSet
 
 
-def append_row(table: ObservationTable, row: IntervalObservation) -> int:
-    """Append one materialized row to ``table``; returns its index."""
-    return table.append(
-        **{field: getattr(row, field) for field in SCALAR_FIELDS + POOLED_FIELDS}
-    )
-
-
 def table_from_rows(rows: Sequence[IntervalObservation]) -> ObservationTable:
     """A frozen table holding ``rows``, in order."""
     rows = tuple(rows)
     table = ObservationTable(len(rows))
     for row in rows:
-        append_row(table, row)
+        table.append(row)
     return table.freeze()
 
 

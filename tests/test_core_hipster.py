@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.buckets import LoadBucketizer, default_bucketizer
-from repro.core.rewards import RewardInputs, compute_reward
+from repro.core.rewards import RewardInputs, compute_reward, reward_terms
 from repro.core.table import LookupTable
 from repro.hardware.topology import Configuration
 from repro.policies.octopusman import LadderStateMachine
@@ -95,7 +95,7 @@ class TestLookupTable:
         table = LookupTable(n_actions=1, alpha_schedule="decay", alpha_min=0.2, gamma=0.0)
         for _ in range(100):
             table.update(0, 0, reward=1.0, next_state=0)
-        assert table._effective_alpha(0, 0) == pytest.approx(0.2)
+        assert table._effective_alpha(table.visit_count(0, 0)) == pytest.approx(0.2)
 
     def test_invalid_indices_rejected(self):
         table = LookupTable(n_actions=2)
@@ -228,7 +228,14 @@ class TestDenseLookupTable:
             lambda t: t.max_value(-1),
             lambda t: t.best_action(-1),
             lambda t: t.best_action(0, tie_break=[0, 9]),
+            # One validation per call still checks every tie-break action,
+            # negative ones too, in visited and unvisited states alike.
+            lambda t: t.best_action(0, tie_break=[1, -1]),
+            lambda t: t.best_action(3, tie_break=[0, -1]),
+            lambda t: t.best_action(3, tie_break=[4]),
             lambda t: t.update(0, 4, 1.0, 0),
+            lambda t: t.update(0, -1, 1.0, 0),
+            lambda t: t.update(-1, 0, 1.0, 0),
             lambda t: t.update(0, 0, 1.0, -1),
         ],
     )
@@ -299,6 +306,72 @@ class TestRewards:
             RewardInputs(qos_curr_ms=1, qos_target_ms=0, power_w=1, tdp_w=1)
         with pytest.raises(ValueError):
             RewardInputs(qos_curr_ms=1, qos_target_ms=1, power_w=0, tdp_w=1)
+
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            ({"qos_target_ms": 0.0}, "qos_target_ms"),
+            ({"power_w": 0.0}, "power_w"),
+            ({"tdp_w": -1.0}, "tdp_w"),
+            ({"max_ips_big": 0.0}, "max IPS"),
+            ({"max_ips_small": -1.0}, "max IPS"),
+            ({"qos_danger": 0.0}, "qos_danger"),
+            ({"qos_danger": 1.5}, "qos_danger"),
+        ],
+    )
+    def test_arithmetic_core_validates_like_reward_inputs(self, override, match):
+        """The core managers call directly rejects every input that
+        RewardInputs (or compute_reward's danger check) rejects."""
+        args = dict(
+            qos_curr_ms=4.0, qos_target_ms=10.0, power_w=2.0, tdp_w=3.0,
+            batch_present=False, big_ips=0.0, small_ips=0.0,
+            max_ips_big=1.0, max_ips_small=1.0,
+            rng=np.random.default_rng(0), qos_danger=0.85,
+        )
+        args.update(override)
+        with pytest.raises(ValueError, match=match):
+            reward_terms(**args)
+        if "qos_danger" not in override:
+            with pytest.raises(ValueError, match=match):
+                RewardInputs(
+                    **{
+                        k: v
+                        for k, v in args.items()
+                        if k not in ("rng", "qos_danger")
+                    }
+                )
+
+    @pytest.mark.parametrize("tail", [2.0, 9.0, 10.0, 15.0])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_compute_reward_wraps_the_arithmetic_core(self, tail, batch):
+        inputs = self._inputs(
+            tail, batch_present=batch, big_ips=2e9, small_ips=1e9,
+            max_ips_big=4e9, max_ips_small=2e9,
+        )
+        breakdown = compute_reward(inputs, np.random.default_rng(5))
+        terms = reward_terms(
+            inputs.qos_curr_ms, inputs.qos_target_ms, inputs.power_w,
+            inputs.tdp_w, inputs.batch_present, inputs.big_ips,
+            inputs.small_ips, inputs.max_ips_big, inputs.max_ips_small,
+            np.random.default_rng(5),
+        )
+        assert terms == (
+            breakdown.total,
+            breakdown.qos_part,
+            breakdown.stochastic_penalty,
+            breakdown.objective_part,
+            breakdown.violated,
+        )
+        assert all(type(t) is float for t in terms[:4])
+
+    def test_stochastic_penalty_is_the_uniform_draw(self):
+        """Random(0, 1) is taken as ``rng.random()``: the same float and
+        the same stream position as ``rng.uniform(0.0, 1.0)``."""
+        rng, replay = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(50):
+            penalty = compute_reward(self._inputs(9.0), rng).stochastic_penalty
+            assert penalty == float(replay.uniform(0.0, 1.0))
+        assert rng.random() == replay.random()
 
     @settings(max_examples=50, deadline=None)
     @given(

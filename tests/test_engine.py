@@ -51,6 +51,15 @@ class TestEngineBasics:
         with pytest.raises(RuntimeError, match="exactly once"):
             sim.run()
 
+    @pytest.mark.parametrize("n_intervals", [0, -1])
+    def test_non_positive_interval_cap_rejected(self, platform, n_intervals):
+        """A zero cap is a cap, not "the whole trace"."""
+        sim = IntervalSimulator(
+            platform, websearch(), ConstantTrace(0.5, 30), static_all_big(platform)
+        )
+        with pytest.raises(ValueError, match="n_intervals must be positive"):
+            sim.run(n_intervals)
+
     def test_energy_consistency(self, platform):
         """Result energy equals the meter's registers."""
         sim = IntervalSimulator(

@@ -41,7 +41,12 @@ from repro.sim.engine import (
 )
 from repro.sim.latency import linear_quantile, linear_quantile_sorted
 from repro.sim.queueing import DispatchQueue, exact_row_sums
-from repro.sim.records import POOLED_FIELDS, SCALAR_FIELDS, ObservationTable
+from repro.sim.records import (
+    POOLED_FIELDS,
+    SCALAR_FIELDS,
+    IntervalObservation,
+    ObservationTable,
+)
 from repro.workloads.memcached import memcached
 from repro.workloads.spec import spec_job_set
 from repro.workloads.websearch import websearch
@@ -320,7 +325,9 @@ class TestExtendMatchesAppend:
         rows = self.rows(rng, 23)
         one = ObservationTable(23)
         for row in rows:
-            one.append(decision="decision-a", config_label="cfg", **row)
+            one.append(
+                IntervalObservation(decision="decision-a", config_label="cfg", **row)
+            )
         bulk = ObservationTable(23)
         columns = {
             field: np.asarray([row[field] for row in rows])
@@ -343,7 +350,7 @@ class TestExtendMatchesAppend:
             row["migration_event"] = False
         one = ObservationTable(7)
         for row in rows:
-            one.append(decision="d", config_label="c", **row)
+            one.append(IntervalObservation(decision="d", config_label="c", **row))
         bulk = ObservationTable(7)
         columns = {
             field: np.asarray([row[field] for row in rows])

@@ -395,6 +395,43 @@ class TestDensePathUnits:
             q = float(rng.uniform(0.01, 0.99))
             assert linear_quantile(values, q) == float(np.quantile(values, q))
 
+    @pytest.mark.parametrize("q", [0.9, 0.95])
+    @pytest.mark.parametrize("n", [1, 2, 20, 21])
+    def test_linear_quantile_at_exact_order_statistics(self, n, q):
+        """n = 1, 2, 20 and 21 put ``q * (n - 1)`` on an integer (gamma
+        == 0: one order statistic, no interpolation) or just off one."""
+        rng = np.random.default_rng(n)
+        values = rng.lognormal(0.0, 1.0, size=n)
+        assert linear_quantile(values, q) == float(np.quantile(values, q))
+        assert linear_quantile(values.copy(), q, destructive=True) == float(
+            np.quantile(values, q)
+        )
+
+    def test_linear_quantile_on_structured_latencies(self):
+        """Ties everywhere: bursty arrivals (requests of one burst share
+        an arrival time, so many latencies repeat), all-equal arrays and
+        few distinct values."""
+        rng = np.random.default_rng(21)
+        cases = [np.full(n, 3.25) for n in (1, 2, 7, 20, 21, 500)]
+        for _ in range(60):
+            queue = DispatchQueue(
+                rng=rng, balance_exponent=0.55, burstiness=float(rng.uniform(2, 8))
+            )
+            queue.reconfigure(rng.uniform(0.3, 1.0, size=int(rng.integers(1, 5))), 0.0)
+            drawn = queue.draw_interval(
+                0.0, 1.0, float(rng.uniform(5, 900)),
+                lambda r, n: np.full(n, 1e-3),  # equal demands: tied sojourns
+            )
+            cases.append(queue.run_drawn(0.0, 1.0, drawn).latencies_s * 1e3)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            cases.append(rng.integers(0, 4, size=n).astype(float))
+        for values in cases:
+            if not values.size:
+                continue
+            for q in (0.5, 0.9, 0.95, 0.99):
+                assert linear_quantile(values, q) == float(np.quantile(values, q))
+
     def test_linear_quantile_destructive_leaves_value_intact(self):
         values = np.random.default_rng(1).random(101)
         expected = float(np.quantile(values, 0.9))

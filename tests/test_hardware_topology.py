@@ -126,6 +126,19 @@ class TestLadders:
         ladder = hipster_ladder(platform)
         assert tuple(c.label for c in ladder) == PAPER_FIG2C_LADDER
 
+    @pytest.mark.parametrize("max_total_cores", [4, None])
+    def test_hipster_ladder_picks_the_configurations_a_label_scan_finds(
+        self, platform, max_total_cores
+    ):
+        """The one-dict label lookup returns the configurations (first
+        of each label) that a per-rung config_by_label scan finds."""
+        configs = enumerate_configurations(platform, max_total_cores=max_total_cores)
+        expected = tuple(
+            config_by_label(configs, label) for label in PAPER_FIG2C_LADDER
+        )
+        ladder = hipster_ladder(platform, max_total_cores=max_total_cores)
+        assert ladder == expected
+
     def test_hipster_ladder_top_is_max_single_thread_state(self, platform):
         assert hipster_ladder(platform)[-1].label == "2B-1.15"
 

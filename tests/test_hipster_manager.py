@@ -47,6 +47,25 @@ class TestPhases:
         run_experiment(platform, memcached(), trace, manager, seed=3)
         assert manager.phase_switches >= 2  # learn -> exploit -> learn (at least)
 
+    def test_qos_window_count_tracks_the_window(self, platform):
+        """The running QoS-met count equals ``sum(window)`` after every
+        interval, across window wrap-around and phase switches."""
+        checks = []
+
+        class Checked(Hipster):
+            def observe(self, observation):
+                super().observe(observation)
+                checks.append(self._qos_met_in_window == sum(self._qos_window))
+
+        manager = Checked(
+            Variant.INTERACTIVE,
+            short_params(learning_duration_s=40.0, reenter_window_s=30.0),
+        )
+        trace = StepTrace([(70, 0.15), (120, 0.97)])
+        run_experiment(platform, memcached(), trace, manager, seed=3)
+        assert manager.phase_switches >= 2
+        assert len(checks) == 190 and all(checks)
+
     def test_action_space_is_four_core_space(self, platform):
         manager = hipster_in(short_params())
         run_experiment(platform, websearch(), ConstantTrace(0.5, 5), manager, seed=3)

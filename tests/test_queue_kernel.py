@@ -119,10 +119,23 @@ class TestByteIdentity:
         )
         queue = _queue(DispatchQueue, 3, np.zeros(3), None)
         stats = queue.run_drawn(T0, T1, drawn)
-        assigned = queue._assign(drawn.dispatch_u)
+        assigned = queue._assign(drawn.dispatch_u)[0]
         for j in range(3):
             lat = stats.latencies_s[assigned == j]
             assert np.all(np.diff(lat) > 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 9, 10, 12])
+def test_assign_counts_match_bincount(k):
+    """The per-server counts taken from the nested dispatch masks are
+    the bincount of the assignment, at every server count."""
+    rng = np.random.default_rng(k)
+    queue = _queue(DispatchQueue, k, np.zeros(k), None)
+    for n in (0, 1, 7, 1000):
+        u = rng.random(n)
+        assigned, counts = queue._assign(u)
+        assert counts == np.bincount(assigned, minlength=k).tolist()
+        assert all(type(c) is int for c in counts)
 
 
 def _waits_by_server(k, speeds, rate, mu, sigma, seed, intervals, warmup):
@@ -139,7 +152,7 @@ def _waits_by_server(k, speeds, rate, mu, sigma, seed, intervals, warmup):
         stats = queue.run_drawn(float(i), float(i + 1), drawn)
         if i < warmup or drawn.n == 0:
             continue
-        assigned = queue._assign(drawn.dispatch_u)
+        assigned = queue._assign(drawn.dispatch_u)[0]
         waits = stats.latencies_s - drawn.demands / queue._speeds[assigned]
         for j in range(k):
             per_interval[j].append(waits[assigned == j])

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engine_reference import append_row, table_from_rows
+from engine_reference import table_from_rows
 from repro.fleet.spec import FleetSpec
 from repro.hardware.topology import Configuration
 from repro.policies.base import Decision
@@ -49,7 +49,6 @@ from repro.sim.records import (
     STORAGE_VERSION,
     ExperimentResult,
     IntervalObservation,
-    ObservationRowView,
     ObservationTable,
 )
 
@@ -143,21 +142,36 @@ class TestRoundTrip:
         clone = pickle.loads(pickle.dumps(table, pickle.HIGHEST_PROTOCOL))
         assert clone.rows() == rows
 
-    def test_row_views_read_python_scalars(self):
+    def test_table_rows_hold_python_scalars(self):
+        """A row read back from the column buffers holds plain Python
+        scalars, so it is interchangeable with the row that was stored."""
         result = sample_result()
-        view = result.table.view(3)
-        assert isinstance(view, ObservationRowView)
-        row = result.observations[3]
+        row = result.table.row(3)
+        assert type(row) is IntervalObservation
         for name in FLOAT_FIELDS:
-            value = getattr(view, name)
-            assert type(value) is float and value == getattr(row, name)
+            assert type(getattr(row, name)) is float
         for name in INT_FIELDS:
-            assert type(getattr(view, name)) is int
+            assert type(getattr(row, name)) is int
         for name in BOOL_FIELDS:
-            assert type(getattr(view, name)) is bool
-        assert view.decision is row.decision
-        assert view.config_label == row.config_label
-        assert view.materialize() == row
+            assert type(getattr(row, name)) is bool
+        assert row.decision is result.observations[3].decision
+        assert row == result.observations[3]
+        assert repr(row) == repr(result.observations[3])
+        assert result.table.rows()[3] == row
+
+    def test_row_type_keeps_the_dataclass_surface(self):
+        """The named-tuple row keeps the field order, keyword
+        construction and repr of the dataclass it replaced."""
+        row = sample_result(n=1).observations[0]
+        assert IntervalObservation._fields[:3] == ("index", "t_start_s", "duration_s")
+        assert IntervalObservation._fields[-1] == "batch_instructions"
+        assert len(IntervalObservation._fields) == len(SCALAR_FIELDS + POOLED_FIELDS)
+        assert set(IntervalObservation._fields) == set(SCALAR_FIELDS + POOLED_FIELDS)
+        rebuilt = IntervalObservation(
+            **{name: getattr(row, name) for name in IntervalObservation._fields}
+        )
+        assert rebuilt == row
+        assert repr(row).startswith("IntervalObservation(index=0, t_start_s=0.0, ")
 
 
 class TestTableBehaviour:
@@ -180,9 +194,9 @@ class TestTableBehaviour:
     def test_capacity_is_enforced(self):
         table = ObservationTable(1)
         row = sample_result(n=2).observations
-        append_row(table, row[0])
+        table.append(row[0])
         with pytest.raises(IndexError, match="capacity"):
-            append_row(table, row[1])
+            table.append(row[1])
 
     def test_pickling_a_live_table_does_not_freeze_it(self):
         """Snapshotting (pickle/deepcopy) a mid-build table must not
@@ -192,25 +206,36 @@ class TestTableBehaviour:
 
         rows = sample_result(n=3).observations
         table = ObservationTable(3)
-        append_row(table, rows[0])
+        table.append(rows[0])
         snapshot = pickle.loads(pickle.dumps(table))
         deep = copy.deepcopy(table)
-        append_row(table, rows[1])  # must not raise
-        append_row(table, rows[2])
+        table.append(rows[1])  # must not raise
+        table.append(rows[2])
         assert snapshot.rows() == rows[:1]
         assert deep.rows() == rows[:1]
         assert table.freeze().rows() == rows
 
+    def test_append_takes_only_rows(self):
+        """A bare tuple of the right length is not a row: append() names
+        its fields by type, as the keyword form named them by argument."""
+        row = sample_result(n=1).observations[0]
+        table = ObservationTable(2)
+        with pytest.raises(TypeError, match="IntervalObservation"):
+            table.append(tuple(row))
+        assert len(table) == 0
+        table.append(row)
+        assert table.freeze().rows() == (row,)
+
     def test_frozen_table_rejects_appends(self):
         result = sample_result(n=2)
         with pytest.raises(RuntimeError, match="frozen"):
-            append_row(result.table, result.observations[0])
+            result.table.append(result.observations[0])
 
     def test_partial_fill_freezes_to_length(self):
         rows = sample_result(n=5).observations
         table = ObservationTable(10)
         for row in rows[:3]:
-            append_row(table, row)
+            table.append(row)
         table.freeze()
         assert len(table) == 3
         assert table.rows() == rows[:3]
@@ -382,7 +407,7 @@ class TestBlockPayload:
             with pytest.raises(ValueError, match="read-only"):
                 clone.column(name)[0] = 0
         with pytest.raises(RuntimeError, match="frozen"):
-            append_row(clone, table.row(0))
+            clone.append(table.row(0))
         assert clone.rows() == table.rows()
 
     def test_out_of_band_buffers_round_trip(self):
@@ -396,18 +421,18 @@ class TestBlockPayload:
         rows = sample_result(n=4).observations
         table = ObservationTable(10)
         for row in rows[:3]:
-            append_row(table, row)
+            table.append(row)
         snapshot = pickle.loads(pickle.dumps(table, pickle.HIGHEST_PROTOCOL))
         assert len(snapshot) == 3 and snapshot.rows() == rows[:3]
         self.assert_block_backed(snapshot)
-        append_row(table, rows[3])  # the source is still live
+        table.append(rows[3])  # the source is still live
         assert table.freeze().rows() == rows
         self.assert_block_backed(table)
 
     def test_extend_writes_through_the_block_views(self):
         rows = sample_result(n=3).observations
         table = ObservationTable(5)
-        append_row(table, rows[0])
+        table.append(rows[0])
         columns = {name: getattr(rows[1], name) for name in SCALAR_FIELDS}
         table.extend(
             2,

@@ -224,6 +224,26 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="max_backlog_s must be finite"):
             spec.run()
 
+    def test_zero_n_intervals_rejected(self):
+        """0 used to fall through to the whole trace under its own key."""
+        with pytest.raises(ValueError, match="n_intervals"):
+            quick_spec(n_intervals=0)
+
+    def test_fractional_n_intervals_rejected(self):
+        with pytest.raises(ValueError, match="n_intervals"):
+            quick_spec(n_intervals=2.5)
+
+    @pytest.mark.parametrize("bad", [-3, True, "5", 5.0])
+    def test_other_non_positive_int_n_intervals_rejected(self, bad):
+        with pytest.raises(ValueError, match="n_intervals"):
+            quick_spec(n_intervals=bad)
+
+    def test_valid_n_intervals_run_and_keep_their_key(self):
+        capped = quick_spec(n_intervals=5)
+        assert len(capped.run().result) == 5
+        assert capped.fingerprint() != quick_spec().fingerprint()
+        assert capped.fingerprint() == quick_spec(n_intervals=5).fingerprint()
+
     def test_manager_stats_carry_phase_switches(self):
         spec = quick_spec(
             manager="hipster-in", manager_params={"learning_duration_s": 5.0}
