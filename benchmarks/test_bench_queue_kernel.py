@@ -27,12 +27,9 @@ import time
 import numpy as np
 import pytest
 
+from oracles import lindley_completion_times, lindley_completion_times_reference
 from repro.scenarios import ScenarioSpec, TraceSpec
-from repro.sim.queueing import (
-    DispatchQueue,
-    lindley_completion_times,
-    lindley_completion_times_reference,
-)
+from repro.sim.queueing import DispatchQueue
 
 
 def _kernel_inputs(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -8,13 +8,15 @@ The package is organized as the paper's system plus everything it runs on:
   SPEC CPU2006 batch program models;
 * :mod:`repro.loadgen` -- diurnal / ramp / spike load traces;
 * :mod:`repro.sim` -- the queueing substrate, interval co-simulator and
-  the parallel :class:`~repro.sim.batch.BatchRunner`;
+  the parallel :class:`~repro.sim.batch.BatchRunner`; a run's QoS
+  guarantee, tardiness and energy are methods of its
+  :class:`~repro.sim.records.ExperimentResult`;
 * :mod:`repro.scenarios` -- declarative scenario specs and the registry;
+* :mod:`repro.packs` -- declarative YAML/JSON scenario packs;
 * :mod:`repro.fleet` -- multi-node cluster simulation (FleetSpec, load
   balancers, fleet-level aggregation);
 * :mod:`repro.core` -- Hipster itself (heuristic mapper + Q-learning);
 * :mod:`repro.policies` -- Octopus-Man and static baselines;
-* :mod:`repro.metrics` -- QoS guarantee / tardiness / energy summaries;
 * :mod:`repro.experiments` -- one module per paper table and figure.
 
 Quickstart (the stable facade lives in :mod:`repro.api`)::

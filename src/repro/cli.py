@@ -42,10 +42,9 @@ from repro.errors import (
 )
 from repro.experiments import EXPERIMENTS
 from repro.experiments.calibration import calibrate_demand
-from repro.experiments.runner import DEFAULT_SEED
 from repro.fleet.balancer import BALANCER_FACTORIES
 from repro.hardware.juno import juno_r1
-from repro.scenarios import DEFAULT_REGISTRY
+from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED
 from repro.sim.batch import BatchRunner
 from repro.sim.supervise import JOURNAL_NAME, RunJournal
 from repro.workloads.memcached import memcached

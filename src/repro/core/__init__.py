@@ -3,7 +3,8 @@
 * :mod:`~repro.core.buckets` -- load quantization (the MDP state space);
 * :mod:`~repro.core.table` -- the lookup table ``R(w, c)`` and Q-update;
 * :mod:`~repro.core.rewards` -- Algorithm 1 (QoS / stochastic /
-  power / throughput rewards);
+  power / throughput rewards) as one function on plain floats,
+  :func:`~repro.core.rewards.reward_terms`;
 * :mod:`~repro.core.heuristic` -- the learning-phase heuristic mapper;
 * :mod:`~repro.core.hipster` -- HipsterIn and HipsterCo (Algorithm 2).
 """
@@ -28,7 +29,7 @@ from repro.core.hipster import (
     hipster_co,
     hipster_in,
 )
-from repro.core.rewards import RewardBreakdown, RewardInputs, compute_reward
+from repro.core.rewards import reward_terms
 from repro.core.table import DEFAULT_ALPHA, DEFAULT_GAMMA, LookupTable
 
 __all__ = [
@@ -42,14 +43,12 @@ __all__ = [
     "LookupTable",
     "PAPER_BUCKET_SWEEP",
     "Phase",
-    "RewardBreakdown",
-    "RewardInputs",
     "Variant",
     "build_heuristic_mapper",
-    "compute_reward",
     "default_bucketizer",
     "hipster_co",
     "hipster_in",
     "hipster_ladder",
     "pareto_ladder",
+    "reward_terms",
 ]

@@ -18,46 +18,10 @@ The reward ``lambda_n`` for the interval just finished has three parts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 #: Danger-zone fraction QoS_D (Section 3.3; shared with the heuristic).
 DEFAULT_QOS_DANGER = 0.85
-
-
-@dataclass(frozen=True)
-class RewardInputs:
-    """Measurements feeding one reward evaluation."""
-
-    qos_curr_ms: float
-    qos_target_ms: float
-    power_w: float
-    tdp_w: float
-    batch_present: bool = False
-    big_ips: float = 0.0
-    small_ips: float = 0.0
-    max_ips_big: float = 1.0
-    max_ips_small: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.qos_target_ms <= 0:
-            raise ValueError("qos_target_ms must be positive")
-        if self.power_w <= 0 or self.tdp_w <= 0:
-            raise ValueError("power_w and tdp_w must be positive")
-        if self.max_ips_big <= 0 or self.max_ips_small <= 0:
-            raise ValueError("max IPS denominators must be positive")
-
-
-@dataclass(frozen=True)
-class RewardBreakdown:
-    """The reward and its components, for inspection and tests."""
-
-    total: float
-    qos_part: float
-    stochastic_penalty: float
-    objective_part: float
-    violated: bool
 
 
 def reward_terms(
@@ -76,9 +40,9 @@ def reward_terms(
     """Algorithm 1, lines 1-15, on plain floats.
 
     Returns ``(total, qos_part, stochastic_penalty, objective_part,
-    violated)``.  The arithmetic core of :func:`compute_reward`, which
-    managers call directly once per interval; it validates its inputs
-    exactly as :class:`RewardInputs` and :func:`compute_reward` do.
+    violated)``; managers call it once per interval.  Raises
+    ``ValueError`` on a non-positive QoS target, power, TDP or IPS
+    denominator, and on a danger threshold outside ``(0, 1]``.
     """
     if not 0.0 < qos_danger <= 1.0:
         raise ValueError("qos_danger must be within (0, 1]")
@@ -109,31 +73,3 @@ def reward_terms(
 
     return qos_part - stochastic + objective, qos_part, stochastic, objective, violated
 
-
-def compute_reward(
-    inputs: RewardInputs,
-    rng: np.random.Generator,
-    *,
-    qos_danger: float = DEFAULT_QOS_DANGER,
-) -> RewardBreakdown:
-    """Evaluate Algorithm 1, lines 1-15, for one interval."""
-    total, qos_part, stochastic, objective, violated = reward_terms(
-        inputs.qos_curr_ms,
-        inputs.qos_target_ms,
-        inputs.power_w,
-        inputs.tdp_w,
-        inputs.batch_present,
-        inputs.big_ips,
-        inputs.small_ips,
-        inputs.max_ips_big,
-        inputs.max_ips_small,
-        rng,
-        qos_danger,
-    )
-    return RewardBreakdown(
-        total=total,
-        qos_part=qos_part,
-        stochastic_penalty=stochastic,
-        objective_part=objective,
-        violated=violated,
-    )

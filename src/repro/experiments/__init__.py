@@ -13,6 +13,9 @@ with :func:`repro.fleet.run_specs` on the ``runner`` -- a
 parallelizes every figure's scenario batch over worker processes and
 caches results across invocations.  Passing
 ``runner=None`` gets a serial, uncached run with identical output.
+Seeds, run lengths and learning-phase durations come from
+:mod:`repro.scenarios` (``DEFAULT_SEED``, ``learning_seconds`` and the
+registry's diurnal-day lengths).
 
 =================================================  =======================
 module                                             paper artifact

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.reporting import ascii_table, series_block
-from repro.experiments.runner import DEFAULT_SEED
 from repro.fleet import run_specs
-from repro.scenarios import DEFAULT_REGISTRY
+from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED
 from repro.sim.batch import BatchRunner
 
 

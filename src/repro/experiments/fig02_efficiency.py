@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.reporting import ascii_table
-from repro.experiments.runner import DEFAULT_SEED, workload_by_name
 from repro.fleet import run_specs
 from repro.hardware.juno import juno_r1
 from repro.hardware.topology import (
@@ -26,7 +25,8 @@ from repro.hardware.topology import (
     enumerate_configurations,
     octopus_man_ladder,
 )
-from repro.scenarios import DEFAULT_REGISTRY, ScenarioSpec
+from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED, ScenarioSpec
+from repro.scenarios.factories import build_workload
 from repro.sim.batch import BatchRunner
 from repro.sim.records import ExperimentResult
 from repro.workloads.base import LatencyCriticalWorkload, capacity_rps
@@ -160,23 +160,6 @@ def pick_winner(
     return best
 
 
-def best_configuration(
-    platform,
-    workload: LatencyCriticalWorkload,
-    load: float,
-    configs: tuple[Configuration, ...],
-    *,
-    duration_s: float = 40.0,
-    seed: int = DEFAULT_SEED,
-    runner: BatchRunner | None = None,
-) -> LoadLevelChoice | None:
-    """Least-power QoS-meeting configuration at one steady load level."""
-    eligible, specs = candidate_specs(
-        workload, platform, load, configs, duration_s=duration_s, seed=seed
-    )
-    return pick_winner(load, eligible, [o.result for o in run_specs(specs, runner)])
-
-
 def run(
     workload_name: str = "memcached",
     *,
@@ -192,7 +175,7 @@ def run(
     parallelizes the sweep; winners are picked from the returned results.
     """
     platform = juno_r1()
-    workload = workload_by_name(workload_name)
+    workload = build_workload(workload_name)
     duration = 20.0 if quick else 40.0
     space = enumerate_configurations(platform, max_total_cores=4)
     baseline_set = octopus_man_ladder(platform)

@@ -24,9 +24,8 @@ from repro.experiments.fig02_efficiency import (
     run as run_fig2,
 )
 from repro.experiments.reporting import ascii_table
-from repro.experiments.runner import DEFAULT_SEED
 from repro.fleet import run_specs
-from repro.scenarios import DEFAULT_REGISTRY, ScenarioSpec
+from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED, ScenarioSpec
 from repro.sim.batch import BatchRunner
 from repro.sim.records import ExperimentResult
 

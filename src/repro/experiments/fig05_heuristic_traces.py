@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.reporting import ascii_table, series_block
-from repro.experiments.runner import DEFAULT_SEED
+from repro.experiments.table3_summary import PolicySummary, summarize
 from repro.fleet import run_specs
-from repro.metrics.summary import PolicySummary, summarize
-from repro.scenarios import DEFAULT_REGISTRY
+from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED
 from repro.sim.batch import BatchRunner
 from repro.sim.records import ExperimentResult
 

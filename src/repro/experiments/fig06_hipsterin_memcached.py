@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.reporting import ascii_table, series_block
-from repro.experiments.runner import DEFAULT_SEED, learning_seconds
 from repro.fleet import run_specs
-from repro.scenarios import DEFAULT_REGISTRY
+from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED, learning_seconds
 from repro.sim.batch import BatchRunner
 from repro.sim.records import ExperimentResult
 

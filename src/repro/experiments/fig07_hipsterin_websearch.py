@@ -13,9 +13,8 @@ from repro.experiments.fig06_hipsterin_memcached import (
     HipsterTraceResult,
     run_hipster_trace,
 )
-from repro.experiments.runner import DEFAULT_SEED
 from repro.fleet import run_specs
-from repro.scenarios import DEFAULT_REGISTRY
+from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED
 from repro.sim.batch import BatchRunner
 
 WORKLOAD_NAME = "websearch"

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.reporting import ascii_table
-from repro.experiments.runner import DEFAULT_SEED
 from repro.fleet import run_specs
-from repro.scenarios import DEFAULT_REGISTRY
+from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED
 from repro.sim.batch import BatchRunner
 
 #: Figure 9's setup: learning phase shortened to 200 s, 100 s windows.

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 from repro.core.buckets import DEFAULT_BUCKET_SIZE, PAPER_BUCKET_SWEEP
 from repro.experiments.reporting import ascii_table
-from repro.experiments.runner import DEFAULT_SEED
 from repro.fleet import run_specs
-from repro.scenarios import DEFAULT_REGISTRY
+from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED
 from repro.scenarios.spec import thaw_params
 from repro.sim.batch import BatchRunner
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.experiments.reporting import ascii_table
-from repro.experiments.runner import DEFAULT_SEED
 from repro.fleet.aggregate import FleetOutcome, run_specs
-from repro.scenarios import DEFAULT_REGISTRY
+from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED
 from repro.sim.batch import BatchRunner
 
 #: Balancer line-up, in display order.

@@ -15,9 +15,8 @@ import numpy as np
 
 from repro.experiments.calibration import EDGE_QUANTILE
 from repro.experiments.reporting import ascii_table
-from repro.experiments.runner import DEFAULT_SEED
 from repro.fleet import run_specs
-from repro.scenarios import DEFAULT_REGISTRY
+from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED
 from repro.sim.batch import BatchRunner
 from repro.workloads.memcached import memcached
 from repro.workloads.websearch import websearch

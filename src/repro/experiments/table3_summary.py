@@ -11,14 +11,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.reporting import ascii_table
-from repro.experiments.runner import DEFAULT_SEED
 from repro.fleet import run_specs
-from repro.metrics.summary import PolicySummary, summarize
+from repro.scenarios import DEFAULT_SEED
 from repro.scenarios.registry import STANDARD_POLICIES, standard_policy_specs
 from repro.sim.batch import BatchRunner
+from repro.sim.records import ExperimentResult
 
 #: Policy display order, as in the paper's table.
 POLICY_ORDER = STANDARD_POLICIES
+
+
+@dataclass(frozen=True)
+class PolicySummary:
+    """One Table 3 row: a policy's QoS and energy outcome on one workload."""
+
+    policy: str
+    workload: str
+    qos_guarantee_pct: float
+    qos_tardiness: float
+    energy_reduction_pct: float
+    migration_events: int
+    mean_power_w: float
+
+    def render(self) -> str:
+        """A fixed-width report line."""
+        return (
+            f"{self.policy:<20s} {self.workload:<10s} "
+            f"QoS={self.qos_guarantee_pct:5.1f}%  tardiness={self.qos_tardiness:5.2f}  "
+            f"energy_saved={self.energy_reduction_pct:5.1f}%  "
+            f"migrations={self.migration_events:4d}  power={self.mean_power_w:4.2f}W"
+        )
+
+
+def summarize(
+    result: ExperimentResult, baseline: ExperimentResult | None = None
+) -> PolicySummary:
+    """Summarize a run, optionally against an energy baseline.
+
+    Without a baseline the energy reduction is reported as 0 (the paper's
+    convention: Static (all big cores) is its own reference).
+    """
+    reduction = (
+        result.energy_reduction_vs(baseline) * 100.0 if baseline is not None else 0.0
+    )
+    return PolicySummary(
+        policy=result.manager_name,
+        workload=result.workload_name,
+        qos_guarantee_pct=result.qos_guarantee() * 100.0,
+        qos_tardiness=result.qos_tardiness(),
+        energy_reduction_pct=reduction,
+        migration_events=result.migration_events(),
+        mean_power_w=result.mean_power_w(),
+    )
 
 
 @dataclass(frozen=True)

@@ -241,22 +241,6 @@ class FleetOutcome:
         """Fleet size."""
         return len(self.node_powers_w)
 
-    def node_mean_powers_w(self) -> np.ndarray:
-        """Mean power per node, watts."""
-        return self.node_powers_w
-
-    def node_qos_guarantees(self) -> np.ndarray:
-        """Per-node QoS guarantee fractions."""
-        return self.node_qos
-
-    def node_mean_utilizations(self) -> np.ndarray:
-        """Per-node mean queue utilization over the run."""
-        return self.node_utils
-
-    def node_mean_loads(self) -> np.ndarray:
-        """Per-node mean offered load (what the balancer assigned)."""
-        return self.node_loads
-
     # ------------------------------------------------------------------
     # fleet-level metrics
     # ------------------------------------------------------------------

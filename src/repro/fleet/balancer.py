@@ -70,7 +70,7 @@ class LoadBalancer(abc.ABC):
         times anyway.  Row subsetting is observationally invisible --
         per-row arithmetic is elementwise, so operating on the
         overflowing subset produces bit-identical levels (enforced
-        against :meth:`_clip_reference` by the balancer tests).
+        against the full-matrix reference by the balancer tests).
         """
         levels = np.clip(levels, 0.0, None)
         for _ in range(levels.shape[1]):
@@ -99,29 +99,6 @@ class LoadBalancer(abc.ABC):
                 where=total_headroom > 0,
             )
             levels[active] = sub + headroom * np.minimum(share, 1.0)[:, None]
-        return np.clip(levels, 0.0, MAX_NODE_LEVEL)
-
-    def _clip_reference(self, levels: np.ndarray) -> np.ndarray:
-        """The pre-vectorization cap redistribution, preserved verbatim
-        as the byte-identity oracle for :meth:`_clip`: every pass ran
-        the redistribution arithmetic over the full matrix, overflowing
-        or not (the no-op rows moved by exactly ``+0.0`` per pass)."""
-        levels = np.clip(levels, 0.0, None)
-        for _ in range(levels.shape[1]):
-            excess = np.clip(levels - MAX_NODE_LEVEL, 0.0, None)
-            overflow = excess.sum(axis=1)
-            if not (overflow > 1e-12).any():
-                break
-            levels = levels - excess
-            headroom = MAX_NODE_LEVEL - levels
-            total_headroom = headroom.sum(axis=1)
-            share = np.divide(
-                overflow,
-                total_headroom,
-                out=np.zeros_like(overflow),
-                where=total_headroom > 0,
-            )
-            levels = levels + headroom * np.minimum(share, 1.0)[:, None]
         return np.clip(levels, 0.0, MAX_NODE_LEVEL)
 
 

@@ -41,10 +41,6 @@ class Placement:
     migrated_cores: int
     migration_event: bool
 
-    @property
-    def idle_cores_of(self) -> frozenset[str]:  # pragma: no cover - helper
-        return frozenset(self.batch_assignment)
-
 
 @dataclass
 class AffinityManager:
@@ -57,7 +53,6 @@ class AffinityManager:
 
     platform: Platform
     _lc_cores: frozenset[str] = field(init=False, default_factory=frozenset)
-    _migrated_cores_total: int = field(init=False, default=0)
     _migration_events: int = field(init=False, default=0)
 
     def lc_core_ids(self, config: Configuration) -> tuple[str, ...]:
@@ -87,7 +82,6 @@ class AffinityManager:
         event = moved > 0 and bool(self._lc_cores)
         if event:
             self._migration_events += 1
-            self._migrated_cores_total += moved
         self._lc_cores = new_lc
 
         remaining = [cid for cid in self.platform.core_ids if cid not in new_lc]
@@ -115,8 +109,3 @@ class AffinityManager:
     def migration_events(self) -> int:
         """Number of intervals whose reconfiguration moved at least one core."""
         return self._migration_events
-
-    @property
-    def migrated_cores_total(self) -> int:
-        """Total count of cores that entered or left the LC set."""
-        return self._migrated_cores_total

@@ -11,7 +11,6 @@ reproduction (and is exercised by tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -47,27 +46,6 @@ class PerfCounters:
         """Whether the erratum can fire at all under this kernel config."""
         return self.juno_perf_bug and self.kernel.cpuidle_enabled
 
-    def read(
-        self, true_ips: Mapping[str, float], rng: np.random.Generator
-    ) -> dict[str, float]:
-        """Read the ``instructions`` event for every core.
-
-        ``true_ips`` is the ground-truth instruction throughput per core
-        for the sampling interval (absent cores are idle).  If the bug
-        fires, every counter in the sample is garbage.
-
-        Thin adapter over :meth:`read_array` for callers holding
-        string-keyed state; the engine reads through the array path.
-        """
-        unknown = set(true_ips) - set(self.platform.core_ids)
-        if unknown:
-            raise ValueError(f"unknown core ids: {sorted(unknown)}")
-        truth = np.array(
-            [float(true_ips.get(cid, 0.0)) for cid in self.platform.core_ids]
-        )
-        sample, _ = self.read_array(truth, rng)
-        return {cid: float(sample[i]) for i, cid in enumerate(self.platform.core_ids)}
-
     def read_array(
         self, true_ips: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, bool]:
@@ -76,8 +54,7 @@ class PerfCounters:
         ``true_ips[i]`` is the ground-truth IPS of core
         ``platform.core_ids[i]``.  Returns the sampled per-core IPS and
         whether the sample is garbage.  The garbage draw is one vectorized
-        ``uniform`` over the cores in index order -- the identical rng
-        stream the per-core scalar draws of the dict path consumed.
+        ``uniform`` over the cores in index order.
         """
         if not self._bug_fires(true_ips):
             return true_ips, False

@@ -45,10 +45,6 @@ class DVFSController:
                 return cluster
         raise KeyError(f"unknown cluster {name!r}")
 
-    def available_frequencies(self, cluster_name: str) -> tuple[float, ...]:
-        """Operating points of a cluster, GHz ascending (scaling_available_frequencies)."""
-        return self._cluster(cluster_name).core_type.freqs_ghz
-
     def frequency(self, cluster_name: str) -> float:
         """Current operating point of a cluster in GHz (scaling_cur_freq)."""
         if cluster_name not in self._freq_by_cluster:

@@ -150,15 +150,6 @@ class PowerModel:
             rest_w=platform.rest_of_system_w,
         )
 
-    def system_power_w(
-        self,
-        big_freq_ghz: float,
-        small_freq_ghz: float,
-        utilizations: Mapping[str, float],
-    ) -> float:
-        """Total system power in watts (sum of all three channels)."""
-        return self.breakdown(big_freq_ghz, small_freq_ghz, utilizations).total_w
-
     def cluster_characterization_power_w(
         self, kind: CoreKind, freq_ghz: float, n_active: int
     ) -> float:

@@ -134,12 +134,6 @@ class CompiledPack:
     def specs(self) -> tuple[Any, ...]:
         return tuple(item.spec for item in self.items)
 
-    def scenario_items(self) -> tuple[PackItem, ...]:
-        return tuple(item for item in self.items if not item.is_fleet)
-
-    def fleet_items(self) -> tuple[PackItem, ...]:
-        return tuple(item for item in self.items if item.is_fleet)
-
     def fingerprints(self) -> tuple[str, ...]:
         """Per-item cache keys, in item order."""
         return tuple(item.spec.fingerprint() for item in self.items)

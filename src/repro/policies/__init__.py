@@ -2,7 +2,6 @@
 
 from repro.policies.base import (
     Decision,
-    DecisionLog,
     ManagerContext,
     TaskManager,
     resolve_decision,
@@ -21,7 +20,6 @@ __all__ = [
     "DEFAULT_QOS_DANGER",
     "DEFAULT_QOS_SAFE",
     "Decision",
-    "DecisionLog",
     "LadderStateMachine",
     "ManagerContext",
     "OctopusMan",

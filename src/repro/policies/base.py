@@ -11,7 +11,7 @@ run on the leftover cores.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,18 +187,3 @@ class TaskManager(abc.ABC):
         back with the run's :class:`~repro.scenarios.spec.ScenarioOutcome`.
         """
         return {}
-
-
-@dataclass
-class DecisionLog:
-    """Small helper recording a manager's decisions, for tests/reports."""
-
-    decisions: list[Decision] = field(default_factory=list)
-
-    def record(self, decision: Decision) -> Decision:
-        self.decisions.append(decision)
-        return decision
-
-    @property
-    def config_labels(self) -> list[str]:
-        return [d.config.label for d in self.decisions]

@@ -1,7 +1,7 @@
 """Simulation substrate: queueing, contention, records, engine, batching."""
 
 from repro.sim.batch import BatchRunner, DiskCache
-from repro.sim.contention import ClusterPressure, ContentionModel, aggregate_pressure
+from repro.sim.contention import ClusterPressure, ContentionModel
 from repro.sim.engine import (
     DEFAULT_MAX_BACKLOG_S,
     DEFAULT_MIGRATION_PENALTY_S,
@@ -39,7 +39,6 @@ __all__ = [
     "IntervalQueueStats",
     "IntervalSimulator",
     "LatencySample",
-    "aggregate_pressure",
     "qos_guarantee",
     "qos_tardiness",
     "run_experiment",

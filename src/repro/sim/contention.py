@@ -12,7 +12,7 @@ demand / deflates batch throughput multiplicatively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.hardware.cores import CoreKind
 
@@ -34,27 +34,15 @@ class ClusterPressure:
         return self.big if kind is CoreKind.BIG else self.small
 
 
-def aggregate_pressure(
-    mem_intensity_by_core: Mapping[str, float],
-    big_core_ids: Sequence[str],
-) -> ClusterPressure:
-    """Sum per-core batch memory intensities into per-cluster pressure."""
-    big_ids = set(big_core_ids)
-    big = sum(v for cid, v in mem_intensity_by_core.items() if cid in big_ids)
-    small = sum(v for cid, v in mem_intensity_by_core.items() if cid not in big_ids)
-    return ClusterPressure(big=big, small=small)
-
-
 def aggregate_pressure_indexed(
     mem_intensities: Sequence[float],
     on_big_cluster: Sequence[bool],
 ) -> ClusterPressure:
-    """:func:`aggregate_pressure` over the dense core-index representation.
+    """Sum batch memory intensities into per-cluster pressure.
 
     ``mem_intensities[i]`` and ``on_big_cluster[i]`` describe the i-th
-    batch-occupied core (in placement order).  Summation order matches the
-    dict-based path, so both produce identical floats for the same
-    placement.
+    batch-occupied core (in placement order); each cluster's sum runs in
+    that order.
     """
     big = sum(v for v, is_big in zip(mem_intensities, on_big_cluster) if is_big)
     small = sum(v for v, is_big in zip(mem_intensities, on_big_cluster) if not is_big)

@@ -87,7 +87,7 @@ from repro.sim.queueing import (
     exact_row_sums,
 )
 from repro.sim.records import ExperimentResult, IntervalObservation, ObservationTable
-from repro.workloads.base import LatencyCriticalWorkload, lc_server_speeds_array
+from repro.workloads.base import LatencyCriticalWorkload, lc_server_speeds
 from repro.workloads.batch import BatchJobSet
 
 #: Cost of moving the latency-critical workload between cores: thread
@@ -556,7 +556,7 @@ class IntervalSimulator:
                 migrated_cores,
                 migration_event,
                 stats.mean_utilization,
-                self._queue.backlog_s(t1) / scale,  # backlog_s
+                stats.backlog_s / scale,  # backlog_s
                 stats.shed_work_s / scale,  # shed_work_s
                 state.batch_ips_sum * dt,  # batch_instructions
             )
@@ -772,12 +772,17 @@ class IntervalSimulator:
         state.small_power = self._power.cluster_coefficients(
             platform.small, decision.small_freq_ghz
         )
-        state.speeds = lc_server_speeds_array(
-            workload,
-            platform,
-            config,
-            big_slowdown=slow_big,
-            small_slowdown=slow_small,
+        # Computed once per distinct decision; the queue gets the same
+        # array on every repeat.
+        state.speeds = np.array(
+            lc_server_speeds(
+                workload,
+                platform,
+                config,
+                big_slowdown=slow_big,
+                small_slowdown=slow_small,
+            ),
+            dtype=float,
         )
         state.n_servers = len(state.speeds)
 

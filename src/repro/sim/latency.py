@@ -53,6 +53,11 @@ def linear_quantile(
     permutation-invariant, but anything order-sensitive -- a pairwise
     mean, the pairing with per-request arrival times -- must happen
     before, so only pass it for buffers the caller owns and is done with).
+
+    ``values`` must be non-empty and finite: a NaN is not ordered by the
+    partition, so where ``np.quantile`` returns nan this may return a
+    number.  The engine's latencies are finite by construction;
+    :func:`summarize_latencies` checks outside data.
     """
     n = values.size
     virtual = q * (n - 1)
@@ -107,11 +112,14 @@ def summarize_latencies(
     ``percentile`` is a fraction in (0, 1), e.g. 0.95 for p95.  Intervals
     with no completed requests (near-zero load) report the floor latency
     ``idle_latency_ms`` -- an unloaded service still answers in its base
-    service time.
+    service time.  Raises ``ValueError`` on a NaN or infinite latency,
+    which has no tail to report.
     """
     if not 0.0 < percentile < 1.0:
         raise ValueError("percentile must be a fraction in (0, 1)")
     latencies_ms = np.asarray(latencies_ms, dtype=float)
+    if not np.isfinite(latencies_ms).all():
+        raise ValueError("latencies must be finite")
     if latencies_ms.size == 0:
         return LatencySample(
             tail_latency_ms=idle_latency_ms,

@@ -19,14 +19,13 @@ here only applies when a queue is constructed directly.
 
 Each server's FCFS backlog evolves by the Lindley recursion
 ``C_j = max(arrival_j, C_{j-1}) + service_j``, which unrolls into a
-``np.cumsum`` over service plus a running maximum over arrival slack
-(:func:`lindley_completion_times`).  :meth:`DispatchQueue.run_drawn`
-evaluates it for all servers in one server-contiguous pass: the
-interval's requests are ordered by server once, the elementwise steps
-run over the whole flat array, and only the order-dependent scans run
-per server, on contiguous views.  The per-interval cost is thus a fixed
-number of numpy calls plus three per server, whatever the arrival
-count.
+``np.cumsum`` over service plus a running maximum over arrival slack.
+The queue kernel, :meth:`DispatchQueue.run_drawn`, evaluates it for all
+servers in one server-contiguous pass: the interval's requests are
+ordered by server once, the elementwise steps run over the whole flat
+array, and only the order-dependent scans run per server, on contiguous
+views.  The per-interval cost is thus a fixed number of numpy calls
+plus three per server, whatever the arrival count.
 
 The queue state (per-core virtual "free time") carries over between
 monitoring intervals, so overload causes multi-interval latency blow-ups
@@ -61,50 +60,6 @@ KERNEL_VERSION = "lindley-v1"
 #: scalar one skips ~1 microsecond of dispatch overhead per tiny array
 #: op -- the dominant cost at realistic per-interval arrival counts.
 _SCALAR_SERVER_LIMIT = 8
-
-
-def lindley_completion_times(
-    arrivals: np.ndarray, service: np.ndarray, free0: float
-) -> np.ndarray:
-    """Completion times of a FCFS server, vectorized (the queue kernel).
-
-    For requests with sorted ``arrivals`` and per-request ``service``
-    times hitting a server that frees up at ``free0``, the Lindley
-    recursion is ``C_j = max(arrivals_j, C_{j-1}) + service_j`` (with
-    ``C_{-1} = free0``).  Unrolling it gives the closed form
-
-        ``C_j = cumsum(service)_j + max(free0, max_{i<=j}(arrivals_i -
-        cumsum(service)_{i-1}))``
-
-    which evaluates in three array passes -- a cumulative sum, a running
-    maximum, and an add -- instead of a Python-level loop per request.
-    Equivalent to :func:`lindley_completion_times_reference` up to
-    floating-point associativity (different summation order).
-    """
-    cum = service.cumsum()
-    buf = cum - service  # shifted cumsum
-    np.subtract(arrivals, buf, out=buf)  # arrival slack before running max
-    np.maximum.accumulate(buf, out=buf)
-    np.maximum(buf, free0, out=buf)
-    np.add(cum, buf, out=buf)
-    return buf
-
-
-def lindley_completion_times_reference(
-    arrivals: np.ndarray, service: np.ndarray, free0: float
-) -> np.ndarray:
-    """Per-request reference loop for the Lindley recursion.
-
-    The seed implementation of the FCFS hot path, kept as the oracle for
-    the property tests and the old side of the kernel micro-benchmark.
-    """
-    completion = np.empty(len(arrivals))
-    free = free0
-    for j in range(len(arrivals)):
-        start = arrivals[j] if arrivals[j] > free else free
-        free = start + service[j]
-        completion[j] = free
-    return completion
 
 
 def exact_row_sums(padded: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -188,6 +143,9 @@ class IntervalQueueStats(NamedTuple):
     arrivals: int
     utilizations: tuple[float, ...]
     shed_work_s: float
+    #: Queued work left at the interval's end, after shedding: what
+    #: :meth:`DispatchQueue.backlog_s` reads at ``t1``.
+    backlog_s: float
 
     @property
     def mean_utilization(self) -> float:
@@ -447,8 +405,9 @@ class DispatchQueue:
         argsort of the assignment beyond), gathers demands and arrival
         times once, runs the Lindley recursion over the whole flat array
         and restores arrival order with one scatter.  Its floats are
-        byte-identical to running :func:`lindley_completion_times` on
-        each server's requests in turn, because
+        byte-identical to running the single-server closed form (the
+        test suite keeps it as an oracle) on each server's requests in
+        turn, because
 
         * the order is stable, so each server's segment holds its
           requests in arrival order, exactly as a per-server index
@@ -484,7 +443,7 @@ class DispatchQueue:
             else:
                 utils = tuple(float(u) for u in np.minimum(carried_busy / dt, 1.0))
             empty = np.empty(0)
-            return IntervalQueueStats(empty, empty, 0, utils, self._shed(t1))
+            return IntervalQueueStats(empty, empty, 0, utils, *self._shed(t1))
 
         arrivals = drawn.times
         free = self._free
@@ -553,7 +512,7 @@ class DispatchQueue:
                 float(u)
                 for u in np.minimum((carried_busy + np.asarray(service_sums)) / dt, 1.0)
             )
-        return IntervalQueueStats(latencies, arrivals, n, utils, self._shed(t1))
+        return IntervalQueueStats(latencies, arrivals, n, utils, *self._shed(t1))
 
     def run_epoch_drawn(
         self,
@@ -780,23 +739,28 @@ class DispatchQueue:
         times = epochs.repeat(sizes)
         return int(times.size), times
 
-    def _shed(self, now: float) -> float:
-        """Clamp backlog to the bound; return seconds of delay shed."""
-        if self.max_backlog_s is None:
-            return 0.0
-        bound = now + self.max_backlog_s
+    def _shed(self, now: float) -> tuple[float, float]:
+        """Clamp backlog to the bound; return the seconds of delay shed
+        and the backlog left, bit-identical to :meth:`backlog_s` at
+        ``now`` (the same summation order, in the same walk)."""
         free = self._free
+        bound = None if self.max_backlog_s is None else now + self.max_backlog_s
         if len(free) < _SCALAR_SERVER_LIMIT:
             shed = 0.0
-            clamp = False
+            backlog = 0.0
             for f in free.tolist():
-                if f > bound:
+                if bound is not None and f > bound:
                     shed += f - bound
-                    clamp = True
-            if clamp:
+                    f = bound
+                if f > now:
+                    backlog += f - now
+            if shed:
                 np.minimum(free, bound, out=free)
-            return shed
-        excess = np.maximum(free - bound, 0.0)
-        if np.any(excess > 0):
-            np.minimum(free, bound, out=free)
-        return float(np.sum(excess))
+            return shed, backlog
+        shed = 0.0
+        if bound is not None:
+            excess = np.maximum(free - bound, 0.0)
+            if np.any(excess > 0):
+                np.minimum(free, bound, out=free)
+            shed = float(np.sum(excess))
+        return shed, float(np.sum(np.maximum(free - now, 0.0)))

@@ -4,7 +4,10 @@ One :class:`IntervalObservation` is what the paper's QoS Monitor sees at
 the end of each monitoring interval: application-level load and tail
 latency, system power from the energy registers, and batch IPS from the
 performance counters.  :class:`ExperimentResult` collects a run's
-observations and exposes the summary metrics the paper reports.
+observations and is the one home of the summary metrics the paper
+reports: QoS guarantee and tardiness, energy and its reduction against
+a baseline, migrations.  Table 3's per-policy rows are built from them
+in :mod:`repro.experiments.table3_summary`.
 
 Columnar storage
 ----------------

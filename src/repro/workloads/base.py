@@ -216,32 +216,6 @@ def lc_server_speeds(
     return speeds[: workload.n_threads]
 
 
-def lc_server_speeds_array(
-    workload: LatencyCriticalWorkload,
-    platform: Platform,
-    config: Configuration,
-    *,
-    big_slowdown: float = 1.0,
-    small_slowdown: float = 1.0,
-) -> np.ndarray:
-    """:func:`lc_server_speeds` as a float array, for the array engine.
-
-    The interval engine computes the speed vector once per distinct
-    decision and hands the same buffer to the queue on every repeat, so
-    the per-interval cost of the speed law drops to a cache lookup.
-    """
-    return np.array(
-        lc_server_speeds(
-            workload,
-            platform,
-            config,
-            big_slowdown=big_slowdown,
-            small_slowdown=small_slowdown,
-        ),
-        dtype=float,
-    )
-
-
 def capacity_rps(
     workload: LatencyCriticalWorkload,
     platform: Platform,

@@ -6,8 +6,8 @@ loop.  This test-only module preserves the original, straightforward
 implementation -- string-keyed dicts plumbed through every layer,
 everything recomputed per interval, one :class:`IntervalObservation`
 dataclass per interval -- for two purposes, mirroring how
-:func:`repro.sim.queueing.lindley_completion_times_reference` anchors the
-queue kernel:
+:func:`oracles.lindley_completion_times_reference` anchors the queue
+kernel:
 
 * **oracle** -- ``test_engine_equivalence.py`` runs both engines over
   randomized scenarios and asserts bit-identical observations, which is
@@ -38,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from oracles import aggregate_pressure
 from repro.hardware.affinity import AffinityManager
 from repro.hardware.counters import PerfCounters
 from repro.hardware.cores import CoreKind
@@ -46,7 +47,7 @@ from repro.hardware.power import EnergyMeter, PowerModel
 from repro.hardware.soc import KernelConfig, Platform
 from repro.loadgen.traces import LoadTrace
 from repro.policies.base import ManagerContext, TaskManager
-from repro.sim.contention import ContentionModel, aggregate_pressure
+from repro.sim.contention import ContentionModel
 from repro.sim.engine import EngineConfig
 from repro.sim.latency import LatencySample
 from repro.sim.queueing import (
@@ -143,6 +144,7 @@ class ReferenceDispatchQueue(DispatchQueue):
                 arrivals=0,
                 utilizations=tuple(float(u) for u in utils),
                 shed_work_s=shed,
+                backlog_s=self.backlog_s(t1),
             )
 
         arrivals = burst_times
@@ -172,6 +174,7 @@ class ReferenceDispatchQueue(DispatchQueue):
             arrivals=n,
             utilizations=tuple(float(u) for u in utils),
             shed_work_s=shed,
+            backlog_s=self.backlog_s(t1),
         )
 
 
@@ -217,13 +220,14 @@ class PerServerDispatchQueue(DispatchQueue):
                 utils = tuple(min(c / dt, 1.0) for c in carried_busy)
             else:
                 utils = tuple(float(u) for u in np.minimum(carried_busy / dt, 1.0))
-            shed = self._shed(t1)
+            shed, _ = self._shed(t1)
             return IntervalQueueStats(
                 latencies_s=np.empty(0),
                 arrival_times_s=np.empty(0),
                 arrivals=0,
                 utilizations=utils,
                 shed_work_s=shed,
+                backlog_s=self.backlog_s(t1),
             )
 
         arrivals = drawn.times
@@ -273,13 +277,14 @@ class PerServerDispatchQueue(DispatchQueue):
                 float(u)
                 for u in np.minimum((carried_busy + np.asarray(service_sums)) / dt, 1.0)
             )
-        shed = self._shed(t1)
+        shed, _ = self._shed(t1)
         return IntervalQueueStats(
             latencies_s=latencies,
             arrival_times_s=arrivals,
             arrivals=n,
             utilizations=utils,
             shed_work_s=shed,
+            backlog_s=self.backlog_s(t1),
         )
 
 
@@ -427,7 +432,13 @@ class ReferenceIntervalSimulator:
         )
 
         true_ips = self._true_ips(placement, stats, decision)
-        counter_sample = self._counters.read(true_ips, self._rng)
+        dense_ips = np.array(
+            [float(true_ips.get(cid, 0.0)) for cid in self.platform.core_ids]
+        )
+        drawn, _ = self._counters.read_array(dense_ips, self._rng)
+        counter_sample = {
+            cid: float(drawn[i]) for i, cid in enumerate(self.platform.core_ids)
+        }
         big_batch = sum(
             counter_sample[cid]
             for cid in placement.batch_assignment

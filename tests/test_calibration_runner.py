@@ -1,4 +1,4 @@
-"""Tests for the calibration module and the experiment runner helpers."""
+"""Tests for the calibration module and the run-length helpers."""
 
 from __future__ import annotations
 
@@ -11,15 +11,12 @@ from repro.experiments.calibration import (
     edge_tail_ms,
     validate_frozen_calibration,
 )
-from repro.experiments.runner import (
-    PolicySet,
-    diurnal_for,
-    hipster_in_for,
-    learning_seconds,
-    workload_by_name,
-)
 from repro.loadgen.traces import ConstantTrace
+from repro.policies.base import TaskManager
 from repro.policies.static import static_all_big
+from repro.scenarios import learning_seconds
+from repro.scenarios.factories import build_manager, build_workload
+from repro.scenarios.registry import diurnal_duration_s, standard_policy_specs
 from repro.sim.engine import run_experiment
 from repro.sim.records import (
     ExperimentResult,
@@ -70,23 +67,29 @@ class TestCalibration:
 
 
 class TestRunnerHelpers:
+    """Lookups and run lengths the experiment modules build their runs from."""
+
     def test_workload_lookup(self):
-        assert workload_by_name("memcached").name == "memcached"
-        assert workload_by_name("websearch").name == "websearch"
+        assert build_workload("memcached").name == "memcached"
+        assert build_workload("websearch").name == "websearch"
         with pytest.raises(KeyError, match="unknown workload"):
-            workload_by_name("redis")
+            build_workload("redis")
 
     def test_diurnal_lengths(self):
-        assert diurnal_for(memcached()).duration_s == 1400.0
-        assert diurnal_for(memcached(), quick=True).duration_s == 420.0
-        assert diurnal_for(websearch()).duration_s == 1000.0
+        assert diurnal_duration_s("memcached") == 1400.0
+        assert diurnal_duration_s("memcached", quick=True) == 420.0
+        assert diurnal_duration_s("websearch") == 1000.0
 
     def test_learning_seconds(self):
         assert learning_seconds() == 500.0
         assert learning_seconds(quick=True) == 150.0
 
     def test_policy_set_is_the_table3_lineup(self, platform):
-        managers = PolicySet().build(platform)
+        specs = standard_policy_specs("memcached")
+        managers = {
+            name: build_manager(spec.manager, platform, spec.manager_params)
+            for name, spec in specs.items()
+        }
         assert set(managers) == {
             "static-big",
             "static-small",
@@ -94,9 +97,15 @@ class TestRunnerHelpers:
             "octopus-man",
             "hipster-in",
         }
+        assert all(isinstance(m, TaskManager) for m in managers.values())
+        assert managers["hipster-in"].params.learning_duration_s == 500.0
 
-    def test_hipster_in_for_overrides(self):
-        manager = hipster_in_for(learning_s=42.0, epsilon=0.0)
+    def test_hipster_in_factory_overrides(self, platform):
+        manager = build_manager(
+            "hipster-in",
+            platform,
+            (("learning_duration_s", 42.0), ("epsilon", 0.0)),
+        )
         assert manager.params.learning_duration_s == 42.0
         assert manager.params.epsilon == 0.0
 

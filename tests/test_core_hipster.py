@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.buckets import LoadBucketizer, default_bucketizer
-from repro.core.rewards import RewardInputs, compute_reward, reward_terms
+from repro.core.rewards import reward_terms
 from repro.core.table import LookupTable
 from repro.hardware.topology import Configuration
 from repro.policies.octopusman import LadderStateMachine
@@ -247,65 +247,67 @@ class TestDenseLookupTable:
 
 
 class TestRewards:
-    def _inputs(self, tail, **kwargs):
-        defaults = dict(
+    def _terms(self, tail, rng, **kwargs):
+        """``reward_terms`` as ``(total, qos_part, stochastic_penalty,
+        objective_part, violated)`` at a 10 ms target, 2 W of 3 W TDP."""
+        args = dict(
             qos_curr_ms=tail,
             qos_target_ms=10.0,
             power_w=2.0,
             tdp_w=3.0,
+            batch_present=False,
+            big_ips=0.0,
+            small_ips=0.0,
+            max_ips_big=1.0,
+            max_ips_small=1.0,
         )
-        defaults.update(kwargs)
-        return RewardInputs(**defaults)
+        args.update(kwargs)
+        return reward_terms(**args, rng=rng)
 
     def test_safe_interval_positive(self, rng):
-        outcome = compute_reward(self._inputs(4.0), rng)
-        assert outcome.total > 0
-        assert not outcome.violated
-        assert outcome.stochastic_penalty == 0.0
+        total, _, stochastic, _, violated = self._terms(4.0, rng)
+        assert total > 0
+        assert not violated
+        assert stochastic == 0.0
 
     def test_violation_negative_qos_part(self, rng):
-        outcome = compute_reward(self._inputs(15.0), rng)
-        assert outcome.violated
-        assert outcome.qos_part == pytest.approx(-(1.5) - 1.0)
+        _, qos_part, _, _, violated = self._terms(15.0, rng)
+        assert violated
+        assert qos_part == pytest.approx(-(1.5) - 1.0)
 
     def test_stochastic_zone_applies_penalty(self):
         rng = np.random.default_rng(0)
-        penalties = [
-            compute_reward(self._inputs(9.0), rng).stochastic_penalty
-            for _ in range(20)
-        ]
+        penalties = [self._terms(9.0, rng)[2] for _ in range(20)]
         assert all(0.0 <= p <= 1.0 for p in penalties)
         assert any(p > 0.0 for p in penalties)
 
     def test_power_reward_prefers_low_power(self, rng):
-        cheap = compute_reward(self._inputs(4.0, power_w=1.5), rng)
-        costly = compute_reward(self._inputs(4.0, power_w=2.8), rng)
-        assert cheap.objective_part > costly.objective_part
+        cheap = self._terms(4.0, rng, power_w=1.5)
+        costly = self._terms(4.0, rng, power_w=2.8)
+        assert cheap[3] > costly[3]
 
     def test_throughput_reward_when_batch_present(self, rng):
-        outcome = compute_reward(
-            self._inputs(
-                4.0,
-                batch_present=True,
-                big_ips=2e9,
-                small_ips=1e9,
-                max_ips_big=4e9,
-                max_ips_small=2e9,
-            ),
+        objective = self._terms(
+            4.0,
             rng,
-        )
-        assert outcome.objective_part == pytest.approx(0.5)
+            batch_present=True,
+            big_ips=2e9,
+            small_ips=1e9,
+            max_ips_big=4e9,
+            max_ips_small=2e9,
+        )[3]
+        assert objective == pytest.approx(0.5)
 
     def test_qos_reward_prefers_closer_to_target(self, rng):
-        near = compute_reward(self._inputs(8.0), np.random.default_rng(1))
-        far = compute_reward(self._inputs(2.0), np.random.default_rng(1))
-        assert near.qos_part > far.qos_part
+        near = self._terms(8.0, np.random.default_rng(1))
+        far = self._terms(2.0, np.random.default_rng(1))
+        assert near[1] > far[1]
 
-    def test_invalid_inputs_rejected(self):
+    def test_invalid_inputs_rejected(self, rng):
         with pytest.raises(ValueError):
-            RewardInputs(qos_curr_ms=1, qos_target_ms=0, power_w=1, tdp_w=1)
+            self._terms(1.0, rng, qos_target_ms=0.0)
         with pytest.raises(ValueError):
-            RewardInputs(qos_curr_ms=1, qos_target_ms=1, power_w=0, tdp_w=1)
+            self._terms(1.0, rng, power_w=0.0)
 
     @pytest.mark.parametrize(
         "override, match",
@@ -320,47 +322,34 @@ class TestRewards:
         ],
     )
     def test_arithmetic_core_validates_like_reward_inputs(self, override, match):
-        """The core managers call directly rejects every input that
-        RewardInputs (or compute_reward's danger check) rejects."""
-        args = dict(
-            qos_curr_ms=4.0, qos_target_ms=10.0, power_w=2.0, tdp_w=3.0,
-            batch_present=False, big_ips=0.0, small_ips=0.0,
-            max_ips_big=1.0, max_ips_small=1.0,
-            rng=np.random.default_rng(0), qos_danger=0.85,
-        )
-        args.update(override)
+        """Every reward input the arithmetic can not divide by, and a
+        danger threshold outside (0, 1], is rejected by name."""
         with pytest.raises(ValueError, match=match):
-            reward_terms(**args)
-        if "qos_danger" not in override:
-            with pytest.raises(ValueError, match=match):
-                RewardInputs(
-                    **{
-                        k: v
-                        for k, v in args.items()
-                        if k not in ("rng", "qos_danger")
-                    }
-                )
+            self._terms(4.0, np.random.default_rng(0), **override)
 
     @pytest.mark.parametrize("tail", [2.0, 9.0, 10.0, 15.0])
     @pytest.mark.parametrize("batch", [False, True])
-    def test_compute_reward_wraps_the_arithmetic_core(self, tail, batch):
-        inputs = self._inputs(
-            tail, batch_present=batch, big_ips=2e9, small_ips=1e9,
+    def test_reward_terms_follow_algorithm_1(self, tail, batch):
+        """Each branch of Algorithm 1, lines 1-15, recomputed by hand."""
+        rng, replay = np.random.default_rng(5), np.random.default_rng(5)
+        terms = self._terms(
+            tail, rng, batch_present=batch, big_ips=2e9, small_ips=1e9,
             max_ips_big=4e9, max_ips_small=2e9,
         )
-        breakdown = compute_reward(inputs, np.random.default_rng(5))
-        terms = reward_terms(
-            inputs.qos_curr_ms, inputs.qos_target_ms, inputs.power_w,
-            inputs.tdp_w, inputs.batch_present, inputs.big_ips,
-            inputs.small_ips, inputs.max_ips_big, inputs.max_ips_small,
-            np.random.default_rng(5),
-        )
+        ratio = tail / 10.0
+        if tail < 8.5:  # below the danger zone
+            expected_qos, expected_penalty = ratio + 1.0, 0.0
+        elif tail < 10.0:  # danger zone: the Random(0, 1) penalty
+            expected_qos, expected_penalty = ratio + 1.0, replay.random()
+        else:  # violation
+            expected_qos, expected_penalty = -ratio - 1.0, 0.0
+        expected_objective = (2e9 + 1e9) / (4e9 + 2e9) if batch else 3.0 / 2.0
         assert terms == (
-            breakdown.total,
-            breakdown.qos_part,
-            breakdown.stochastic_penalty,
-            breakdown.objective_part,
-            breakdown.violated,
+            expected_qos - expected_penalty + expected_objective,
+            expected_qos,
+            expected_penalty,
+            expected_objective,
+            tail >= 10.0,
         )
         assert all(type(t) is float for t in terms[:4])
 
@@ -369,7 +358,7 @@ class TestRewards:
         the same stream position as ``rng.uniform(0.0, 1.0)``."""
         rng, replay = np.random.default_rng(9), np.random.default_rng(9)
         for _ in range(50):
-            penalty = compute_reward(self._inputs(9.0), rng).stochastic_penalty
+            penalty = self._terms(9.0, rng)[2]
             assert penalty == float(replay.uniform(0.0, 1.0))
         assert rng.random() == replay.random()
 
@@ -380,15 +369,10 @@ class TestRewards:
     )
     def test_reward_sign_matches_violation(self, tail, power):
         rng = np.random.default_rng(0)
-        outcome = compute_reward(
-            RewardInputs(
-                qos_curr_ms=tail, qos_target_ms=10.0, power_w=power, tdp_w=3.0
-            ),
-            rng,
-        )
-        assert outcome.violated == (tail >= 10.0)
-        if outcome.violated:
-            assert outcome.qos_part < 0
+        _, qos_part, _, _, violated = self._terms(tail, rng, power_w=power)
+        assert violated == (tail >= 10.0)
+        if violated:
+            assert qos_part < 0
 
 
 def _ladder():

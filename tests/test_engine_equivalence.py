@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from engine_reference import run_reference_experiment
+from oracles import aggregate_pressure
 from repro.hardware.counters import PerfCounters
 from repro.hardware.power import PowerModel
 from repro.hardware.soc import KernelConfig
@@ -32,7 +33,7 @@ from repro.policies.octopusman import OctopusMan
 from repro.policies.static import StaticPolicy, static_all_big, static_all_small
 from repro.hardware.topology import Configuration
 from repro.scenarios import DEFAULT_REGISTRY
-from repro.sim.contention import aggregate_pressure, aggregate_pressure_indexed
+from repro.sim.contention import aggregate_pressure_indexed
 from repro.sim.engine import run_experiment
 from repro.sim.latency import linear_quantile
 from repro.sim.queueing import DispatchQueue
@@ -293,35 +294,6 @@ class TestGoldenFingerprints:
 
 class TestDensePathUnits:
     """Array-native fast paths agree with the dict APIs on random inputs."""
-
-    def test_counters_read_matches_read_array(self, platform):
-        rng_data = np.random.default_rng(0)
-        counters = PerfCounters(
-            platform, KernelConfig(cpuidle_enabled=True), juno_perf_bug=True
-        )
-        for trial in range(50):
-            # Random subset of cores active; sometimes everything busy so
-            # both the garbage and the clean branch are exercised.
-            truth = {
-                cid: float(rng_data.uniform(0, 1e10))
-                for cid in platform.core_ids
-                if trial % 3 == 0 or rng_data.random() < 0.7
-            }
-            dict_sample = counters.read(truth, np.random.default_rng(trial))
-            vec = np.array(
-                [float(truth.get(cid, 0.0)) for cid in platform.core_ids]
-            )
-            arr_sample, garbage = counters.read_array(
-                vec, np.random.default_rng(trial)
-            )
-            assert dict_sample == {
-                cid: float(arr_sample[i])
-                for i, cid in enumerate(platform.core_ids)
-            }
-            expected_garbage = dict_sample != {
-                cid: float(truth.get(cid, 0.0)) for cid in platform.core_ids
-            }
-            assert garbage == expected_garbage
 
     def test_counters_clean_when_bug_disarmed(self, platform):
         counters = PerfCounters(

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from oracles import clip_reference
 from repro.fleet import (
     BALANCER_FACTORIES,
     FleetOutcome,
@@ -144,9 +145,7 @@ class TestClipVectorization:
             for name in sorted(BALANCER_FACTORIES):
                 vectorized = build_balancer(name).split(loads, caps)
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(
-                        LoadBalancer, "_clip", LoadBalancer._clip_reference
-                    )
+                    patch.setattr(LoadBalancer, "_clip", clip_reference)
                     reference = build_balancer(name).split(loads, caps)
                 assert vectorized.dtype == reference.dtype
                 assert np.array_equal(vectorized, reference), (
@@ -167,7 +166,7 @@ class TestClipVectorization:
                 MAX_NODE_LEVEL + 10.0 ** -rng.integers(13, 17, shape)[dust]
             )
             assert np.array_equal(
-                balancer._clip(raw.copy()), balancer._clip_reference(raw.copy())
+                balancer._clip(raw.copy()), clip_reference(balancer, raw.copy())
             ), f"trial {trial}"
 
     def test_clip_leaves_input_unmutated(self):
@@ -262,7 +261,7 @@ class TestFleetExecution:
     def test_aggregates(self):
         fleet = tiny_fleet(n_nodes=3)
         outcome = fleet.run()
-        per_node = outcome.node_mean_powers_w()
+        per_node = outcome.node_powers_w
         assert outcome.total_mean_power_w() == pytest.approx(per_node.sum())
         # Tail-of-tails dominates every node's own tail (node results
         # re-derived independently: the outcome no longer retains them).
@@ -271,7 +270,7 @@ class TestFleetExecution:
             assert (tails >= node.result.tails_ms - 1e-12).all()
         # All-nodes-met is at most the weakest node's guarantee.
         assert outcome.fleet_qos_guarantee() <= (
-            outcome.node_qos_guarantees().min() + 1e-12
+            outcome.node_qos.min() + 1e-12
         )
         assert outcome.utilization_skew() >= 0.0
         # Same convention as single-node qos_tardiness: 0 when nothing

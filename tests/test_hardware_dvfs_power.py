@@ -3,6 +3,7 @@ perf counters (with the Juno idle bug) and affinity manager."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.hardware.affinity import AffinityManager, Role
@@ -60,16 +61,17 @@ class TestPowerModel:
 
     def test_more_utilization_more_power(self, platform):
         model = PowerModel(platform)
-        low = model.system_power_w(1.15, 0.65, {"B0": 0.2})
-        high = model.system_power_w(1.15, 0.65, {"B0": 0.9})
+        low = model.breakdown(1.15, 0.65, {"B0": 0.2}).total_w
+        high = model.breakdown(1.15, 0.65, {"B0": 0.9}).total_w
         assert low < high
 
     def test_cpuidle_gates_idle_cores(self, platform):
         gated = PowerModel(platform, KernelConfig(cpuidle_enabled=True))
         ungated = PowerModel(platform, KernelConfig(cpuidle_enabled=False))
         utils = {"B0": 1.0}
-        assert gated.system_power_w(1.15, 0.65, utils) < ungated.system_power_w(
-            1.15, 0.65, utils
+        assert (
+            gated.breakdown(1.15, 0.65, utils).total_w
+            < ungated.breakdown(1.15, 0.65, utils).total_w
         )
 
     def test_unknown_core_rejected(self, platform):
@@ -104,31 +106,42 @@ class TestEnergyMeter:
             meter.record(breakdown, -1.0)
 
 
+def _dense_ips(platform, ips_by_core):
+    """Per-core IPS in the platform's dense core order (absent = idle)."""
+    return np.array([float(ips_by_core.get(cid, 0.0)) for cid in platform.core_ids])
+
+
 class TestPerfCounters:
     def test_faithful_when_cpuidle_disabled(self, platform, rng):
         counters = PerfCounters(platform, KernelConfig(cpuidle_enabled=False))
-        truth = {"B0": 1e9, "B1": 0.0}
-        sample = counters.read(truth, rng)
-        assert sample["B0"] == 1e9
-        assert sample["B1"] == 0.0
-        assert set(sample) == set(platform.core_ids)
+        truth = _dense_ips(platform, {"B0": 1e9, "B1": 0.0})
+        sample, garbage = counters.read_array(truth, rng)
+        assert not garbage
+        assert sample[platform.core_index["B0"]] == 1e9
+        assert sample[platform.core_index["B1"]] == 0.0
+        assert len(sample) == platform.n_cores
 
     def test_juno_bug_fires_with_idle_core_and_cpuidle(self, platform, rng):
         counters = PerfCounters(platform, KernelConfig(cpuidle_enabled=True))
-        sample = counters.read({"B0": 1e9}, rng)  # other cores idle
-        assert sample["B0"] != 1e9  # garbage
+        truth = _dense_ips(platform, {"B0": 1e9})  # other cores idle
+        sample, garbage = counters.read_array(truth, rng)
+        assert garbage
+        assert sample[platform.core_index["B0"]] != 1e9
 
     def test_no_bug_when_all_cores_busy(self, platform, rng):
         counters = PerfCounters(platform, KernelConfig(cpuidle_enabled=True))
-        truth = {cid: 1e9 for cid in platform.core_ids}
-        assert counters.read(truth, rng) == truth
+        truth = np.full(platform.n_cores, 1e9)
+        sample, garbage = counters.read_array(truth, rng)
+        assert not garbage
+        assert np.array_equal(sample, truth)
 
     def test_bug_can_be_disabled(self, platform, rng):
         counters = PerfCounters(
             platform, KernelConfig(cpuidle_enabled=True), juno_perf_bug=False
         )
-        sample = counters.read({"B0": 1e9}, rng)
-        assert sample["B0"] == 1e9
+        sample, garbage = counters.read_array(_dense_ips(platform, {"B0": 1e9}), rng)
+        assert not garbage
+        assert sample[platform.core_index["B0"]] == 1e9
 
 
 class TestAffinity:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import aggregate_pressure
 from repro.hardware.cores import CoreKind
-from repro.sim.contention import ClusterPressure, ContentionModel, aggregate_pressure
+from repro.sim.contention import ClusterPressure, ContentionModel
 from repro.sim.latency import (
     qos_guarantee,
     qos_tardiness,
@@ -29,6 +30,13 @@ class TestLatencyStats:
     def test_invalid_percentile_rejected(self):
         with pytest.raises(ValueError):
             summarize_latencies(np.array([1.0]), 95.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_latency_rejected(self, bad):
+        """A NaN would otherwise slip past the partition-based quantile:
+        ``np.quantile([1, 2, nan], 0.5)`` is nan, the selection gave 2.0."""
+        with pytest.raises(ValueError, match="finite"):
+            summarize_latencies(np.array([1.0, 2.0, bad]), 0.5)
 
     def test_violation_and_tardiness(self):
         sample = summarize_latencies(np.full(100, 12.0), 0.95)

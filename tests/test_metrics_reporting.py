@@ -1,4 +1,4 @@
-"""Tests for metrics helpers, reporting and the CLI plumbing."""
+"""Tests for run summaries, reporting and the CLI plumbing."""
 
 from __future__ import annotations
 
@@ -6,20 +6,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.reporting import ascii_table, series_block, sparkline, write_csv
-from repro.hardware.topology import Configuration
+from repro.experiments.table3_summary import summarize
 from repro.loadgen.traces import ConstantTrace
-from repro.metrics import (
-    energy_reduction_percent,
-    mean_power_percent_of,
-    normalized_energy,
-    qos_guarantee_percent,
-    qos_violations_percent,
-    summarize,
-    tardiness_series,
-    throughput_per_watt,
-    violation_run_lengths,
-)
-from repro.policies.static import StaticPolicy, static_all_big, static_all_small
+from repro.policies.static import static_all_big, static_all_small
 from repro.sim.engine import run_experiment
 from repro.workloads.websearch import websearch
 
@@ -44,38 +33,17 @@ def platform():
 class TestMetrics:
     def test_guarantee_and_violations_sum_to_100(self, sample_runs):
         big, _ = sample_runs
-        assert qos_guarantee_percent(big) + qos_violations_percent(big) == pytest.approx(
-            100.0
-        )
+        violated = int(np.sum(big.tails_ms > big.target_latency_ms))
+        guarantee_pct = big.qos_guarantee() * 100.0
+        violations_pct = violated / len(big) * 100.0
+        assert guarantee_pct + violations_pct == pytest.approx(100.0)
 
     def test_energy_reduction_antisymmetry(self, sample_runs):
         big, small = sample_runs
-        assert energy_reduction_percent(small, big) > 0
-        assert normalized_energy(small, big) < 1.0
-        assert normalized_energy(big, big) == pytest.approx(1.0)
-
-    def test_throughput_per_watt_positive(self, sample_runs):
-        big, _ = sample_runs
-        assert throughput_per_watt(big) > 0
-
-    def test_power_percent(self, sample_runs):
-        big, _ = sample_runs
-        percent = mean_power_percent_of(big, reference_w=big.powers_w.max())
-        assert np.all(percent <= 100.0 + 1e-9)
-
-    def test_tardiness_series_shape(self, sample_runs):
-        big, _ = sample_runs
-        series = tardiness_series(big)
-        assert series.shape == big.tails_ms.shape
-
-    def test_violation_run_lengths(self, platform):
-        # Force violations with an undersized config at high load.
-        result = run_experiment(
-            platform, websearch(), ConstantTrace(1.0, 15),
-            StaticPolicy(Configuration(0, 1, None, 0.65)), seed=3,
-        )
-        runs = violation_run_lengths(result)
-        assert runs and runs[0] >= 2  # sustained overload
+        assert small.energy_reduction_vs(big) > 0
+        assert big.energy_reduction_vs(small) < 0
+        assert small.total_energy_j() / big.total_energy_j() < 1.0
+        assert big.energy_reduction_vs(big) == pytest.approx(0.0)
 
     def test_summary_render(self, sample_runs):
         big, small = sample_runs

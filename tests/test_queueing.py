@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.queueing import (
-    DispatchQueue,
-    lindley_completion_times,
-    lindley_completion_times_reference,
-)
+from oracles import lindley_completion_times, lindley_completion_times_reference
+from repro.sim.queueing import DispatchQueue
 
 
 def make_queue(seed=0, **kwargs):
@@ -244,6 +241,28 @@ class TestReconfigure:
         stats = queue.run_interval(0, 1, 5000, exponential_sampler(0.001))
         assert stats.shed_work_s > 0
         assert queue.backlog_s(1.0) <= 0.2 * 1.001
+
+
+    @pytest.mark.parametrize("max_backlog_s", [None, 0.05])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_stats_carry_the_post_shed_backlog(self, k, max_backlog_s):
+        """The shedding walk's backlog is the float ``backlog_s(t1)``
+        reads, on both sides of the scalar/numpy server limit, through
+        empty, light and overloaded intervals."""
+        queue = make_queue(seed=k, max_backlog_s=max_backlog_s)
+        speeds = [1.0 + 0.25 * (j % 3) for j in range(k)]
+        queue.reconfigure(speeds, now=0.0)
+        rates = [0.0, 50.0 * k, 4000.0 * k, 300.0 * k, 0.0, 6000.0 * k, 10.0]
+        backlogs, shed = [], 0.0
+        for i, rate in enumerate(rates):
+            t0, t1 = i * 0.25, (i + 1) * 0.25
+            stats = queue.run_interval(t0, t1, rate, exponential_sampler(0.002))
+            assert type(stats.backlog_s) is float
+            assert stats.backlog_s == queue.backlog_s(t1)
+            backlogs.append(stats.backlog_s)
+            shed += stats.shed_work_s
+        assert max(backlogs) > 0.0
+        assert (shed > 0.0) == (max_backlog_s is not None)
 
 
 class TestProperties:
