@@ -31,7 +31,6 @@ from repro.errors import (
     ExecutionError,
     PackError,
     ReproError,
-    ResumeMismatchError,
     RunInterruptedError,
     SpecFailedError,
     SpecTimeoutError,
@@ -46,7 +45,7 @@ from repro.scenarios.registry import DEFAULT_REGISTRY
 from repro.scenarios.spec import ScenarioOutcome, ScenarioSpec
 from repro.sim.batch import BatchRunner
 from repro.sim.records import ExperimentResult
-from repro.sim.supervise import RetryPolicy, RunJournal
+from repro.sim.supervise import RetryPolicy
 
 
 def open_runner(
@@ -60,7 +59,7 @@ def open_runner(
     Use as a context manager (``with open_runner(jobs=4) as runner:``)
     so the worker pool shuts down and the disk cache gets its compaction
     pass.  Extra ``options`` forward to :class:`BatchRunner` (e.g.
-    ``retry_policy`` or ``journal``).
+    ``retry_policy``).
     """
     return BatchRunner(jobs=jobs, cache_dir=cache_dir, **options)
 
@@ -139,10 +138,8 @@ __all__ = [
     "PackError",
     "PackResult",
     "ReproError",
-    "ResumeMismatchError",
     "RetryPolicy",
     "RunInterruptedError",
-    "RunJournal",
     "ScenarioOutcome",
     "ScenarioSpec",
     "SpecFailedError",

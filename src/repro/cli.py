@@ -35,18 +35,13 @@ import time
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
-from repro.errors import (
-    ExecutionError,
-    ResumeMismatchError,
-    RunInterruptedError,
-)
+from repro.errors import ExecutionError, RunInterruptedError
 from repro.experiments import EXPERIMENTS
 from repro.experiments.calibration import calibrate_demand
 from repro.fleet.balancer import BALANCER_FACTORIES
 from repro.hardware.juno import juno_r1
 from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED
 from repro.sim.batch import BatchRunner
-from repro.sim.supervise import JOURNAL_NAME, RunJournal
 from repro.workloads.memcached import memcached
 from repro.workloads.websearch import websearch
 
@@ -63,7 +58,7 @@ exit codes:
   3    execution failure: worker crash, watchdog timeout or engine
        error that survived the supervisor's retries
   130  interrupted (SIGINT/SIGTERM) after draining in-flight work;
-       rerun with --resume to continue from the journal
+       rerun with the same --cache-dir to continue
 """
 
 #: Experiments that take a workload argument; for every other experiment
@@ -162,13 +157,6 @@ _FLAG_RULES = (
         lambda v: v is not None,
         lambda c: c == "pack run",
         lambda: "'pack run'",
-    ),
-    (
-        "--resume",
-        "resume",
-        lambda v: bool(v),
-        _applies_to_runs,
-        lambda: "experiment, fleet and 'pack run' commands",
     ),
     (
         "--strict",
@@ -278,15 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'pack run': write the pack summary JSON to FILE",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "continue an interrupted run from the journal in "
-            "--cache-dir (output stays byte-identical to an "
-            "uninterrupted run)"
-        ),
-    )
-    parser.add_argument(
         "--strict",
         action="store_true",
         help="'pack run': any failed entry makes the exit code nonzero",
@@ -294,71 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _journal_header(args: argparse.Namespace) -> dict:
-    """The run identity recorded in (and checked against) the journal.
-
-    Everything that shapes *output bytes* is included; knobs that only
-    shape execution (``--jobs``, cache placement) are not, so a run may
-    be resumed with different parallelism.
-    """
-    from repro.scenarios.spec import cache_key_prefix
-
-    return {
-        "command": args.experiment,
-        "workload": args.workload,
-        "nodes": args.nodes,
-        "balancer": args.balancer,
-        "quick": bool(args.quick),
-        "seed": args.seed,
-        "schema": cache_key_prefix(),
-    }
-
-
-def _open_journal(
-    runner: BatchRunner, args: argparse.Namespace, header: dict
-) -> None:
-    """Attach a run journal to the runner (``--cache-dir`` runs only)."""
-    from pathlib import Path
-
-    if args.cache_dir is None:
-        return
-    runner.journal = RunJournal.open(
-        Path(args.cache_dir) / JOURNAL_NAME, header, resume=args.resume
-    )
-    if args.resume:
-        print(f"[journal] {runner.journal.describe()}", file=sys.stderr)
-
-
-def _finish_journal(runner: BatchRunner) -> None:
-    """Truncate the journal after a fully successful run.
-
-    A completed run has nothing for ``--resume`` to pick up (every
-    outcome is cached), so keeping its fingerprint lines only grows
-    ``journal.log`` across invocations.  Interrupted or failed runs
-    keep their journal: those are exactly the ones worth resuming.
-    """
-    if (
-        runner.journal is not None
-        and not runner.stop_requested
-        and not runner.specs_failed
-    ):
-        runner.journal.truncate()
-
-
 @contextmanager
 def _partial_summary(runner: BatchRunner) -> Iterator[None]:
     """On a graceful interrupt, report progress before propagating.
 
-    The stats plus the journal line *are* the partial summary: what was
-    cached, what was journaled, how far the run got -- enough to judge
-    whether ``--resume`` is worth it.
+    The stats lines *are* the partial summary: what was cached and how
+    far the run got.
     """
     try:
         yield
     except RunInterruptedError:
         _report_stats(runner)
-        if runner.journal is not None:
-            print(f"[journal] {runner.journal.describe()}", file=sys.stderr)
         raise
 
 
@@ -367,7 +292,7 @@ def _stop_signals(runner: BatchRunner) -> Iterator[None]:
     """Turn SIGINT/SIGTERM into a graceful stop request for the block.
 
     The handler only sets a flag: in-flight chunks drain, their
-    outcomes reach cache and journal, and the run surfaces a
+    outcomes reach the cache, and the run surfaces a
     :class:`~repro.errors.RunInterruptedError` (exit 130) instead of
     dying mid-write.  Previous handlers are restored on exit.
     """
@@ -511,15 +436,6 @@ def _run_pack_command(
     failed_entries = 0
     every_pack_all_failed = True
     with BatchRunner(jobs=args.jobs, cache_dir=args.cache_dir) as runner:
-        _open_journal(
-            runner,
-            args,
-            {
-                "command": "pack run",
-                "files": [str(file) for file in files],
-                "quick": bool(args.quick),
-            },
-        )
         with _stop_signals(runner), _partial_summary(runner):
             for file in files:
                 try:
@@ -541,8 +457,6 @@ def _run_pack_command(
                 if not result.all_failed:
                     every_pack_all_failed = False
                 _report_stats(runner, [(pack.name, time.perf_counter() - t0)])
-            if failed_entries == 0:
-                _finish_journal(runner)
     if args.output is not None:
         from pathlib import Path
 
@@ -585,13 +499,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(
                 f"--cache-dir {args.cache_dir!r} exists and is not a directory"
             )
-    if args.resume and args.cache_dir is None:
-        parser.error("--resume needs --cache-dir (the journal lives there)")
     _validate_flags(parser, args)
     try:
         return _dispatch(parser, args)
-    except ResumeMismatchError as err:
-        parser.error(str(err))
     except RunInterruptedError as err:
         print(f"hipster-repro: {err}", file=sys.stderr)
         return EXIT_INTERRUPTED
@@ -611,30 +521,23 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     # cache -- is shared by every experiment of the invocation; the
     # ``with`` block shuts the pool down on the way out.
     with BatchRunner(jobs=args.jobs, cache_dir=args.cache_dir) as runner:
-        _open_journal(runner, args, _journal_header(args))
         with _stop_signals(runner), _partial_summary(runner):
+            walls = []
             if args.experiment == "fleet":
                 t0 = time.perf_counter()
                 print(_run_fleet(args, runner))
-                _report_stats(runner, [("fleet", time.perf_counter() - t0)])
-                _finish_journal(runner)
-                return 0
-            if args.experiment == "calibrate":
+                walls.append(("fleet", time.perf_counter() - t0))
+            elif args.experiment == "calibrate":
                 print(_run_calibration(runner))
-                _finish_journal(runner)
-                return 0
-            if args.experiment == "all":
-                walls = []
+            elif args.experiment == "all":
                 for name in sorted(EXPERIMENTS):
                     print(f"\n=== {name} ===")
                     t0 = time.perf_counter()
                     print(_run_one(name, args, runner))
                     walls.append((name, time.perf_counter() - t0))
-                _report_stats(runner, walls)
-                _finish_journal(runner)
-                return 0
-            print(_run_one(args.experiment, args, runner))
-            _finish_journal(runner)
+            else:
+                print(_run_one(args.experiment, args, runner))
+            _report_stats(runner, walls)
     return 0
 
 

@@ -163,30 +163,40 @@ class SpecFailedError(ExecutionError):
 class RunInterruptedError(ReproError):
     """The run was stopped early (SIGINT/SIGTERM) after a clean drain.
 
-    In-flight chunks were allowed to finish and their outcomes were
-    flushed to the cache and journal before this was raised, so a
-    ``--resume`` rerun continues from exactly this point.
+    In-flight chunks were allowed to finish before this was raised.
+    With a cache directory their outcomes are on disk, so rerunning the
+    same command against the same directory serves them from the cache
+    and computes only the rest; without one they are lost on exit.
     """
 
     def __init__(self, message: str, *, remaining: int = 0):
         super().__init__(message)
         self.remaining = remaining
 
-
-class ResumeMismatchError(ReproError):
-    """``--resume`` named a journal written by a *different* run.
-
-    Resuming under changed run parameters (seed, workload, quick mode,
-    code version) would silently mix two runs' outputs; starting fresh
-    (drop ``--resume`` or the journal file) is always safe.
-    """
+    @classmethod
+    def pending(cls, remaining: int, cache_dir: Any) -> "RunInterruptedError":
+        """The error for a run stopped with ``remaining`` specs not run;
+        ``cache_dir`` is where completed outcomes were kept, if anywhere."""
+        if cache_dir is None:
+            kept = (
+                "completed work was not kept (no cache directory) -- "
+                "rerun with --cache-dir to make a run resumable"
+            )
+        else:
+            kept = (
+                f"completed work is cached in {cache_dir} -- rerun the "
+                f"same command with --cache-dir {cache_dir} to continue"
+            )
+        return cls(
+            f"run interrupted: {remaining} spec(s) still pending; {kept}",
+            remaining=remaining,
+        )
 
 
 __all__ = [
     "ExecutionError",
     "PackError",
     "ReproError",
-    "ResumeMismatchError",
     "RunInterruptedError",
     "SpecFailedError",
     "SpecTimeoutError",

@@ -195,15 +195,13 @@ class FleetOutcome:
     fleet_powers: np.ndarray
     total_energy: float
     target_latency_ms: float
-    #: Per-node QoS targets (ms); ``None`` means every node shares
-    #: ``target_latency_ms`` (pre-heterogeneity outcomes).
-    node_targets: np.ndarray | None = None
+    #: Per-node QoS targets (ms).
+    node_targets: np.ndarray
     #: Per-interval max of (node tail / node target): the normalized
     #: tail-of-tails a mixed-workload fleet is judged by.
-    fleet_ratio: np.ndarray | None = None
-    #: Per-node max(tail)/target peaks; ``None`` on outcomes built
-    #: before the resilience layer.
-    node_peak_ratios: np.ndarray | None = None
+    fleet_ratio: np.ndarray
+    #: Per-node max(tail)/target peaks.
+    node_peak_ratios: np.ndarray
 
     def __post_init__(self) -> None:
         if len(self.node_powers_w) < 1:
@@ -219,8 +217,7 @@ class FleetOutcome:
             self.fleet_ratio,
             self.node_peak_ratios,
         ):
-            if arr is not None:
-                arr.flags.writeable = False
+            arr.flags.writeable = False
 
     @classmethod
     def from_node_outcomes(
@@ -261,9 +258,7 @@ class FleetOutcome:
     def is_heterogeneous(self) -> bool:
         """Whether nodes ran against different QoS targets (mixed
         workloads behind one balancer)."""
-        return self.node_targets is not None and bool(
-            np.ptp(self.node_targets) > 0.0
-        )
+        return bool(np.ptp(self.node_targets) > 0.0)
 
     def fleet_qos_guarantee(self) -> float:
         """Fraction of intervals in which *every* node met its target.

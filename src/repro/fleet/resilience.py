@@ -140,8 +140,7 @@ class ResilienceReport:
     target (censored at end-of-run -- ``recoveries_censored`` counts
     those).  ``overload_peak_level`` is the hottest *planned* per-node
     level during any window; ``peak_tail_ratio`` the hottest *measured*
-    node tail-latency ratio (``None`` when node peaks were not
-    collected).
+    node tail-latency ratio.
     """
 
     n_events: int
@@ -156,7 +155,7 @@ class ResilienceReport:
     time_to_recover_s_max: float
     recoveries_censored: int
     overload_peak_level: float
-    peak_tail_ratio: float | None = None
+    peak_tail_ratio: float
 
     def as_dict(self) -> dict[str, Any]:
         """A JSON-ready mapping (rounded the way summaries are)."""
@@ -173,11 +172,7 @@ class ResilienceReport:
             "time_to_recover_s_max": round(self.time_to_recover_s_max, 3),
             "recoveries_censored": self.recoveries_censored,
             "overload_peak_level": round(self.overload_peak_level, 6),
-            "peak_tail_ratio": (
-                None
-                if self.peak_tail_ratio is None
-                else round(self.peak_tail_ratio, 6)
-            ),
+            "peak_tail_ratio": round(self.peak_tail_ratio, 6),
         }
 
     def render_lines(self) -> list[str]:
@@ -204,10 +199,10 @@ class ResilienceReport:
                 )
             ),
         ]
-        survivor = f"  survivor overload peak {self.overload_peak_level:.3f}x"
-        if self.peak_tail_ratio is not None:
-            survivor += f", peak tail ratio {self.peak_tail_ratio:.3f}x"
-        lines.append(survivor)
+        lines.append(
+            f"  survivor overload peak {self.overload_peak_level:.3f}x, "
+            f"peak tail ratio {self.peak_tail_ratio:.3f}x"
+        )
         return lines
 
 
@@ -216,18 +211,17 @@ def build_resilience_report(
     events: tuple[FaultEvent, ...],
     planned_levels: np.ndarray,
     baseline_levels: np.ndarray,
-    fleet_ratio: np.ndarray | None,
+    fleet_ratio: np.ndarray,
     interval_s: float,
-    node_peak_ratios: np.ndarray | None = None,
+    node_peak_ratios: np.ndarray,
 ) -> ResilienceReport:
     """Condense a faulted fleet's plan + measurements into a report.
 
     ``planned_levels`` are the timeline split's per-node levels,
     ``baseline_levels`` the counterfactual faultless split of the same
     demand; a node whose rounded plan differs anywhere is "affected".
-    ``fleet_ratio`` (per-interval max tail/target across nodes) drives
-    the QoS and recovery numbers; when unavailable the report still
-    carries the structural fields.
+    ``fleet_ratio`` (per-interval max tail/target across nodes, one
+    entry per planned interval) drives the QoS and recovery numbers.
     """
     n_intervals, n_nodes = planned_levels.shape
     faulted = sorted({event.node for event in events})
@@ -246,27 +240,24 @@ def build_resilience_report(
         if fault_intervals
         else float(alive_levels.max(initial=0.0))
     )
-    qos_baseline = qos_during = 1.0
+    ok = np.asarray(fleet_ratio) <= 1.0
+    outside = ~window
+    qos_baseline = float(ok[outside].mean()) if outside.any() else 1.0
+    # No fault windows (the clauses lowered to no events): the
+    # during-faults QoS degenerates to the baseline, depth 0.
+    qos_during = float(ok[window].mean()) if window.any() else qos_baseline
     ttrs: list[float] = []
     censored = 0
-    if fleet_ratio is not None and len(fleet_ratio) == n_intervals:
-        ok = np.asarray(fleet_ratio) <= 1.0
-        outside = ~window
-        if outside.any():
-            qos_baseline = float(ok[outside].mean())
-        # No fault windows (the clauses lowered to no events): the
-        # during-faults QoS degenerates to the baseline, depth 0.
-        qos_during = float(ok[window].mean()) if window.any() else qos_baseline
-        for event in events:
-            start = event.start_interval
-            if start >= n_intervals:
-                continue
-            recovered = np.flatnonzero(ok[start:])
-            if recovered.size:
-                ttrs.append(float(recovered[0]) * interval_s)
-            else:
-                ttrs.append(float(n_intervals - start) * interval_s)
-                censored += 1
+    for event in events:
+        start = event.start_interval
+        if start >= n_intervals:
+            continue
+        recovered = np.flatnonzero(ok[start:])
+        if recovered.size:
+            ttrs.append(float(recovered[0]) * interval_s)
+        else:
+            ttrs.append(float(n_intervals - start) * interval_s)
+            censored += 1
     return ResilienceReport(
         n_events=len(events),
         nodes_faulted=len(faulted),
@@ -280,11 +271,7 @@ def build_resilience_report(
         time_to_recover_s_max=max(ttrs) if ttrs else 0.0,
         recoveries_censored=censored,
         overload_peak_level=overload_peak,
-        peak_tail_ratio=(
-            float(np.max(node_peak_ratios))
-            if node_peak_ratios is not None and len(node_peak_ratios)
-            else None
-        ),
+        peak_tail_ratio=float(np.max(node_peak_ratios)),
     )
 
 

@@ -403,8 +403,7 @@ class ScenarioSpec:
 
             spec.sweep(seed=range(3), manager=["octopus-man", "hipster-in"])
 
-        yields six specs.  Figure modules use this to *declare* their
-        grids instead of imperatively looping over runs.
+        yields six specs.
         """
         if not grid:
             return (self,)

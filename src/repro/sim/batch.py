@@ -79,11 +79,11 @@ spec does not fingerprint to its key) has its bytes copied to
 ``<cache-dir>/quarantine/`` (with a one-line stderr warning) and is
 served as a miss, so a bad disk or a chaos run leaves evidence behind;
 the quarantine itself is bounded (256 MiB / 256 entries, oldest evicted
-first) so the evidence locker cannot grow without limit.  Completed
-fingerprints can be journaled (:class:`~repro.sim.supervise.RunJournal`)
-for crash-safe ``--resume``.  None of this can change results: every spec is a pure
-function of itself, so retried, resumed and fault-free runs are
-byte-identical.
+first) so the evidence locker cannot grow without limit.  An
+interrupted run resumes from the cache alone: rerun against the same
+``cache_dir`` and every completed spec is a hit.  None of this can
+change results: every spec is a pure function of itself, so retried,
+resumed and fault-free runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
 from repro.errors import ExecutionError, RunInterruptedError, SpecFailedError
-from repro.sim.supervise import PoolSupervisor, RetryPolicy, RunJournal
+from repro.sim.supervise import PoolSupervisor, RetryPolicy
 
 try:  # pragma: no cover - POSIX only; appends stay atomic-ish elsewhere
     import fcntl
@@ -690,16 +690,11 @@ class BatchRunner:
         deadlines, serial degradation); ``None`` takes the defaults
         with ``REPRO_*`` environment overrides
         (:meth:`~repro.sim.supervise.RetryPolicy.from_env`).
-    journal:
-        Optional :class:`~repro.sim.supervise.RunJournal`; every
-        completed fingerprint (cache hit or fresh run) is appended, so
-        an interrupted invocation can report progress and ``--resume``.
     """
 
     jobs: int = 1
     cache_dir: str | Path | None = None
     retry_policy: RetryPolicy | None = None
-    journal: RunJournal | None = None
     cache_hits: int = field(default=0, init=False)
     cache_misses: int = field(default=0, init=False)
     memory_hits: int = field(default=0, init=False)
@@ -757,7 +752,7 @@ class BatchRunner:
 
         Signal-handler safe (sets a flag); the supervisor notices within
         one poll interval, lets in-flight chunks finish, flushes their
-        outcomes to cache and journal, then raises
+        outcomes to the cache, then raises
         :class:`~repro.errors.RunInterruptedError`.
         """
         self.stop_requested = True
@@ -859,8 +854,6 @@ class BatchRunner:
             cached = self._cache_load(key)
             if cached is not None:
                 self.cache_hits += 1
-                if self.journal is not None:
-                    self.journal.record(key)
                 for index in positions[key]:
                     yield index, cached
             else:
@@ -876,8 +869,6 @@ class BatchRunner:
                 elif deferred is None:
                     deferred = result
                 continue
-            if self.journal is not None:
-                self.journal.record(key)
             for index in positions[key]:
                 yield index, result
         if deferred is not None:
@@ -901,11 +892,8 @@ class BatchRunner:
             return
         for position, (key, spec) in enumerate(pending):
             if self.stop_requested:
-                raise RunInterruptedError(
-                    f"run interrupted: {len(pending) - position} spec(s) "
-                    "still pending; completed work is cached and "
-                    "journaled -- rerun with --resume to continue",
-                    remaining=len(pending) - position,
+                raise RunInterruptedError.pending(
+                    len(pending) - position, self.cache_dir
                 )
             try:
                 outcome = execute_scenario(spec)

@@ -27,50 +27,35 @@ Retried specs are pure functions of their spec (the repo's standing
 determinism contract), so no crash/retry/bisection history can change
 an outcome, a cache key, or a byte of final output.
 
-The module also provides :class:`RunJournal` -- the append-only,
-flock-guarded record of completed spec fingerprints that makes an
-interrupted invocation resumable (``--resume``) -- and
-:func:`run_chunk`, the pool work item, which traps per-spec Python
-exceptions into :class:`SpecFailure` proxies (so one bad spec cannot
-lose its chunk-mates' results) and gives the chaos harness
-(:mod:`repro.sim.chaos`) its injection point.
+The module also provides :func:`run_chunk`, the pool work item, which
+traps per-spec Python exceptions into :class:`SpecFailure` proxies (so
+one bad spec cannot lose its chunk-mates' results) and gives the chaos
+harness (:mod:`repro.sim.chaos`) its injection point.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
-import tempfile
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.errors import (
     ExecutionError,
-    ResumeMismatchError,
     RunInterruptedError,
     SpecFailedError,
     SpecTimeoutError,
     WorkerCrashError,
 )
 
-try:  # pragma: no cover - POSIX only (mirrors the manifest pack)
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None  # type: ignore[assignment]
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.scenarios.spec import ScenarioSpec
     from repro.sim.batch import BatchRunner
-
-#: Name of the run journal inside a cache directory.
-JOURNAL_NAME = "journal.log"
 
 #: Upper bound on one wait() round, so stop requests (SIGINT handlers
 #: set a flag on the runner) are noticed promptly even with no deadline.
@@ -309,12 +294,7 @@ class PoolSupervisor:
         remaining = sum(len(w.items) for w in self._pending) + sum(
             len(w.items) for w in self._suspects
         )
-        raise RunInterruptedError(
-            f"run interrupted: {remaining} spec(s) still pending; "
-            "completed work is cached and journaled -- rerun with "
-            "--resume to continue",
-            remaining=remaining,
-        )
+        raise RunInterruptedError.pending(remaining, self.runner.cache_dir)
 
     # -- dispatch -------------------------------------------------------
 
@@ -532,163 +512,9 @@ class PoolSupervisor:
                     self._ready.append((key, outcome))
 
 
-# ----------------------------------------------------------------------
-# run journal
-# ----------------------------------------------------------------------
-
-
-class RunJournal:
-    """Append-only, flock-guarded record of one run's completed specs.
-
-    Layout: a JSON header line (the run's identity -- command, seed,
-    workload, versions) followed by one completed fingerprint per line.
-    Appends take an exclusive ``flock`` and end in ``flush``, mirroring
-    ``manifest.pack``; a truncated tail line (crashed writer) is
-    ignored on load.  The journal is *advisory*: resumed outcomes are
-    re-served from the outcome cache (which is what makes resumed
-    output byte-identical), the journal supplies run-level bookkeeping
-    -- which run this was, how far it got -- and refuses to resume
-    under a different run identity.
-    """
-
-    def __init__(
-        self,
-        path: Path,
-        header: dict,
-        completed: set[str],
-        resumed: bool,
-    ):
-        self.path = path
-        self.header = header
-        self.completed = completed
-        self.resumed = resumed
-        self.recorded = 0
-
-    # -- lifecycle ------------------------------------------------------
-
-    @classmethod
-    def open(
-        cls,
-        path: str | Path,
-        header: Mapping[str, object],
-        *,
-        resume: bool = False,
-    ) -> "RunJournal":
-        """Open (resuming) or start (truncating) a run journal.
-
-        With ``resume=True`` an existing journal whose header matches is
-        loaded; a header mismatch raises :class:`ResumeMismatchError`
-        (resuming a *different* run would mix outputs); a missing or
-        unreadable journal falls through to a fresh start.
-        """
-        path = Path(path)
-        header = dict(header)
-        if resume:
-            loaded = cls._read(path)
-            if loaded is not None:
-                stored, completed = loaded
-                if stored != header:
-                    raise ResumeMismatchError(
-                        f"journal {path} belongs to a different run: "
-                        f"it recorded {stored!r}, this invocation is "
-                        f"{header!r}; drop --resume (or delete the "
-                        "journal) to start fresh"
-                    )
-                return cls(path, header, completed, resumed=True)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return cls(path, header, set(), resumed=False)
-
-    @staticmethod
-    def _read(path: Path) -> tuple[dict, set[str]] | None:
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        lines = raw.split(b"\n")
-        if not lines:
-            return None
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            return None
-        if not isinstance(header, dict):
-            return None
-        completed = set()
-        # lines[-1] is either the empty string after the final newline
-        # or a torn (crashed-writer) partial line: ignored either way.
-        for line in lines[1:-1]:
-            key = line.strip().decode("ascii", "replace")
-            if key:
-                completed.add(key)
-        return header, completed
-
-    # -- appends --------------------------------------------------------
-
-    def record(self, key: str) -> None:
-        """Journal one completed fingerprint (idempotent per run)."""
-        if key in self.completed:
-            return
-        try:
-            with self.path.open("ab") as fh:
-                if fcntl is not None:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-                try:
-                    fh.write(key.encode("ascii") + b"\n")
-                    fh.flush()
-                finally:
-                    if fcntl is not None:
-                        fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-        except OSError:
-            return  # advisory: losing a journal line only costs stats
-        self.completed.add(key)
-        self.recorded += 1
-
-    def truncate(self) -> None:
-        """Empty the journal after a fully successful run.
-
-        A finished run's journal is pure history -- every outcome is in
-        the cache, so ``--resume`` has nothing to add -- and without
-        truncation the file grows across invocations forever.  The file
-        is emptied (not deleted) under the same ``flock`` appends take;
-        an empty journal reads as *no journal* on the next open, so a
-        later ``--resume`` starts fresh.  Advisory like ``record``:
-        an OSError leaves the journal as-is.
-        """
-        try:
-            with self.path.open("r+b") as fh:
-                if fcntl is not None:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-                try:
-                    fh.truncate(0)
-                    fh.flush()
-                finally:
-                    if fcntl is not None:
-                        fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-        except OSError:
-            return
-        self.completed = set()
-
-    def describe(self) -> str:
-        state = "resumed" if self.resumed else "fresh"
-        return f"{self.path} ({state}, {len(self.completed)} completed)"
-
-
 __all__ = [
-    "JOURNAL_NAME",
     "PoolSupervisor",
     "RetryPolicy",
-    "RunJournal",
     "SpecFailure",
     "run_chunk",
 ]

@@ -6,6 +6,8 @@ the flag combinations the CLI rejects instead of silently ignoring.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main, render_stats
@@ -84,6 +86,13 @@ class TestRejections:
         assert excinfo.value.code == 2
         assert "--output only applies to 'pack run'" in error_message(capsys)
 
+    def test_resume_flag_is_gone(self, capsys):
+        """Rerunning with the same ``--cache-dir`` is the resume path."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["all", "--resume"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --resume" in error_message(capsys)
+
 
 class TestStatsSummary:
     """Formatting of the stderr cache/pool/wall summary lines."""
@@ -127,6 +136,57 @@ class TestStatsSummary:
     def test_no_pool_line_before_any_spawn(self, tmp_path):
         lines = render_stats(self.runner_with(tmp_path))
         assert len(lines) == 1 and lines[0].startswith("[cache]")
+
+
+class TestInterruptAndRerun:
+    """An interrupted run resumes by rerunning the same command against
+    the same ``--cache-dir``: completed specs come back as disk hits."""
+
+    COMMAND = ["table1", "--quick"]  # two specs, run serially
+
+    def test_rerun_after_interrupt_matches_uninterrupted_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import signal
+
+        from repro.sim import batch
+
+        assert main(self.COMMAND) == 0
+        golden = capsys.readouterr().out
+
+        real = batch.execute_scenario
+        calls = []
+
+        def stop_after_first_spec(spec):
+            outcome = real(spec)
+            calls.append(spec)
+            if len(calls) == 1:
+                # What Ctrl-C does, delivered synchronously: the CLI's
+                # handler asks the runner to stop after this spec.
+                handler = signal.getsignal(signal.SIGINT)
+                assert handler is not signal.default_int_handler
+                signal.raise_signal(signal.SIGINT)
+            return outcome
+
+        monkeypatch.setattr(batch, "execute_scenario", stop_after_first_spec)
+        cache = tmp_path / "cache"
+        command = [*self.COMMAND, "--cache-dir", str(cache)]
+
+        assert main(command) == 130
+        err = capsys.readouterr().err
+        assert len(calls) == 1
+        assert f"cached in {cache}" in err
+
+        assert main(command) == 0
+        captured = capsys.readouterr()
+        assert captured.out == golden
+        (cache_line,) = [
+            line for line in captured.err.splitlines()
+            if line.startswith("[cache]")
+        ]
+        disk_hits = int(re.search(r"(\d+) disk", cache_line).group(1))
+        assert disk_hits >= 1
+        assert sorted(p.name for p in cache.iterdir()) == ["manifest.pack"]
 
 
 class TestFleetFlagsAccepted:
@@ -216,9 +276,8 @@ class TestPackSubcommand:
             ["--strict"],
             ["--jobs", "3"],
             ["--cache-dir", "cache"],
-            ["--cache-dir", "cache", "--resume"],
         ],
-        ids=["output", "strict", "jobs", "cache-dir", "resume"],
+        ids=["output", "strict", "jobs", "cache-dir"],
     )
     @pytest.mark.parametrize("action", ["validate", "list"])
     def test_non_run_actions_reject_run_only_flags(

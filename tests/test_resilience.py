@@ -11,8 +11,8 @@ Three concerns, in one suite:
   schedules on every call, stay isolated under the fixed-draw-order
   discipline (hypothesis fuzz over seeds and clause mixes), and a
   resilient fleet renders byte-identically serial vs ``--jobs 4``.
-* **The robustness satellites** -- bounded quarantine, unknown
-  ``REPRO_*`` warnings, and journal truncation after success.
+* **The robustness satellites** -- bounded quarantine and unknown
+  ``REPRO_*`` warnings.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.fleet.balancer import build_balancer
 from repro.scenarios.spec import TraceSpec
 from repro.sim import batch
 from repro.sim.batch import BatchRunner, DiskCache
-from repro.sim.supervise import RetryPolicy, RunJournal
+from repro.sim.supervise import RetryPolicy
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -984,7 +984,7 @@ class TestExpansionMemo:
 
 
 # ----------------------------------------------------------------------
-# satellites: quarantine bound, env warnings, journal truncation
+# satellites: quarantine bound, env warnings
 # ----------------------------------------------------------------------
 
 
@@ -1073,44 +1073,3 @@ class TestEnvWarnings:
         RetryPolicy.from_env()
         RetryPolicy.from_env()
         assert capsys.readouterr().err.count("REPRO_BOGUS") == 1
-
-
-class TestJournalTruncation:
-    def test_truncate_empties_and_rereads_as_fresh(self, tmp_path):
-        path = tmp_path / "journal.log"
-        journal = RunJournal.open(path, {"command": "all"})
-        journal.record("abc")
-        journal.record("def")
-        assert path.stat().st_size > 0
-        journal.truncate()
-        assert path.stat().st_size == 0
-        assert journal.completed == set()
-        # An empty journal reads as no journal: resume starts fresh.
-        resumed = RunJournal.open(path, {"command": "all"}, resume=True)
-        assert not resumed.resumed and resumed.completed == set()
-
-    def test_successful_cli_run_truncates_journal(self, tmp_path):
-        from repro.cli import main
-        from repro.sim.supervise import JOURNAL_NAME
-
-        code = main(
-            ["fig2", "--quick", "--cache-dir", str(tmp_path)]
-        )
-        assert code == 0
-        journal = tmp_path / JOURNAL_NAME
-        assert journal.exists() and journal.stat().st_size == 0
-
-    def test_finish_journal_keeps_failed_runs(self, tmp_path):
-        from repro.cli import _finish_journal
-
-        runner = BatchRunner(cache_dir=tmp_path)
-        runner.journal = RunJournal.open(
-            tmp_path / "journal.log", {"command": "x"}
-        )
-        runner.journal.record("abc")
-        runner.specs_failed = 1
-        _finish_journal(runner)
-        assert (tmp_path / "journal.log").stat().st_size > 0
-        runner.specs_failed = 0
-        _finish_journal(runner)
-        assert (tmp_path / "journal.log").stat().st_size == 0

@@ -1,6 +1,6 @@
 """Tests for the fault-tolerance layer: supervised pool recovery,
-poison-spec isolation, watchdog timeouts, degraded serial mode, the
-run journal and crash-safe resume.
+poison-spec isolation, watchdog timeouts, degraded serial mode and
+resuming an interrupted run from the cache.
 
 Worker faults are injected with :mod:`repro.sim.chaos` (the config
 rides the environment into forked workers); everything asserts the
@@ -16,7 +16,6 @@ import pytest
 
 from repro.errors import (
     ExecutionError,
-    ResumeMismatchError,
     RunInterruptedError,
     SpecFailedError,
     SpecTimeoutError,
@@ -25,7 +24,7 @@ from repro.errors import (
 from repro.scenarios import ScenarioSpec, TraceSpec
 from repro.sim import batch, chaos
 from repro.sim.batch import BatchRunner
-from repro.sim.supervise import RetryPolicy, RunJournal
+from repro.sim.supervise import RetryPolicy
 
 
 def tiny_specs() -> list[ScenarioSpec]:
@@ -336,59 +335,11 @@ class TestSpecExceptions:
         assert_same_results(golden, outcomes)
 
 
-class TestRunJournal:
-    HEADER = {"command": "all", "seed": 1, "quick": True}
-
-    def test_fresh_journal_records_and_reloads(self, tmp_path):
-        path = tmp_path / "journal.log"
-        journal = RunJournal.open(path, self.HEADER)
-        assert not journal.resumed and journal.completed == set()
-        journal.record("fp-a")
-        journal.record("fp-b")
-        journal.record("fp-a")  # idempotent
-        assert journal.recorded == 2
-
-        resumed = RunJournal.open(path, self.HEADER, resume=True)
-        assert resumed.resumed
-        assert resumed.completed == {"fp-a", "fp-b"}
-
-    def test_resume_with_different_header_refuses(self, tmp_path):
-        path = tmp_path / "journal.log"
-        RunJournal.open(path, self.HEADER).record("fp-a")
-        with pytest.raises(ResumeMismatchError):
-            RunJournal.open(path, {**self.HEADER, "seed": 2}, resume=True)
-
-    def test_open_without_resume_truncates(self, tmp_path):
-        path = tmp_path / "journal.log"
-        RunJournal.open(path, self.HEADER).record("fp-a")
-        fresh = RunJournal.open(path, self.HEADER)
-        assert fresh.completed == set()
-        reread = RunJournal.open(path, self.HEADER, resume=True)
-        assert reread.completed == set()
-
-    def test_torn_tail_line_ignored(self, tmp_path):
-        path = tmp_path / "journal.log"
-        journal = RunJournal.open(path, self.HEADER)
-        journal.record("fp-a")
-        with path.open("ab") as fh:
-            fh.write(b"fp-torn-no-newline")
-        resumed = RunJournal.open(path, self.HEADER, resume=True)
-        assert resumed.completed == {"fp-a"}
-
-    def test_resume_of_missing_journal_starts_fresh(self, tmp_path):
-        journal = RunJournal.open(
-            tmp_path / "journal.log", self.HEADER, resume=True
-        )
-        assert not journal.resumed and journal.completed == set()
-
-
 class TestInterruptAndResume:
     def test_stop_request_drains_and_raises(self, tmp_path):
         specs = tiny_specs()
-        runner = BatchRunner(cache_dir=tmp_path / "cache")
-        runner.journal = RunJournal.open(
-            tmp_path / "journal.log", {"run": "x"}
-        )
+        cache = tmp_path / "cache"
+        runner = BatchRunner(cache_dir=cache)
         events = runner.iter_run(specs)
         first_index, _ = next(events)
         runner.request_stop()
@@ -396,22 +347,40 @@ class TestInterruptAndResume:
             list(events)
         runner.close()
         assert exc_info.value.remaining == len(specs) - 1
-        assert len(runner.journal.completed) == 1
-        assert specs[first_index].fingerprint() in runner.journal.completed
+        assert f"cached in {cache}" in str(exc_info.value)
+        # Exactly the delivered spec reached the disk tier.
+        with BatchRunner(cache_dir=cache) as warm:
+            stored = [
+                index
+                for index, spec in enumerate(specs)
+                if warm.disk.load(spec.fingerprint()) is not None
+            ]
+        assert stored == [first_index]
+
+    def test_interrupt_without_cache_says_nothing_was_kept(self):
+        """Without a cache directory completed outcomes live only in the
+        process, so the message must not promise a resumable rerun."""
+        runner = BatchRunner()
+        events = runner.iter_run(tiny_specs())
+        next(events)
+        runner.request_stop()
+        with pytest.raises(RunInterruptedError) as exc_info:
+            list(events)
+        message = str(exc_info.value)
+        assert "cached" not in message
+        assert "not kept" in message
 
     def test_interrupted_then_resumed_matches_uninterrupted(
         self, tmp_path, golden
     ):
-        """The acceptance property: interrupt + ``--resume`` produces
-        results identical to a run that was never interrupted (resumed
-        outcomes are re-served from the outcome cache)."""
+        """The acceptance property: an interrupted run, rerun by a fresh
+        runner on the same cache, produces results identical to a run
+        that was never interrupted (completed outcomes are re-served
+        from the cache)."""
         specs = tiny_specs()
-        header = {"command": "all", "seed": 1}
         cache = tmp_path / "cache"
-        journal_path = tmp_path / "journal.log"
 
         interrupted = BatchRunner(cache_dir=cache)
-        interrupted.journal = RunJournal.open(journal_path, header)
         events = interrupted.iter_run(specs)
         next(events)
         interrupted.request_stop()
@@ -420,15 +389,12 @@ class TestInterruptAndResume:
         interrupted.close()
 
         resumed = BatchRunner(cache_dir=cache)
-        resumed.journal = RunJournal.open(journal_path, header, resume=True)
-        assert resumed.journal.resumed
         outcomes = resumed.run(specs)
         resumed.close()
         assert_same_results(golden, outcomes)
         assert resumed.cache_hits >= 1  # completed work was not redone
-        assert resumed.journal.completed == {
-            spec.fingerprint() for spec in specs
-        }
+        assert resumed.cache_misses == len(specs) - resumed.cache_hits
+        assert sorted(p.name for p in cache.iterdir()) == ["manifest.pack"]
 
     def test_interrupt_in_pool_mode_preserves_completed_work(self, tmp_path):
         """Pool path: stop after the first completion; in-flight chunks

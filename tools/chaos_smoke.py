@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Execution-chaos smoke: the full CLI run must survive injected faults.
 
-Five in-process invocations of the acceptance command
+Seven in-process invocations of the acceptance command
 (``all --quick --seed S``):
 
 1. **golden** -- fault-free, serial: the reference stdout bytes.
@@ -19,6 +19,14 @@ Five in-process invocations of the acceptance command
    recovery run's appends must all be reachable, so it must stay
    byte-identical, report ``0 miss(es)`` on its ``[cache]`` line and
    add no quarantine entries.
+6. **interrupted** -- parallel, against a fresh cache, stopped by a
+   SIGINT that this process raises at itself right after the pool
+   delivers its first outcome (deterministic: the CLI's handler runs
+   before ``raise_signal`` returns).  Must exit 130 and name the cache
+   directory on stderr.
+7. **rerun after interrupt** -- the same command on the same cache:
+   must exit 0, stay byte-identical, serve at least one disk hit and
+   leave only the pack (and no quarantine) in the cache directory.
 
 A JSON summary (the CI artifact) records per-run exit codes, wall
 times, fault markers and the byte-identity verdicts.  Exits non-zero
@@ -35,10 +43,12 @@ import argparse
 import io
 import json
 import os
+import re
+import signal
 import sys
 import tempfile
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -71,7 +81,6 @@ def _cli_run(argv: list[str]) -> tuple[int, bytes, str, float]:
 
 def _with_env(env: dict[str, str]):
     """Context manager: apply env overrides, restore on exit."""
-    from contextlib import contextmanager
 
     @contextmanager
     def _ctx():
@@ -89,6 +98,29 @@ def _with_env(env: dict[str, str]):
     return _ctx()
 
 
+@contextmanager
+def _sigint_after_first_delivery():
+    """Raise SIGINT at this process once the pool has delivered its
+    first outcome, as a Ctrl-C would; the CLI's handler turns it into a
+    stop request.  Yields a list that holds one entry once it fired."""
+    from repro.sim.supervise import PoolSupervisor
+
+    real = PoolSupervisor._deliver
+    fired: list[bool] = []
+
+    def deliver(self, work, results):
+        real(self, work, results)
+        if not fired:
+            fired.append(True)
+            signal.raise_signal(signal.SIGINT)
+
+    PoolSupervisor._deliver = deliver
+    try:
+        yield fired
+    finally:
+        PoolSupervisor._deliver = real
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -96,6 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", default="chaos-smoke.json")
     args = parser.parse_args(argv)
 
+    from repro.cli import EXIT_INTERRUPTED
     from repro.sim import chaos
 
     base_cmd = ["all", "--quick", "--seed", str(args.seed)]
@@ -103,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     failures: list[str] = []
 
     def record(name: str, code: int, out: bytes, err: str, wall: float,
-               golden: bytes | None) -> bytes:
+               golden: bytes | None, expected_code: int = 0) -> bytes:
         identical = None if golden is None else out == golden
         summary["runs"].append(
             {
@@ -115,8 +148,10 @@ def main(argv: list[str] | None = None) -> int:
                 "stderr_tail": err.strip().splitlines()[-6:],
             }
         )
-        if code != 0:
-            failures.append(f"{name}: exit code {code}")
+        if code != expected_code:
+            failures.append(
+                f"{name}: exit code {code}, expected {expected_code}"
+            )
         if identical is False:
             failures.append(f"{name}: stdout differs from golden run")
         print(f"[chaos-smoke] {name}: exit={code} wall={wall:.1f}s "
@@ -190,6 +225,34 @@ def main(argv: list[str] | None = None) -> int:
                 "recovered-cache-rerun: quarantined "
                 f"{sorted(set(requarantined) - set(quarantined))}"
             )
+
+        # -- interrupt, then rerun the same command on the same cache --
+        resume_dir = tmp_path / "resume-cache"
+        resume_cmd = base_cmd + [
+            "--jobs", str(args.jobs), "--cache-dir", str(resume_dir)
+        ]
+        with _sigint_after_first_delivery() as fired:
+            code, out, err, wall = _cli_run(resume_cmd)
+        record("interrupted", code, out, err, wall, None,
+               expected_code=EXIT_INTERRUPTED)
+        if not fired:
+            failures.append("interrupted: the pool delivered nothing")
+        if f"cached in {resume_dir}" not in err:
+            failures.append("interrupted: stderr does not name the cache")
+        code, out, err, wall = _cli_run(resume_cmd)
+        record("rerun-after-interrupt", code, out, err, wall, golden)
+        disk_hits = [
+            int(match.group(1))
+            for match in re.finditer(r"^\[cache\].*?(\d+) disk", err, re.M)
+        ]
+        if not disk_hits or disk_hits[0] < 1:
+            failures.append(
+                f"rerun-after-interrupt: expected disk hits, got {disk_hits}"
+            )
+        left = sorted(p.name for p in resume_dir.iterdir())
+        summary["resume_cache_files"] = left
+        if left != ["manifest.pack"]:
+            failures.append(f"rerun-after-interrupt: cache dir holds {left}")
 
     summary["ok"] = not failures
     summary["failures"] = failures
