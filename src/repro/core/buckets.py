@@ -50,12 +50,6 @@ class LoadBucketizer:
         clamped = min(load_fraction, 1.0)
         return min(int(clamped / self.bucket_size), self.n_buckets - 1)
 
-    def representative_load(self, bucket: int) -> float:
-        """Mid-point load of a bucket (useful for reports)."""
-        if not 0 <= bucket < self.n_buckets:
-            raise ValueError(f"bucket must be within [0, {self.n_buckets})")
-        return min((bucket + 0.5) * self.bucket_size, 1.0)
-
 
 def default_bucketizer(workload_name: str) -> LoadBucketizer:
     """The paper's tuned bucket size for a known workload (3% / 6%)."""

@@ -36,22 +36,6 @@ class HipsterTraceResult:
     def exploitation(self) -> ExperimentResult:
         return self.result.slice(self.learning_s)
 
-    def qos_improvement(self) -> float:
-        """Exploitation-over-learning QoS guarantee gain (fractional)."""
-        learn = self.learning.qos_guarantee()
-        exploit = self.exploitation.qos_guarantee()
-        if learn == 0:
-            return float("inf")
-        return exploit / learn - 1.0
-
-    def migration_rate_drop(self) -> float:
-        """Learning-to-exploitation reduction in migrations per interval."""
-        learn = self.learning.migration_events() / max(len(self.learning), 1)
-        exploit = self.exploitation.migration_events() / max(len(self.exploitation), 1)
-        if learn == 0:
-            return 0.0
-        return 1.0 - exploit / learn
-
     def render(self) -> str:
         result = self.result
         return "\n".join(

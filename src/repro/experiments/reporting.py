@@ -2,14 +2,11 @@
 
 The harness has no plotting dependency, so every experiment renders its
 result as fixed-width tables and ASCII sparkline plots -- enough to
-eyeball the same shapes the paper's figures show -- and can export CSV
-for external plotting.
+eyeball the same shapes the paper's figures show.
 """
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -64,16 +61,3 @@ def series_block(
         f"{name} [min={np.min(values):.3g}{unit} max={np.max(values):.3g}{unit}]\n"
         f"  {sparkline(values, width=width)}"
     )
-
-
-def write_csv(
-    path: str | Path, headers: Sequence[str], rows: Sequence[Sequence[object]]
-) -> Path:
-    """Dump rows to CSV; returns the written path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(headers)
-        writer.writerows(rows)
-    return path

@@ -67,18 +67,6 @@ class DVFSController:
         self._transition_time_s += self.transition_latency_s
         return True
 
-    def set_max(self, cluster_name: str) -> bool:
-        """Pin a cluster to its highest operating point."""
-        return self.set_frequency(
-            cluster_name, self._cluster(cluster_name).max_freq_ghz
-        )
-
-    def set_min(self, cluster_name: str) -> bool:
-        """Pin a cluster to its lowest operating point."""
-        return self.set_frequency(
-            cluster_name, self._cluster(cluster_name).min_freq_ghz
-        )
-
     @property
     def transitions(self) -> int:
         """Number of frequency transitions performed so far."""

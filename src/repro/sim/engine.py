@@ -80,12 +80,7 @@ from repro.loadgen.traces import LoadTrace
 from repro.policies.base import Decision, ManagerContext, TaskManager
 from repro.sim.contention import ContentionModel, aggregate_pressure_indexed
 from repro.sim.latency import linear_quantile, linear_quantile_sorted
-from repro.sim.queueing import (
-    _SCALAR_SERVER_LIMIT,
-    DispatchQueue,
-    DrawnInterval,
-    exact_row_sums,
-)
+from repro.sim.queueing import DispatchQueue, DrawnInterval, exact_row_sums
 from repro.sim.records import ExperimentResult, IntervalObservation, ObservationTable
 from repro.workloads.base import LatencyCriticalWorkload, lc_server_speeds
 from repro.workloads.batch import BatchJobSet
@@ -257,7 +252,6 @@ class IntervalSimulator:
         self._queue = DispatchQueue(
             rng=self._rng,
             balance_exponent=self.config.balance_exponent,
-            migration_penalty_s=0.0,
             max_backlog_s=self.config.max_backlog_s * scale,
             burstiness=workload.burstiness,
         )
@@ -396,12 +390,7 @@ class IntervalSimulator:
             # per boundary) and it keeps subclassed managers whose decide()
             # mutates state per call off the batched path even when they
             # inherit an epoch-capable contract.
-            if (
-                epoch_capable
-                and repeated
-                and state.n_servers < _SCALAR_SERVER_LIMIT
-                and i + 1 < total
-            ):
+            if epoch_capable and repeated and i + 1 < total:
                 expected_requests = self._loads_list[i] * epoch_rate_scale
                 heavy = expected_requests > _EPOCH_LIGHT_REQUESTS
                 # Light intervals batch profitably even in runs of two;

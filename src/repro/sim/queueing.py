@@ -30,10 +30,19 @@ plus three per server, whatever the arrival count.
 The queue state (per-core virtual "free time") carries over between
 monitoring intervals, so overload causes multi-interval latency blow-ups
 and slow recovery exactly as on real hardware.  Reconfigurations
-redistribute residual backlog over the new server set and, when the *core
-set* changed (a migration -- not a DVFS change), charge a migration
-penalty; this asymmetry between costly migrations and near-free DVFS
-transitions is central to the paper's argument (Section 2, citing Rubik).
+redistribute residual backlog over the new server set: a DVFS change
+rescales each server's backlog, a migration (the *core set* changed)
+pools it.  The migration's cost itself is not a queue blackout: the
+engine adds it to the latency of the requests that arrive during the
+migration window (``IntervalSimulator._add_migration_latency`` in
+:mod:`repro.sim.engine`).  This asymmetry between costly migrations
+and near-free DVFS transitions is central to the paper's argument
+(Section 2, citing Rubik).
+
+The per-server bookkeeping (utilizations, carried backlog, shedding)
+walks plain Python floats in server order.  A queue has one server per
+core of the latency-critical workload, a handful on any modelled board,
+and at that size a numpy call costs more than the walk.
 """
 
 from __future__ import annotations
@@ -52,14 +61,6 @@ DemandSampler = Callable[[np.random.Generator, int], np.ndarray]
 #: and every emitted float are bit-identical to the previous kernel (the
 #: equivalence suite against the test-only reference engine enforces it).
 KERNEL_VERSION = "lindley-v1"
-
-#: Below this many servers the per-server bookkeeping (utilizations,
-#: carried backlog, shedding) runs in scalar Python instead of numpy:
-#: numpy's pairwise summation degenerates to sequential summation under
-#: eight elements, so both paths produce bit-identical floats while the
-#: scalar one skips ~1 microsecond of dispatch overhead per tiny array
-#: op -- the dominant cost at realistic per-interval arrival counts.
-_SCALAR_SERVER_LIMIT = 8
 
 
 def exact_row_sums(padded: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -153,11 +154,7 @@ class IntervalQueueStats(NamedTuple):
         n = len(self.utilizations)
         if n == 0:
             return 0.0
-        if n < _SCALAR_SERVER_LIMIT:
-            # np.mean's pairwise reduction is plain sequential summation
-            # below eight elements, so this is the identical float.
-            return sum(self.utilizations) / n
-        return float(np.mean(self.utilizations))
+        return sum(self.utilizations) / n
 
 
 @dataclass
@@ -171,11 +168,6 @@ class DispatchQueue:
     balance_exponent:
         Dispatch weight is ``speed ** balance_exponent``; see module
         docstring.
-    migration_penalty_s:
-        Service blackout charged when the server (core) set changes --
-        thread migration plus cold caches.  Expressed in queue time; the
-        caller is responsible for dilating it when running a time-scaled
-        replica.
     max_backlog_s:
         Upper bound on per-server backlog.  Work beyond the bound is shed
         (clients time out and retry elsewhere); the shed amount is
@@ -192,7 +184,6 @@ class DispatchQueue:
 
     rng: np.random.Generator
     balance_exponent: float = 0.7
-    migration_penalty_s: float = 0.0
     max_backlog_s: float | None = None
     burstiness: float = 1.0
     _speeds: np.ndarray = field(init=False, default_factory=lambda: np.zeros(0))
@@ -207,16 +198,11 @@ class DispatchQueue:
 
     def backlog_s(self, now: float) -> float:
         """Total queued work across servers, expressed in seconds of delay."""
-        k = len(self._speeds)
-        if k == 0:
-            return 0.0
-        if k < _SCALAR_SERVER_LIMIT:
-            total = 0.0
-            for f in self._free.tolist():
-                if f > now:
-                    total += f - now
-            return total
-        return float(np.sum(np.maximum(self._free - now, 0.0)))
+        total = 0.0
+        for f in self._free.tolist():
+            if f > now:
+                total += f - now
+        return total
 
     def reconfigure(
         self, speeds: Sequence[float], now: float, *, migration: bool = False
@@ -230,70 +216,36 @@ class DispatchQueue:
         * same server count, no migration (a DVFS change) -- each server's
           residual *work* is preserved, so its backlog time rescales by
           the speed ratio;
-        * a migration (core set changed) -- residual work is pooled and
-          spread evenly (in time) over the new servers, and every server
-          is blacked out for ``migration_penalty_s``.
+        * a migration (core set changed) or a new server count --
+          residual work is pooled and spread evenly (in time) over the
+          new servers.
         """
         new_speeds = np.asarray(speeds, dtype=float)
         if new_speeds.ndim != 1 or len(new_speeds) == 0:
             raise ValueError("need at least one server")
-        # NaN fails both comparisons (and min/max propagate it).
-        if len(new_speeds) < _SCALAR_SERVER_LIMIT:
-            valid = all(0.0 < s < math.inf for s in new_speeds.tolist())
-        else:
-            valid = new_speeds.min() > 0 and new_speeds.max() < np.inf
-        if not valid:
+        new_list = new_speeds.tolist()
+        # NaN fails both comparisons.
+        if not all(0.0 < s < math.inf for s in new_list):
             raise ValueError("server speeds must be positive and finite")
 
-        k = len(new_speeds)
-        k_old = self.n_servers
-        if k == k_old and not migration:
-            if k < _SCALAR_SERVER_LIMIT:
-                # The numpy expressions below, element by element on
-                # Python floats: free times are never -0.0, so Python's
-                # min/max pick exactly what np.minimum/np.maximum do.
-                old_speeds = self._speeds.tolist()
-                new_list = new_speeds.tolist()
-                if new_list == old_speeds:
-                    return
-                self._free = np.array(
-                    [
-                        now + min(f - now, 0.0) + max(f - now, 0.0) * (s_old / s_new)
-                        for f, s_old, s_new in zip(
-                            self._free.tolist(), old_speeds, new_list
-                        )
-                    ]
-                )
-            else:
-                if np.array_equal(new_speeds, self._speeds):
-                    return
-                backlog = np.maximum(self._free - now, 0.0)
-                ratio = self._speeds / new_speeds
-                self._free = now + np.minimum(self._free - now, 0.0) + backlog * ratio
-            self._speeds = new_speeds
-            self._set_weights(new_speeds)
-            return
-
-        # np.sum over fewer than eight elements is a sequential sum, so
-        # the Python sums below are the identical floats.
-        residual_work = 0.0
-        if 0 < k_old < _SCALAR_SERVER_LIMIT:
-            residual_work = sum(
-                max(f - now, 0.0) * s
-                for f, s in zip(self._free.tolist(), self._speeds.tolist())
+        old_speeds = self._speeds.tolist()
+        if len(new_list) == len(old_speeds) and not migration:
+            if new_list == old_speeds:
+                return
+            self._free = np.array(
+                [
+                    now + min(f - now, 0.0) + max(f - now, 0.0) * (s_old / s_new)
+                    for f, s_old, s_new in zip(
+                        self._free.tolist(), old_speeds, new_list
+                    )
+                ]
             )
-        elif k_old:
-            residual_work = float(
-                np.sum(np.maximum(self._free - now, 0.0) * self._speeds)
-            )
-        if k < _SCALAR_SERVER_LIMIT:
-            total_speed = sum(new_speeds.tolist())
         else:
-            total_speed = float(np.sum(new_speeds))
-        start = now + (self.migration_penalty_s if migration else 0.0)
-        per_server_delay = residual_work / total_speed
+            residual_work = sum(
+                max(f - now, 0.0) * s for f, s in zip(self._free.tolist(), old_speeds)
+            )
+            self._free = np.full(len(new_list), now + residual_work / sum(new_list))
         self._speeds = new_speeds
-        self._free = np.full(k, start + per_server_delay)
         self._set_weights(new_speeds)
 
     def _set_weights(self, speeds: np.ndarray) -> None:
@@ -393,7 +345,9 @@ class DispatchQueue:
         *arriving* in the interval, per-server utilizations, and the
         amount of work shed to the backlog bound.
         """
-        return self.run_drawn(t0, t1, self.draw_interval(t0, t1, arrival_rate, demand_sampler))
+        return self.run_drawn(
+            t0, t1, self.draw_interval(t0, t1, arrival_rate, demand_sampler)
+        )
 
     def run_drawn(
         self, t0: float, t1: float, drawn: DrawnInterval
@@ -430,18 +384,10 @@ class DispatchQueue:
         """
         dt = t1 - t0
         n_servers = len(self._speeds)
-        scalar = n_servers < _SCALAR_SERVER_LIMIT
         n = drawn.n
-        if scalar:
-            free_list = self._free.tolist()
-            carried_busy = [max(min(f, t1) - t0, 0.0) for f in free_list]
-        else:
-            carried_busy = np.maximum(np.minimum(self._free, t1) - t0, 0.0)
+        carried_busy = [max(min(f, t1) - t0, 0.0) for f in self._free.tolist()]
         if n == 0:
-            if scalar:
-                utils = tuple(min(c / dt, 1.0) for c in carried_busy)
-            else:
-                utils = tuple(float(u) for u in np.minimum(carried_busy / dt, 1.0))
+            utils = tuple(min(c / dt, 1.0) for c in carried_busy)
             empty = np.empty(0)
             return IntervalQueueStats(empty, empty, 0, utils, *self._shed(t1))
 
@@ -503,15 +449,9 @@ class DispatchQueue:
             latencies = np.empty(n)
             latencies[order] = buf
 
-        if scalar:
-            utils = tuple(
-                [min((c + s) / dt, 1.0) for c, s in zip(carried_busy, service_sums)]
-            )
-        else:
-            utils = tuple(
-                float(u)
-                for u in np.minimum((carried_busy + np.asarray(service_sums)) / dt, 1.0)
-            )
+        utils = tuple(
+            [min((c + s) / dt, 1.0) for c, s in zip(carried_busy, service_sums)]
+        )
         return IntervalQueueStats(latencies, arrivals, n, utils, *self._shed(t1))
 
     def run_epoch_drawn(
@@ -541,18 +481,12 @@ class DispatchQueue:
           runmax_last)`` and shed clamp are the scalar path's own two
           scalar operations, evaluated in a cheap Python scan;
         * per-interval bookkeeping (carried busy time, utilizations,
-          shedding, backlog) replicates the scalar branch of
-          :meth:`run_drawn` expression by expression, which is why the
-          epoch path requires ``n_servers < _SCALAR_SERVER_LIMIT``.
+          shedding, backlog) replicates the Python-float walk of
+          :meth:`run_drawn` expression by expression, in server order.
         """
         k = self.n_servers
         if k == 0:
             raise RuntimeError("reconfigure() must be called before run_epoch_drawn()")
-        if k >= _SCALAR_SERVER_LIMIT:
-            raise ValueError(
-                "the epoch kernel replicates the scalar per-server "
-                f"bookkeeping and needs n_servers < {_SCALAR_SERVER_LIMIT}"
-            )
         n_epoch = len(drawn)
         counts = [d.n for d in drawn]
         total = sum(counts)
@@ -670,8 +604,8 @@ class DispatchQueue:
             shed_work += sheds
         free[:] = free_l
 
-        # Per-interval bookkeeping, column by column in server order: the
-        # scalar branch of run_drawn expression by expression, with
+        # Per-interval bookkeeping, column by column in server order:
+        # run_drawn's Python-float walk expression by expression, with
         # Python's min/max written as the equivalent np.where selections
         # (which keep their tie and signed-zero behaviour exactly).
         dt = t1_arr - t0_arr
@@ -745,22 +679,14 @@ class DispatchQueue:
         ``now`` (the same summation order, in the same walk)."""
         free = self._free
         bound = None if self.max_backlog_s is None else now + self.max_backlog_s
-        if len(free) < _SCALAR_SERVER_LIMIT:
-            shed = 0.0
-            backlog = 0.0
-            for f in free.tolist():
-                if bound is not None and f > bound:
-                    shed += f - bound
-                    f = bound
-                if f > now:
-                    backlog += f - now
-            if shed:
-                np.minimum(free, bound, out=free)
-            return shed, backlog
         shed = 0.0
-        if bound is not None:
-            excess = np.maximum(free - bound, 0.0)
-            if np.any(excess > 0):
-                np.minimum(free, bound, out=free)
-            shed = float(np.sum(excess))
-        return shed, float(np.sum(np.maximum(free - now, 0.0)))
+        backlog = 0.0
+        for f in free.tolist():
+            if bound is not None and f > bound:
+                shed += f - bound
+                f = bound
+            if f > now:
+                backlog += f - now
+        if shed:
+            np.minimum(free, bound, out=free)
+        return shed, backlog

@@ -4,7 +4,6 @@ from repro.workloads.base import (
     LatencyCriticalWorkload,
     capacity_rps,
     lc_server_speeds,
-    used_core_ids,
 )
 from repro.workloads.batch import MEMORY_CEILING_IPS, BatchJobSet, BatchProgram
 from repro.workloads.memcached import memcached
@@ -23,6 +22,5 @@ __all__ = [
     "spec_job_set",
     "spec_mix",
     "spec_program",
-    "used_core_ids",
     "websearch",
 ]

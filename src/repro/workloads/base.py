@@ -21,7 +21,6 @@ G/G/k property).  Reported latencies are scaled back and the network/stack
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -228,13 +227,3 @@ def capacity_rps(
     """
     speeds = lc_server_speeds(workload, platform, config)
     return sum(speeds) / (workload.demand_mean_ms * 1e-3)
-
-
-def used_core_ids(
-    workload: LatencyCriticalWorkload,
-    platform: Platform,
-    config: Configuration,
-    lc_cores: Sequence[str],
-) -> tuple[str, ...]:
-    """The subset of allocated cores the workload's threads actually use."""
-    return tuple(lc_cores[: workload.n_threads])

@@ -50,11 +50,7 @@ from repro.policies.base import ManagerContext, TaskManager
 from repro.sim.contention import ContentionModel
 from repro.sim.engine import EngineConfig
 from repro.sim.latency import LatencySample
-from repro.sim.queueing import (
-    _SCALAR_SERVER_LIMIT,
-    DispatchQueue,
-    IntervalQueueStats,
-)
+from repro.sim.queueing import DispatchQueue, IntervalQueueStats
 from repro.sim.records import (
     ExperimentResult,
     IntervalObservation,
@@ -62,6 +58,10 @@ from repro.sim.records import (
 )
 from repro.workloads.base import LatencyCriticalWorkload, lc_server_speeds
 from repro.workloads.batch import BatchJobSet
+
+#: From this many servers :class:`PerServerDispatchQueue` runs its
+#: bookkeeping in numpy, as the kernel it preserves did.
+_SCALAR_SERVER_LIMIT = 8
 
 
 def table_from_rows(rows: Sequence[IntervalObservation]) -> ObservationTable:
@@ -338,7 +338,6 @@ class ReferenceIntervalSimulator:
         self._queue = ReferenceDispatchQueue(
             rng=self._rng,
             balance_exponent=self.config.balance_exponent,
-            migration_penalty_s=0.0,
             max_backlog_s=self.config.max_backlog_s * scale,
             burstiness=workload.burstiness,
         )

@@ -33,11 +33,11 @@ class TestBucketizer:
         with pytest.raises(ValueError):
             LoadBucketizer(0.10).bucket(-0.1)
 
-    def test_representative_load_within_bucket(self):
+    def test_bucket_midpoints_map_back(self):
         b = LoadBucketizer(0.06)
         for bucket in range(b.n_buckets):
-            rep = b.representative_load(bucket)
-            assert b.bucket(min(rep, 1.0)) == bucket or rep == 1.0
+            mid = min((bucket + 0.5) * b.bucket_size, 1.0)
+            assert b.bucket(mid) == bucket
 
     def test_defaults_by_workload(self):
         assert default_bucketizer("memcached").bucket_size == 0.04

@@ -425,6 +425,48 @@ class TestBatchedBuildingBlocks:
             sums = exact_row_sums(padded, counts)
             assert sums.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("max_backlog_s", [None, 0.05])
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_epoch_kernel_matches_per_interval_on_wide_queues(self, k, max_backlog_s):
+        # The epoch kernel's bookkeeping is run_drawn's Python-float walk,
+        # so it serves any server count, not only the handful of cores a
+        # modelled board gives one workload.
+        def sampler(rng, n):
+            return rng.exponential(0.002, size=n)
+
+        speeds = [1.0 + 0.25 * (j % 3) for j in range(k)]
+        queues = []
+        for _ in range(2):
+            queue = DispatchQueue(
+                rng=np.random.default_rng(k), max_backlog_s=max_backlog_s
+            )
+            queue.reconfigure(speeds, now=0.0)
+            queue.run_interval(0.0, 0.25, 3000.0 * k, sampler)  # carried backlog
+            queues.append(queue)
+        epoch_queue, interval_queue = queues
+        rates = [0.0, 50.0 * k, 4000.0 * k, 300.0 * k, 0.0, 6000.0 * k, 10.0]
+        t0s = [0.25 * (i + 1) for i in range(len(rates))]
+        t1s = [t0 + 0.25 for t0 in t0s]
+        drawn = [
+            epoch_queue.draw_interval(t0, t1, rate, sampler)
+            for t0, t1, rate in zip(t0s, t1s, rates)
+        ]
+        stats = [interval_queue.run_drawn(*args) for args in zip(t0s, t1s, drawn)]
+        epoch = epoch_queue.run_epoch_drawn(t0s, t1s, drawn)
+
+        latencies = np.concatenate([s.latencies_s for s in stats])
+        assert epoch.latencies_s.tobytes() == latencies.tobytes()
+        utils = np.array([s.utilizations for s in stats])
+        assert epoch.utilizations.tobytes() == utils.tobytes()
+        means = np.array([s.mean_utilization for s in stats])
+        assert epoch.mean_utilization.tobytes() == means.tobytes()
+        shed = np.array([s.shed_work_s for s in stats])
+        assert epoch.shed_work_s.tobytes() == shed.tobytes()
+        backlog = np.array([s.backlog_s for s in stats])
+        assert epoch.backlog_s.tobytes() == backlog.tobytes()
+        assert epoch_queue._free.tobytes() == interval_queue._free.tobytes()
+        assert (shed.sum() > 0.0) == (max_backlog_s is not None)
+
     def test_linear_quantile_sorted_matches_per_row(self):
         rng = np.random.default_rng(12)
         for q in (0.5, 0.9, 0.95, 0.99):

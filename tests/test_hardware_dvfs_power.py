@@ -38,11 +38,12 @@ class TestDVFS:
         with pytest.raises(KeyError):
             dvfs.frequency("gpu")
 
-    def test_set_min_max_helpers(self, platform):
+    def test_set_frequency_spans_the_operating_range(self, platform):
         dvfs = DVFSController(platform.clusters)
-        dvfs.set_min("big")
+        big = next(c for c in platform.clusters if c.name == "big")
+        assert dvfs.set_frequency("big", big.min_freq_ghz)
         assert dvfs.frequency("big") == 0.60
-        dvfs.set_max("big")
+        assert dvfs.set_frequency("big", big.max_freq_ghz)
         assert dvfs.frequency("big") == 1.15
 
     def test_snapshot(self, platform):

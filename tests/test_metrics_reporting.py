@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.reporting import ascii_table, series_block, sparkline, write_csv
+from repro.experiments.reporting import ascii_table, series_block, sparkline
 from repro.experiments.table3_summary import summarize
 from repro.loadgen.traces import ConstantTrace
 from repro.policies.static import static_all_big, static_all_small
@@ -71,12 +71,6 @@ class TestReporting:
     def test_series_block_annotations(self):
         block = series_block("power", [1.0, 2.0], unit="W")
         assert "min=1" in block and "max=2" in block
-
-    def test_write_csv_roundtrip(self, tmp_path):
-        path = write_csv(tmp_path / "out.csv", ["x", "y"], [[1, 2], [3, 4]])
-        content = path.read_text().strip().splitlines()
-        assert content[0] == "x,y"
-        assert content[1:] == ["1,2", "3,4"]
 
 
 class TestCli:

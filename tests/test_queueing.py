@@ -220,11 +220,17 @@ class TestReconfigure:
         queue.reconfigure([2.0], now=1.0)  # double the speed
         assert queue.backlog_s(1.0) == pytest.approx(before / 2, rel=0.01)
 
-    def test_migration_charges_penalty(self):
-        queue = make_queue(seed=1, migration_penalty_s=0.5)
-        queue.reconfigure([1.0], now=0)
-        queue.reconfigure([1.0, 1.0], now=0, migration=True)
-        assert queue.backlog_s(0.0) == pytest.approx(1.0)  # 0.5 s x 2 servers
+    def test_migration_pools_residual_work(self):
+        queue = make_queue(seed=1)
+        queue.reconfigure([1.0, 2.0], now=0)
+        queue.run_interval(0, 1, 6000, exponential_sampler(0.001))  # overload
+        work_before = sum(
+            max(f - 1.0, 0.0) * s for f, s in zip(queue._free, (1.0, 2.0))
+        )
+        queue.reconfigure([1.0, 2.0], now=1.0, migration=True)
+        # Same servers, but a migration: the work is spread evenly in time.
+        assert queue._free[0] == queue._free[1]
+        assert queue.backlog_s(1.0) == pytest.approx(2 * work_before / 3.0)
 
     def test_server_count_change_redistributes_work(self):
         queue = make_queue(seed=1)
@@ -247,8 +253,9 @@ class TestReconfigure:
     @pytest.mark.parametrize("k", range(1, 13))
     def test_stats_carry_the_post_shed_backlog(self, k, max_backlog_s):
         """The shedding walk's backlog is the float ``backlog_s(t1)``
-        reads, on both sides of the scalar/numpy server limit, through
-        empty, light and overloaded intervals."""
+        reads, and the mean utilization is the sequential mean of the
+        per-server utilizations, at every server count from one to
+        twelve, through empty, light and overloaded intervals."""
         queue = make_queue(seed=k, max_backlog_s=max_backlog_s)
         speeds = [1.0 + 0.25 * (j % 3) for j in range(k)]
         queue.reconfigure(speeds, now=0.0)
@@ -259,6 +266,7 @@ class TestReconfigure:
             stats = queue.run_interval(t0, t1, rate, exponential_sampler(0.002))
             assert type(stats.backlog_s) is float
             assert stats.backlog_s == queue.backlog_s(t1)
+            assert stats.mean_utilization == sum(stats.utilizations) / k
             backlogs.append(stats.backlog_s)
             shed += stats.shed_work_s
         assert max(backlogs) > 0.0
