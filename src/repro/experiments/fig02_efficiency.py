@@ -28,6 +28,7 @@ from repro.hardware.topology import (
 from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED, ScenarioSpec
 from repro.scenarios.factories import build_workload
 from repro.sim.batch import BatchRunner
+from repro.sim.latency import column_mean
 from repro.sim.records import ExperimentResult
 from repro.workloads.base import LatencyCriticalWorkload, capacity_rps
 
@@ -59,15 +60,6 @@ class Fig2Result:
     hetcmp: tuple[LoadLevelChoice | None, ...]
     baseline: tuple[LoadLevelChoice | None, ...]
     loads: tuple[float, ...]
-
-    @property
-    def state_machine(self) -> tuple[tuple[float, str], ...]:
-        """Figure 2c: the per-load optimal configuration labels."""
-        return tuple(
-            (choice.load, choice.config_label)
-            for choice in self.hetcmp
-            if choice is not None
-        )
 
     def mean_efficiency_gain(self) -> float:
         """Mean HetCMP-over-baseline throughput/W gain at levels both solve."""
@@ -155,7 +147,7 @@ def pick_winner(
                 load=load,
                 config_label=config.label,
                 power_w=power,
-                throughput_per_watt=float(np.mean(result.arrival_rps)) / power,
+                throughput_per_watt=column_mean(result.arrival_rps) / power,
             )
     return best
 

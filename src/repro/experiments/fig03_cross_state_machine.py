@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.experiments.fig02_efficiency import (
     PAPER_LOAD_LEVELS,
     Fig2Result,
@@ -27,6 +25,7 @@ from repro.experiments.reporting import ascii_table
 from repro.fleet import run_specs
 from repro.scenarios import DEFAULT_REGISTRY, DEFAULT_SEED, ScenarioSpec
 from repro.sim.batch import BatchRunner
+from repro.sim.latency import column_mean
 from repro.sim.records import ExperimentResult
 
 
@@ -98,7 +97,7 @@ def _steady_spec(
 def _efficiency(result: ExperimentResult) -> tuple[float, bool]:
     """(throughput per watt, QoS met) of one steady-load evaluation."""
     power = result.mean_power_w()
-    return float(np.mean(result.arrival_rps)) / power, result.qos_guarantee() >= 0.9
+    return column_mean(result.arrival_rps) / power, result.qos_guarantee() >= 0.9
 
 
 def _cross_rows(

@@ -47,7 +47,8 @@ def sparkline(values: Sequence[float], *, width: int = 72) -> str:
     if hi - lo < 1e-12:
         return _SPARK_LEVELS[0] * width
     scaled = (resampled - lo) / (hi - lo) * (len(_SPARK_LEVELS) - 1)
-    return "".join(_SPARK_LEVELS[int(round(s))] for s in scaled)
+    # np.rint rounds half to even, as round() does, in one call.
+    return "".join([_SPARK_LEVELS[int(s)] for s in np.rint(scaled).tolist()])
 
 
 def series_block(

@@ -33,15 +33,6 @@ class PolicySummary:
     migration_events: int
     mean_power_w: float
 
-    def render(self) -> str:
-        """A fixed-width report line."""
-        return (
-            f"{self.policy:<20s} {self.workload:<10s} "
-            f"QoS={self.qos_guarantee_pct:5.1f}%  tardiness={self.qos_tardiness:5.2f}  "
-            f"energy_saved={self.energy_reduction_pct:5.1f}%  "
-            f"migrations={self.migration_events:4d}  power={self.mean_power_w:4.2f}W"
-        )
-
 
 def summarize(
     result: ExperimentResult, baseline: ExperimentResult | None = None

@@ -30,7 +30,7 @@ from repro.errors import ExecutionError
 from repro.fleet.spec import FleetSpec
 from repro.scenarios.spec import ScenarioOutcome, ScenarioSpec
 from repro.sim.batch import BatchRunner
-from repro.sim.latency import qos_tardiness
+from repro.sim.latency import column_mean, qos_tardiness
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +68,7 @@ class NodeReduction:
             mean_power_w=result.mean_power_w(),
             qos_guarantee=result.qos_guarantee(),
             mean_utilization=result.mean_utilization(),
-            mean_load=float(np.mean(result.loads)),
+            mean_load=column_mean(result.loads),
             total_energy_j=result.total_energy_j(),
             tails_ms=result.tails_ms,
             powers_w=result.powers_w,
@@ -269,8 +269,10 @@ class FleetOutcome:
         the normalized tail-of-tails.
         """
         if self.is_heterogeneous:
-            return float(np.mean(self.fleet_ratio <= 1.0))
-        return float(np.mean(self.fleet_tails <= self.target_latency_ms))
+            met = self.fleet_ratio <= 1.0
+        else:
+            met = self.fleet_tails <= self.target_latency_ms
+        return float(np.count_nonzero(met) / met.size)
 
     def fleet_qos_tardiness(self) -> float:
         """Mean tail-of-tails overshoot over violating intervals only

@@ -363,7 +363,12 @@ class FleetSpec:
         from repro.scenarios import factories
 
         capacities = self.node_capacities()
-        levels = self.planned_levels()
+        # One rounding pass over the whole (n_intervals, n_nodes) plan
+        # (np.round is elementwise, so each node's column holds the same
+        # doubles a per-column round gives), and one tolist of its
+        # transpose: each node's TraceSpec float conversion then gets
+        # Python floats, which matters at 1024 nodes x 1400 intervals.
+        node_levels = np.round(self.planned_levels(), 6).T.tolist()
         workloads = self.node_workloads()
         base_demand_ms = {
             workload: factories.build_workload(
@@ -382,11 +387,7 @@ class FleetSpec:
                 ScenarioSpec(
                     workload=workloads[index],
                     trace=TraceSpec.sampled(
-                        # tolist() keeps the same doubles but hands the
-                        # TraceSpec float-conversion loop Python floats,
-                        # which matters at 1024 nodes x 1400 intervals.
-                        np.round(levels[:, index], 6).tolist(),
-                        interval_s=self.interval_s,
+                        node_levels[index], interval_s=self.interval_s
                     ),
                     manager=self.manager,
                     manager_params=self.manager_params,

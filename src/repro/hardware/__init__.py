@@ -11,7 +11,7 @@ cluster descriptions (:mod:`~repro.hardware.cores`), per-cluster DVFS
 (:mod:`~repro.hardware.juno`).
 """
 
-from repro.hardware.affinity import AffinityManager, Placement, Role
+from repro.hardware.affinity import AffinityManager, Placement
 from repro.hardware.cores import Cluster, CoreKind, CoreType
 from repro.hardware.counters import PerfCounters
 from repro.hardware.dvfs import DVFSController
@@ -51,7 +51,6 @@ __all__ = [
     "Platform",
     "PowerBreakdown",
     "PowerModel",
-    "Role",
     "characterize_cluster",
     "characterize_platform",
     "config_by_label",

@@ -10,22 +10,10 @@ transitions whose cost drives the paper's central QoS argument.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from repro.hardware.soc import Platform
 from repro.hardware.topology import Configuration, validate_configuration
-
-
-class Role(str, enum.Enum):
-    """What a core is currently running."""
-
-    LATENCY_CRITICAL = "lc"
-    BATCH = "batch"
-    IDLE = "idle"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -94,16 +82,6 @@ class AffinityManager:
             migrated_cores=moved,
             migration_event=event,
         )
-
-    def role_of(self, core_id: str, placement: Placement) -> Role:
-        """Role of a core under a given placement."""
-        if core_id in placement.lc_cores:
-            return Role.LATENCY_CRITICAL
-        if core_id in placement.batch_assignment:
-            return Role.BATCH
-        if core_id not in self.platform.core_ids:
-            raise KeyError(f"unknown core id {core_id!r}")
-        return Role.IDLE
 
     @property
     def migration_events(self) -> int:

@@ -4,8 +4,7 @@ The paper controls DVFS through ``acpi-cpufreq`` and notes (Section 3.6,
 citing Kasture et al.) that DVFS transitions cost microseconds while core
 migrations cost milliseconds.  :class:`DVFSController` tracks the current
 operating point of each cluster, validates requested frequencies against
-the discrete operating-point table, and accounts transition counts and the
-(small) cumulative transition latency so experiments can report both.
+the discrete operating-point table, and counts transitions.
 """
 
 from __future__ import annotations
@@ -13,10 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.hardware.cores import Cluster
-
-#: Latency of one frequency transition, seconds (order of tens of
-#: microseconds on Juno; negligible next to the 1 s monitoring interval).
-DVFS_TRANSITION_LATENCY_S = 50e-6
 
 
 @dataclass
@@ -28,10 +23,8 @@ class DVFSController:
     """
 
     clusters: tuple[Cluster, ...]
-    transition_latency_s: float = DVFS_TRANSITION_LATENCY_S
     _freq_by_cluster: dict[str, float] = field(init=False)
     _transitions: int = field(init=False, default=0)
-    _transition_time_s: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         names = [c.name for c in self.clusters]
@@ -64,18 +57,12 @@ class DVFSController:
             return False
         self._freq_by_cluster[cluster_name] = freq_ghz
         self._transitions += 1
-        self._transition_time_s += self.transition_latency_s
         return True
 
     @property
     def transitions(self) -> int:
         """Number of frequency transitions performed so far."""
         return self._transitions
-
-    @property
-    def transition_time_s(self) -> float:
-        """Total time spent in frequency transitions, seconds."""
-        return self._transition_time_s
 
     def snapshot(self) -> dict[str, float]:
         """Current frequency of every cluster, by cluster name."""

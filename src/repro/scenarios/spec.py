@@ -18,8 +18,9 @@ import hashlib
 import itertools
 import struct
 import weakref
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields, replace
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -43,13 +44,12 @@ ParamsLike = Mapping[str, Any] | Iterable[tuple[str, Any]] | None
 
 def freeze_params(params: ParamsLike) -> Params:
     """Normalize a mapping (or pair iterable) into sorted frozen pairs."""
-    if params is None:
+    if params is None or params == ():  # half the calls re-freeze ()
         return ()
     items = params.items() if isinstance(params, Mapping) else params
-    frozen = tuple(sorted((str(k), _freeze_value(v)) for k, v in items))
-    names = [k for k, _ in frozen]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate parameter names in {names}")
+    frozen = tuple(sorted([(str(k), _freeze_value(v)) for k, v in items]))
+    if len({k for k, _ in frozen}) != len(frozen):
+        raise ValueError(f"duplicate parameter names in {[k for k, _ in frozen]}")
     return frozen
 
 
@@ -110,7 +110,7 @@ def _key_skeleton(value: Any, runs: list[bytes]) -> Any:
         return (
             "TraceSpec",
             value.kind,
-            _key_skeleton(value.params, runs),
+            _params_skeleton(value.params, runs),
             _key_skeleton(value.parts, runs),
         )
     if type(value) is not tuple or not value:
@@ -124,11 +124,21 @@ def _key_skeleton(value: Any, runs: list[bytes]) -> Any:
     return value
 
 
+def _params_skeleton(params: Params, runs: list[bytes]) -> Any:
+    """:func:`_key_skeleton` of frozen params: the pairs themselves,
+    unless some value is a tuple (the only place a float run can be)."""
+    for _, value in params:
+        if type(value) is tuple:
+            return _key_skeleton(params, runs)
+    return params
+
+
 #: Fingerprints of live specs by identity, each with the key prefix it
-#: was computed under.  Kept off the instance: outcomes pickle their
-#: spec, so an instance attribute would change cached payload bytes.
-#: An entry leaves the memo when its spec is garbage collected.
-_FINGERPRINTS: dict[int, tuple[str, str]] = {}
+#: was computed under and the weak reference whose callback drops the
+#: entry when the spec is garbage collected.  Kept off the instance:
+#: outcomes pickle their spec, so an instance attribute would change
+#: cached payload bytes.
+_FINGERPRINTS: dict[int, tuple[str, str, weakref.ref]] = {}
 
 
 @dataclass(frozen=True)
@@ -197,7 +207,7 @@ class TraceSpec:
         """Per-interval load levels, as a load balancer emits them."""
         return cls(
             "sampled",
-            {"levels": tuple(float(v) for v in levels), "interval_s": interval_s},
+            {"levels": tuple(map(float, levels)), "interval_s": interval_s},
         )
 
     @classmethod
@@ -431,7 +441,8 @@ class ScenarioSpec:
         only if the format versions change); re-dispatching the same
         spec objects then costs a dict lookup."""
         prefix = cache_key_prefix()
-        memo = _FINGERPRINTS.get(id(self))
+        spec_id = id(self)
+        memo = _FINGERPRINTS.get(spec_id)
         if memo is not None and memo[0] == prefix:
             return memo[1]
         runs: list[bytes] = []
@@ -439,14 +450,14 @@ class ScenarioSpec:
             SCHEMA_VERSION,
             KERNEL_VERSION,
             self.workload,
-            _key_skeleton(self.workload_params, runs),
+            _params_skeleton(self.workload_params, runs),
             _key_skeleton(self.trace, runs),
             self.manager,
-            _key_skeleton(self.manager_params, runs),
+            _params_skeleton(self.manager_params, runs),
             self.platform,
             self.batch_jobs,
             self.cpuidle,
-            _key_skeleton(self.engine, runs),
+            _params_skeleton(self.engine, runs),
             self.seed,
             self.n_intervals,
         )
@@ -455,8 +466,12 @@ class ScenarioSpec:
             digest.update(run)
         key = prefix + digest.hexdigest()[:24]
         if memo is None:
-            weakref.finalize(self, _FINGERPRINTS.pop, id(self), None)
-        _FINGERPRINTS[id(self)] = (prefix, key)
+            # A plain ref with a callback: weakref.finalize costs about
+            # 2 us more per spec, and a warm pass builds hundreds.
+            ref = weakref.ref(self, lambda _: _FINGERPRINTS.pop(spec_id, None))
+        else:
+            ref = memo[2]
+        _FINGERPRINTS[spec_id] = (prefix, key, ref)
         return key
 
     def describe(self) -> str:

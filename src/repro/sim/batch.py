@@ -74,12 +74,11 @@ its chunk-mates' results are recovered; a hung chunk trips a watchdog
 deadline derived from :func:`estimate_cost` and ends in
 :class:`~repro.errors.SpecTimeoutError` instead of blocking forever;
 and a pool that keeps dying degrades to in-process serial execution.
-A corrupt pack record (CRC mismatch, failed decode or a payload whose
-spec does not fingerprint to its key) has its bytes copied to
-``<cache-dir>/quarantine/`` (with a one-line stderr warning) and is
-served as a miss, so a bad disk or a chaos run leaves evidence behind;
-the quarantine itself is bounded (256 MiB / 256 entries, oldest evicted
-first) so the evidence locker cannot grow without limit.  An
+A corrupt pack record (CRC mismatch or failed decode) has its bytes
+copied to ``<cache-dir>/quarantine/`` (with a one-line stderr warning)
+and is served as a miss, so a bad disk or a chaos run leaves evidence
+behind; the quarantine itself is bounded (256 MiB / 256 entries, oldest
+evicted first) so the evidence locker cannot grow without limit.  An
 interrupted run resumes from the cache alone: rerun against the same
 ``cache_dir`` and every completed spec is a hit.  None of this can
 change results: every spec is a pure function of itself, so retried,
@@ -163,6 +162,12 @@ COLLOCATION_COST_FACTOR = 1.0182
 #: balance at the tail, fewer = less inter-process overhead; 4 is the
 #: classic oversubscription compromise.
 CHUNKS_PER_WORKER = 4
+
+
+def _stamp(stat: os.stat_result) -> tuple[int, ...]:
+    """What identifies one state of the pack file: a rewrite or an
+    append changes its inode, size or times."""
+    return (stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns)
 
 
 def execute_scenario(spec: "ScenarioSpec") -> "ScenarioOutcome":
@@ -299,27 +304,39 @@ class DiskCache:
         self._pack_index: dict[str, tuple[int, int, int]] | None = None
         self._pack_end = 0
         self._pack_inode: int | None = None
+        #: The pack's ``_stamp`` when the index last described it record
+        #: for record (a full scan, then only this handle's appends), or
+        #: ``None`` when it may not: an incremental scan cannot tell a
+        #: foreign compaction that reused the inode from new appends.
+        self._pack_stamp: tuple[int, ...] | None = None
         self._pack_read_fh: BinaryIO | None = None
 
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
         """Compact the pack if it crossed the dead-bytes threshold and
-        drop the long-lived read handle (idempotent)."""
+        close the long-lived read handle (idempotent).
+
+        The index survives: it is synced before every use, so closing
+        again (a runner's ``__del__`` after its ``close()``) costs a
+        lock and a ``stat``, not another scan of every header."""
         try:
             self._maybe_compact()
         except OSError:  # pragma: no cover - best-effort maintenance
             pass
-        self._drop_read_state()
+        self._close_read_fh()
 
-    def _drop_read_state(self) -> None:
+    def _close_read_fh(self) -> None:
         fh, self._pack_read_fh = self._pack_read_fh, None
-        self._pack_index = None
         if fh is not None:
             try:
                 fh.close()
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
+
+    def _drop_read_state(self) -> None:
+        self._close_read_fh()
+        self._pack_index = None
 
     # -- paths ----------------------------------------------------------
 
@@ -419,20 +436,34 @@ class DiskCache:
             fh.seek(end)
         return index, end
 
-    def _sync_index(self, fh: BinaryIO) -> dict[str, tuple[int, int, int]]:
+    def _sync_index(
+        self, fh: BinaryIO, *, exact: bool = False
+    ) -> dict[str, tuple[int, int, int]]:
         """The index brought up to date with the open pack ``fh``.
 
-        Only records past the known end of the well-formed prefix are
+        A pack unchanged since the index last described it exactly (same
+        inode, size and times) is not read at all.  Otherwise only
+        records past the known end of the well-formed prefix are
         scanned; a new inode (a foreign compaction) or a file shorter
         than that end means a full rescan.  So does an incremental scan
         that stops short of the end of the file: besides a torn tail,
         that is what a foreign compaction looks like when the new pack
         reuses the old inode number (ext4 hands freed inodes straight
         back), and ``store_many`` must never truncate at a stale end.
+
+        An incremental scan that does reach the end can still have
+        followed such a compaction by chance, which a lookup survives
+        (every hit is checked against its header) but a copy by offset
+        would not: ``exact`` asks for a full rescan unless the pack is
+        unchanged since the index last described it exactly.
         """
         stat = os.fstat(fh.fileno())
+        stamp = _stamp(stat)
+        if self._pack_index is not None and stamp == self._pack_stamp:
+            return self._pack_index
         stale = (
-            self._pack_index is None
+            exact
+            or self._pack_index is None
             or stat.st_ino != self._pack_inode
             or stat.st_size < self._pack_end
         )
@@ -440,9 +471,11 @@ class DiskCache:
             _, end = self._scan_pack(fh, self._pack_end, self._pack_index)
             stale = end < stat.st_size
             self._pack_end = end
+        self._pack_stamp = None
         if stale:
             self._drop_read_state()
             self._pack_index, self._pack_end = self._scan_pack(fh)
+            self._pack_stamp = stamp
         self._pack_inode = stat.st_ino
         return self._pack_index
 
@@ -466,9 +499,9 @@ class DiskCache:
         cached index may be stale.  A stale offset usually yields a
         failed unpickle, but with same-sized records it can land exactly
         on a different record's payload and decode cleanly -- so every
-        hit is identity-checked against its key, and any mismatch or
-        decode failure drops the cached index and retries once against a
-        fresh scan.
+        hit is identity-checked against the record header in front of
+        it, and any mismatch or decode failure drops the cached index
+        and retries once against a fresh scan.
         """
         for attempt in range(2):
             entry = (self._pack_index or {}).get(key)
@@ -494,33 +527,39 @@ class DiskCache:
     def _read_pack_entry(
         self, key: str, entry: tuple[int, int, int]
     ) -> "ScenarioOutcome | None":
+        """Decode one record, or ``None`` if it is not ``key``'s.
+
+        The record is read together with the header line that precedes
+        it, and refused unless that header is exactly the one the index
+        entry stands for: the header is what indexed the payload, so a
+        stale offset that lands on another record (even one of the same
+        size whose payload decodes cleanly) names the wrong key there.
+        The CRC then guards the payload bytes themselves.
+        """
         from repro.scenarios.spec import ScenarioOutcome
 
         offset, size, crc = entry
+        header = f"{key} {size} {crc}\n".encode("ascii")
+        start = offset - len(header)
+        if start < 0:
+            return None  # stale offset: no room for the header
         try:
             # One long-lived read handle: a warm start costs one open
             # plus seeks, not an open per key.
             if self._pack_read_fh is None:
                 self._pack_read_fh = self.manifest_path.open("rb")
-            self._pack_read_fh.seek(offset)
-            payload = self._pack_read_fh.read(size)
+            self._pack_read_fh.seek(start)
+            record = self._pack_read_fh.read(len(header) + size)
+            if not record.startswith(header):
+                return None  # stale offset: another record is there
+            payload = memoryview(record)[len(header) :]
             if zlib.crc32(payload) != crc:
                 return None  # bit rot: detected even if it unpickles
             outcome = pickle.loads(payload)
         except Exception:  # corrupt record or unreadable pack
-            fh, self._pack_read_fh = self._pack_read_fh, None
-            if fh is not None:
-                try:
-                    fh.close()
-                except OSError:
-                    pass
+            self._close_read_fh()
             return None
         if not isinstance(outcome, ScenarioOutcome):
-            return None
-        try:
-            if outcome.spec.fingerprint() != key:
-                return None
-        except Exception:  # pragma: no cover - malformed spec payload
             return None
         return outcome
 
@@ -567,6 +606,7 @@ class DiskCache:
         fh = self._open_pack_locked("a+b")
         try:
             index = self._sync_index(fh)
+            exact = self._pack_stamp is not None
             end = self._pack_end
             fh.truncate(end)
             for key, payload in payloads:
@@ -578,6 +618,8 @@ class DiskCache:
                 end += len(header) + len(payload)
             fh.flush()
             self._pack_end = end
+            # Under the lock, so the appends are the only change.
+            self._pack_stamp = _stamp(os.fstat(fh.fileno())) if exact else None
         except BaseException:
             self._drop_read_state()
             raise
@@ -618,15 +660,20 @@ class DiskCache:
         the latest for their old key, but unreachable by any current
         lookup), and whatever follows the well-formed prefix.  The
         rewrite happens to a temp file that atomically replaces the pack
-        while the exclusive lock is held; the index is re-scanned *under
-        the lock* so records appended by a racing runner since our last
-        read are preserved.
+        while the exclusive lock is held; the index is synced *under the
+        lock* so records appended by a racing runner since our last read
+        are preserved.  The rewrite copies records by their indexed
+        offsets, so the sync is exact (:meth:`_sync_index`): a pack that
+        anyone but this handle changed since its last full scan is
+        rescanned, and one that nobody changed -- a read-only warm
+        session's -- is not read again.  A record this session
+        quarantined is out of the index, so it counts as dead.
         """
         if not self.manifest_path.exists():
             return
         fh = self._open_pack_locked("rb")
         try:
-            index, _ = self._scan_pack(fh)
+            index = self._sync_index(fh, exact=True)
             file_size = os.fstat(fh.fileno()).st_size
             dead = file_size - self._live_bytes(index)
             if dead < COMPACT_MIN_DEAD_BYTES or dead < (

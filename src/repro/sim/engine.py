@@ -462,7 +462,10 @@ class IntervalSimulator:
         if n == 0:
             tail = mean_latency = self._idle_latency_ms
         else:
-            latencies_ms = self._reported_latency_ms(stats.latencies_s)
+            # The kernel's latency buffer is fresh: convert it in place.
+            latencies_ms = self._reported_latency_ms(
+                stats.latencies_s, out=stats.latencies_s
+            )
             if migration_event and self.config.migration_penalty_s > 0:
                 self._add_migration_latency(
                     latencies_ms, migrated_cores, stats.arrival_times_s, t0,
@@ -625,7 +628,9 @@ class IntervalSimulator:
         # +inf-padded matrix: each mean reduces its row at the exact
         # length, and one row-wise sort yields every quantile's order
         # statistics.
-        latencies_ms = self.workload.reported_latency_ms(stats.latencies_s)
+        latencies_ms = self.workload.reported_latency_ms(
+            stats.latencies_s, out=stats.latencies_s
+        )
         counts = np.asarray(stats.counts)
         tails = np.full(n_epoch, self._idle_latency_ms)
         means = tails.copy()

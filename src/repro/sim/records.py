@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.sim.latency import qos_guarantee, qos_tardiness
+from repro.sim.latency import column_mean, qos_guarantee, qos_tardiness
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.policies.base import Decision
@@ -161,6 +161,10 @@ _FIELD_SLOTS = tuple(
     for field in IntervalObservation._fields
 )
 
+#: The same slots by field name: a column is the view
+#: ``blocks[block][row]``, taken when it is read.
+_COLUMN_SLOTS = dict(zip(IntervalObservation._fields, _FIELD_SLOTS))
+
 #: A row's float fields, in float-block order.
 _float_values = itemgetter(
     *(IntervalObservation._fields.index(field) for field in FLOAT_FIELDS)
@@ -173,16 +177,17 @@ class ObservationTable:
     One preallocated, typed numpy column per scalar observation field;
     ``decision`` and ``config_label`` are dictionary-encoded (an int32
     code column over a pool of unique values).  Each column is a row
-    view into the 2-D block of its dtype (see :data:`BLOCKS`).  The
-    engine appends one row per monitoring interval; :meth:`freeze` then
-    makes every column read-only so the zero-copy views handed out by
+    view into the 2-D block of its dtype (see :data:`BLOCKS`), taken
+    from the field's static ``(block, row)`` slot when it is read, so a
+    decoded table costs its blocks and nothing per field.  The engine
+    appends one row per monitoring interval; :meth:`freeze` then makes
+    every block read-only, so the zero-copy views handed out by
     :class:`ExperimentResult` cannot be mutated behind the cache's back.
     Frozen tables never append, so they carry no pool index dicts.
     """
 
     __slots__ = (
         "_blocks",
-        "_cols",
         "_decision_pool",
         "_decision_index",
         "_last_decision",
@@ -197,8 +202,8 @@ class ObservationTable:
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
-        self._bind(
-            tuple(np.empty((len(names), capacity), dtype) for dtype, names in BLOCKS)
+        self._blocks = tuple(
+            np.empty((len(names), capacity), dtype) for dtype, names in BLOCKS
         )
         self._decision_pool: list["Decision"] = []
         self._decision_index: dict["Decision", int] | None = {}
@@ -210,15 +215,6 @@ class ObservationTable:
         self._capacity = capacity
         self._frozen = False
 
-    def _bind(self, blocks: tuple[np.ndarray, ...]) -> None:
-        """Adopt ``blocks`` and point every column at its block row."""
-        self._blocks = blocks
-        self._cols: dict[str, np.ndarray] = {
-            field: row
-            for (_, names), block in zip(BLOCKS, blocks)
-            for field, row in zip(names, block)
-        }
-
     def _set_frozen(
         self,
         blocks: tuple[np.ndarray, ...],
@@ -228,9 +224,7 @@ class ObservationTable:
         """Adopt finished blocks and pools as a read-only table."""
         for block in blocks:
             block.flags.writeable = False
-        # Bound after the flags change, so the column views are
-        # read-only too.
-        self._bind(blocks)
+        self._blocks = blocks
         self._decision_pool = list(decision_pool)
         self._label_pool = list(label_pool)
         self._decision_index = self._label_index = None
@@ -321,21 +315,20 @@ class ObservationTable:
                 f"extend() expects exactly the scalar fields; missing "
                 f"{sorted(missing)}, unexpected {sorted(extra)}"
             )
-        cols = self._cols
         for field, value in columns.items():
-            cols[field][i : i + n] = value
+            self.column(field)[i : i + n] = value
         code = self._decision_index.get(decision)
         if code is None:
             code = len(self._decision_pool)
             self._decision_pool.append(decision)
             self._decision_index[decision] = code
-        cols["decision"][i : i + n] = code
+        self.column("decision")[i : i + n] = code
         code = self._label_index.get(config_label)
         if code is None:
             code = len(self._label_pool)
             self._label_pool.append(config_label)
             self._label_index[config_label] = code
-        cols["config_label"][i : i + n] = code
+        self.column("config_label")[i : i + n] = code
         self._n = i + n
         return i
 
@@ -366,7 +359,8 @@ class ObservationTable:
         :meth:`decision_at` / :meth:`label_at` (or :meth:`row`) for the
         decoded values.
         """
-        return self._cols[field]
+        block, row = _COLUMN_SLOTS[field]
+        return self._blocks[block][row]
 
     @property
     def decision_pool(self) -> tuple["Decision", ...]:
@@ -380,21 +374,16 @@ class ObservationTable:
 
     def decision_at(self, i: int) -> "Decision":
         """The decoded decision of row ``i``."""
-        return self._decision_pool[self._cols["decision"][i]]
+        return self._decision_pool[self.column("decision")[i]]
 
     def label_at(self, i: int) -> str:
         """The decoded configuration label of row ``i``."""
-        return self._label_pool[self._cols["config_label"][i]]
+        return self._label_pool[self.column("config_label")[i]]
 
     def decision_values(self, fn: Callable[["Decision"], object]) -> np.ndarray:
         """``fn(decision)`` per row, evaluated once per pooled decision."""
         pooled = np.array([fn(decision) for decision in self._decision_pool])
-        return pooled[self._cols["decision"]]
-
-    def labels(self) -> tuple[str, ...]:
-        """Decoded configuration labels, one per row."""
-        pool = self._label_pool
-        return tuple(pool[code] for code in self._cols["config_label"].tolist())
+        return pooled[self.column("decision")]
 
     def row(self, i: int) -> IntervalObservation:
         """Rebuild row ``i`` from the column buffers (plain scalars)."""
@@ -569,11 +558,6 @@ class ExperimentResult:
         """Achieved request throughput per interval."""
         return self._column("arrival_rps")
 
-    @property
-    def config_labels(self) -> tuple[str, ...]:
-        """Chosen configuration label per interval."""
-        return self._table.labels()
-
     # ------------------------------------------------------------------
     # summary metrics (paper Section 4.2.4)
     # ------------------------------------------------------------------
@@ -596,7 +580,7 @@ class ExperimentResult:
 
     def mean_power_w(self) -> float:
         """Mean system power over the run, watts."""
-        return float(np.mean(self.powers_w))
+        return column_mean(self.powers_w)
 
     def energy_reduction_vs(self, baseline: "ExperimentResult") -> float:
         """Fractional energy saving relative to a baseline run."""
@@ -625,7 +609,7 @@ class ExperimentResult:
 
     def mean_utilization(self) -> float:
         """Mean queue utilization over the run (one column reduction)."""
-        return float(np.mean(self._column("mean_utilization")))
+        return column_mean(self._column("mean_utilization"))
 
     def windowed_qos_guarantee(self, window_s: float = 100.0) -> np.ndarray:
         """QoS guarantee per non-overlapping time window (Figure 9)."""

@@ -128,9 +128,19 @@ class LatencyCriticalWorkload:
             object.__setattr__(self, "_demand_mu", mu)
         return rng.lognormal(mu, self.demand_sigma, n)
 
-    def reported_latency_ms(self, sim_latencies_s: np.ndarray) -> np.ndarray:
-        """De-dilate queue latencies and add the network/stack floor."""
-        out = np.asarray(sim_latencies_s, dtype=float) / self.sim_scale
+    def reported_latency_ms(
+        self, sim_latencies_s: np.ndarray, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """De-dilate queue latencies and add the network/stack floor.
+
+        The result goes to ``out`` when given -- a float64 buffer the
+        caller owns, which may be ``sim_latencies_s`` itself (the engine
+        converts the queue kernel's fresh latency buffer in place) --
+        and to a new array otherwise; the arithmetic is the same.
+        """
+        out = np.divide(
+            np.asarray(sim_latencies_s, dtype=float), self.sim_scale, out=out
+        )
         np.multiply(out, 1e3, out=out)
         np.add(out, self.base_latency_ms, out=out)
         return out

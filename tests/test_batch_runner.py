@@ -302,6 +302,13 @@ class TestCacheCorruption:
         assert_same_results(first, second)
 
 
+@pytest.fixture
+def eager(monkeypatch):
+    """Compact on close as soon as any byte is dead."""
+    monkeypatch.setattr(batch, "COMPACT_MIN_DEAD_BYTES", 1)
+    monkeypatch.setattr(batch, "COMPACT_DEAD_FRACTION", 0.0)
+
+
 def pickled(outcomes) -> list[tuple[str, bytes]]:
     return [
         (outcome.spec.fingerprint(), pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
@@ -377,12 +384,6 @@ class TestWellFormedPrefix:
 
 class TestManifestCompaction:
     """DiskCache.close() rewrites the pack once dead bytes accumulate."""
-
-    @pytest.fixture
-    def eager(self, monkeypatch):
-        """Compact on close as soon as any byte is dead."""
-        monkeypatch.setattr(batch, "COMPACT_MIN_DEAD_BYTES", 1)
-        monkeypatch.setattr(batch, "COMPACT_DEAD_FRACTION", 0.0)
 
     def read_pack_payload(self, cache_dir, key: str) -> bytes:
         """A key's payload read straight from the pack (fresh index)."""
@@ -620,6 +621,137 @@ class TestManifestCompaction:
         index = DiskCache(tmp_path)._load_pack_index()
         assert sorted(index) == ["b", "c", "d"]
         assert self.read_pack_payload(tmp_path, "b") == b"y\n" * 20
+
+
+class TestWarmReads:
+    """A hit is checked against the record header in front of it, and a
+    read-only session reads the pack headers once."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch) -> list[int]:
+        """Every ``_scan_pack`` call's start offset, in call order."""
+        calls: list[int] = []
+        real_scan = DiskCache._scan_pack
+
+        def counting_scan(fh, start=0, index=None):
+            calls.append(start)
+            return real_scan(fh, start, index)
+
+        monkeypatch.setattr(DiskCache, "_scan_pack", staticmethod(counting_scan))
+        return calls
+
+    def test_record_under_another_keys_header_is_refused(self, tmp_path):
+        """A stale entry that lands on another key's record of the same
+        size, whose payload decodes and passes the entry's CRC, is
+        refused by the header; the rescan serves the right outcome."""
+        spec_a, spec_b = tiny_specs()[:2]
+        outcome_a, outcome_b = BatchRunner().run([spec_a, spec_b])
+        (key_a, payload_a), (key_b, payload_b) = pickled([outcome_a, outcome_b])
+        assert len(key_a) == len(key_b)
+        DiskCache(tmp_path).store_many([(key_a, payload_a), (key_b, payload_b)])
+        reader = DiskCache(tmp_path)
+        index = reader._load_pack_index()
+        reader._pack_index[key_b] = index[key_a]  # stale: a's record
+        served = reader.load(key_b)
+        assert served is not None and served.spec == spec_b
+        assert served.result.observations == outcome_b.result.observations
+        assert reader.corrupt_entries == 0
+        reader.close()
+
+    def test_flipped_payload_byte_under_valid_header_is_refused(
+        self, tmp_path, capsys
+    ):
+        spec = tiny_specs()[0]
+        ((key, payload),) = pickled(BatchRunner().run([spec]))
+        cache = DiskCache(tmp_path)
+        cache.store_many([(key, payload)])
+        offset, size, _crc = cache._load_pack_index()[key]
+        data = bytearray(cache.manifest_path.read_bytes())
+        data[offset + size // 2] ^= 0x01  # header untouched
+        cache.manifest_path.write_bytes(bytes(data))
+        reader = DiskCache(tmp_path)
+        assert reader.load(key) is None
+        assert reader.corrupt_entries == 1
+        assert "quarantined corrupt manifest record" in capsys.readouterr().err
+        reader.close()
+
+    def test_warm_read_only_session_scans_once(self, tmp_path, scans):
+        specs = tiny_specs()
+        with BatchRunner(cache_dir=tmp_path) as cold:
+            cold.run(specs)
+        scans.clear()
+        warm = BatchRunner(cache_dir=tmp_path)
+        warm.run(specs)
+        warm.close()
+        warm.close()  # what __del__ does after an explicit close
+        assert warm.disk_hits == len(specs)
+        assert scans == [0]
+
+    def test_garbage_tail_compacted_by_read_only_session(
+        self, tmp_path, eager, scans
+    ):
+        specs = tiny_specs()[:2]
+        with BatchRunner(cache_dir=tmp_path) as cold:
+            first = cold.run(specs)
+        with (tmp_path / MANIFEST_NAME).open("ab") as fh:
+            fh.write(b"crashed-writer 999999 12345\nhalf-a-payload")
+        scans.clear()
+        warm = BatchRunner(cache_dir=tmp_path)
+        assert_same_results(first, warm.run(specs))
+        warm.close()
+        assert scans == [0]
+        assert warm.disk.compactions == 1
+        assert b"crashed-writer" not in (tmp_path / MANIFEST_NAME).read_bytes()
+        replay = BatchRunner(cache_dir=tmp_path)
+        assert_same_results(first, replay.run(specs))
+        assert replay.cache_misses == 0
+
+    def test_foreign_duplicates_compacted_by_read_only_session(
+        self, tmp_path, eager
+    ):
+        specs = tiny_specs()
+        with BatchRunner(cache_dir=tmp_path) as cold:
+            first = cold.run(specs)
+        reader = DiskCache(tmp_path)
+        assert all(reader.load(spec.fingerprint()) is not None for spec in specs)
+        # Another process re-stores every record after the reader's scan.
+        DiskCache(tmp_path).store_many(pickled(first))
+        reader.close()
+        assert reader.compactions == 1
+        assert DiskCache(tmp_path).dead_pack_bytes()[0] == 0
+        replay = BatchRunner(cache_dir=tmp_path)
+        assert_same_results(first, replay.run(specs))
+        assert replay.cache_misses == 0
+
+    def test_close_after_in_place_rewrite_compacts_the_new_pack(
+        self, tmp_path, eager
+    ):
+        """A foreign rewrite that keeps the inode and puts a record
+        boundary exactly at the reader's known end fools an incremental
+        sync; compaction copies by offset, so it must rescan."""
+        reader = DiskCache(tmp_path)
+        # The first "a" is dead, so the stale view would compact.
+        reader.store_many([("a", b"x" * 10), ("b", b"y" * 10), ("a", b"x" * 10)])
+        end = reader._pack_end
+
+        def record(key: str, payload: bytes) -> bytes:
+            return f"{key} {len(payload)} {zlib.crc32(payload)}\n".encode() + payload
+
+        # Size c's payload so that its record ends exactly at ``end``.
+        size = end - len(record("c", b""))
+        while len(record("c", b"z" * size)) != end:
+            size += end - len(record("c", b"z" * size))
+        with reader.manifest_path.open("r+b") as fh:
+            fh.truncate(0)
+            fh.write(record("c", b"z" * size) + record("d", b"w" * 7))
+        reader.close()
+        index = DiskCache(tmp_path)._load_pack_index()
+        assert sorted(index) == ["c", "d"]
+        with reader.manifest_path.open("rb") as fh:
+            for key, payload in (("c", b"z" * size), ("d", b"w" * 7)):
+                offset, length, _crc = index[key]
+                fh.seek(offset)
+                assert fh.read(length) == payload
 
 
 class TestConcurrentRunners:

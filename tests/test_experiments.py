@@ -56,7 +56,11 @@ class TestFig2:
     def test_state_machine_progression(self):
         """Low loads use small/cheap configs, the top uses big cores."""
         result = fig02_efficiency.run("memcached", quick=True)
-        machine = result.state_machine
+        machine = [
+            (choice.load, choice.config_label)
+            for choice in result.hetcmp
+            if choice is not None
+        ]
         assert machine[0][1] != machine[-1][1]
         top_config = machine[-1][1]
         assert top_config.startswith("2B")

@@ -7,9 +7,14 @@ import pytest
 
 from repro.experiments.reporting import ascii_table, series_block, sparkline
 from repro.experiments.table3_summary import summarize
+from repro.fleet.aggregate import FleetOutcome, NodeReduction
+from repro.fleet.spec import FleetSpec
 from repro.loadgen.traces import ConstantTrace
 from repro.policies.static import static_all_big, static_all_small
+from repro.scenarios import ScenarioSpec, TraceSpec
+from repro.scenarios.spec import ScenarioOutcome
 from repro.sim.engine import run_experiment
+from repro.sim.latency import column_mean, qos_guarantee
 from repro.workloads.websearch import websearch
 
 
@@ -45,12 +50,83 @@ class TestMetrics:
         assert small.total_energy_j() / big.total_energy_j() < 1.0
         assert big.energy_reduction_vs(big) == pytest.approx(0.0)
 
-    def test_summary_render(self, sample_runs):
+    def test_summary_fields(self, sample_runs):
         big, small = sample_runs
         summary = summarize(small, big)
-        text = summary.render()
-        assert "static-small" in text
-        assert "QoS" in text
+        assert (summary.policy, summary.workload) == ("static-small", "websearch")
+        assert summary.qos_guarantee_pct == small.qos_guarantee() * 100.0
+        assert summary.energy_reduction_pct == small.energy_reduction_vs(big) * 100.0
+        assert summary.mean_power_w == small.mean_power_w()
+
+
+def _mean_inputs():
+    rng = np.random.default_rng(7)
+    return {
+        "random": rng.lognormal(0.0, 1.5, 1001),
+        "all-equal": np.full(37, 0.1),
+        "single": np.array([3.7]),
+        "tiny-and-huge": np.array([1e-300, 1e300, -1e300, 2.5] * 9),
+    }
+
+
+class TestRawReductions:
+    """The summary metrics skip np.mean's dispatch, not its arithmetic."""
+
+    @pytest.mark.parametrize("name", sorted(_mean_inputs()))
+    def test_column_mean_is_np_mean(self, name):
+        values = _mean_inputs()[name]
+        got, want = column_mean(values), float(np.mean(values))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "tails",
+        [
+            np.random.default_rng(3).uniform(0.0, 2.0, 999),
+            np.full(8, 0.5),  # all met
+            np.full(8, 5.0),  # none met
+            np.array([1.0]),
+            np.array([2.0]),
+            np.array([0.5, 1.5, 1.0]),  # equal to the target counts as met
+        ],
+    )
+    def test_qos_guarantee_is_mean_of_mask(self, tails):
+        got = qos_guarantee(tails, 1.0)
+        want = float(np.mean(tails <= 1.0))
+        assert type(got) is float and got == want
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_result_metrics_are_np_mean(self, sample_runs):
+        big, small = sample_runs
+        for result in (big, small):
+            assert result.mean_power_w() == float(np.mean(result.powers_w))
+            assert result.mean_utilization() == float(
+                np.mean(result.table.column("mean_utilization"))
+            )
+            assert result.qos_guarantee() == float(
+                np.mean(result.tails_ms <= result.target_latency_ms)
+            )
+
+    def test_fleet_fold_is_np_mean(self, sample_runs):
+        big, small = sample_runs
+        trace = TraceSpec.constant(0.5, 20.0)
+        spec = ScenarioSpec(workload="websearch", trace=trace, manager="static-big")
+        fleet = FleetSpec(
+            workload="websearch", trace=trace, manager="static-big", n_nodes=2
+        )
+        outcomes = [ScenarioOutcome(spec=spec, result=r) for r in (big, small)]
+        node = NodeReduction.from_outcome(1, outcomes[1])
+        assert node.mean_load == float(np.mean(small.loads))
+        assert node.mean_power_w == float(np.mean(small.powers_w))
+        assert node.mean_utilization == small.mean_utilization()
+        assert node.qos_guarantee == small.qos_guarantee()
+        assert node.peak_tail_ratio == float(
+            np.max(small.tails_ms) / small.target_latency_ms
+        )
+        fleet_outcome = FleetOutcome.from_node_outcomes(fleet, outcomes)
+        assert fleet_outcome.fleet_qos_guarantee() == float(
+            np.mean(fleet_outcome.fleet_tails <= fleet_outcome.target_latency_ms)
+        )
 
 
 class TestReporting:

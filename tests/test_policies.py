@@ -69,7 +69,7 @@ class TestStatic:
             platform, websearch(), ConstantTrace(0.5, 15), static_all_big(platform)
         )
         assert result.migration_events() == 0
-        assert len(set(result.config_labels)) == 1
+        assert len({row.config_label for row in result.observations}) == 1
 
 
 def _ctx(platform, workload=None):
@@ -86,7 +86,7 @@ class TestOctopusMan:
         result = run_experiment(
             platform, memcached(), ConstantTrace(0.15, 60), OctopusMan(), seed=3
         )
-        labels = set(result.config_labels[30:])
+        labels = {row.config_label for row in result.observations[30:]}
         assert labels & {"1S-0.65", "2S-0.65", "3S-0.65"}
 
     def test_never_mixes_clusters(self, platform):

@@ -180,7 +180,10 @@ class TestTableBehaviour:
         table = result.table
         assert len(table.decision_pool) == len(DECISIONS)
         assert len(table.label_pool) == len(LABELS)
-        assert table.labels() == result.config_labels
+        codes = table.column("config_label").tolist()
+        assert [table.label_pool[code] for code in codes] == [
+            row.config_label for row in result.observations
+        ]
 
     def test_columns_are_read_only_views(self):
         result = sample_result()
@@ -188,8 +191,31 @@ class TestTableBehaviour:
             column = getattr(result, accessor)
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1.0
-        # ...and repeated access returns the same buffer, not a rebuild.
-        assert result.tails_ms is result.tails_ms
+        # ...and repeated access views the same buffer, not a rebuild
+        # (each access takes a fresh view of the block row).
+        first, again = result.tails_ms, result.tails_ms
+        assert first.ctypes.data == again.ctypes.data
+        assert first.base is again.base is not None
+
+    def test_lazy_columns_are_the_block_rows(self):
+        """Each column is the view a ``{field: row}`` binding of the
+        blocks gives, read-only, on a built and on a decoded table."""
+        built = sample_result().table
+        for table in (built, pickle.loads(pickle.dumps(built))):
+            bound = {
+                field: row
+                for (_, names), block in zip(BLOCKS, table._blocks)
+                for field, row in zip(names, block)
+            }
+            assert sorted(bound) == sorted(SCALAR_FIELDS + POOLED_FIELDS)
+            for field, row in bound.items():
+                column = table.column(field)
+                assert column.dtype == row.dtype
+                assert column.ctypes.data == row.ctypes.data
+                assert column.tobytes() == row.tobytes()
+                assert not column.flags.writeable
+        with pytest.raises(KeyError):
+            table.column("no_such_field")
 
     def test_capacity_is_enforced(self):
         table = ObservationTable(1)

@@ -67,6 +67,27 @@ class TestParams:
         levels = tuple(np.array([0.1, 0.2]))  # float subclasses recurse
         assert freeze_params({"levels": levels}) == (("levels", levels),)
 
+    def test_freeze_accepts_every_mapping_and_pair_iterable(self):
+        from collections import OrderedDict
+        from types import MappingProxyType
+
+        plain = {"b": [0.5, 0.25], "a": {"y": 1, "x": 2.5}, "c": None}
+        want = freeze_params(plain)
+        assert want == (
+            ("a", (("x", 2.5), ("y", 1))),
+            ("b", (0.5, 0.25)),
+            ("c", None),
+        )
+        for params in (
+            OrderedDict(reversed(list(plain.items()))),
+            MappingProxyType(plain),
+            list(plain.items()),
+            iter(plain.items()),
+            tuple(plain.items()),
+        ):
+            assert freeze_params(params) == want
+        assert freeze_params(None) == freeze_params(()) == freeze_params({}) == ()
+
     def test_freeze_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             freeze_params([("a", 1), ("a", 2)])

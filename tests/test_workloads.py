@@ -47,6 +47,15 @@ class TestLatencyCriticalWorkloads:
         reported = mc.reported_latency_ms(sim_latency)
         assert reported[0] == pytest.approx(1.0 + mc.base_latency_ms)
 
+    def test_reported_latency_in_place_is_byte_identical(self, rng):
+        mc = memcached()
+        sim_latency = rng.exponential(0.05, 257)
+        want = mc.reported_latency_ms(sim_latency)
+        buffer = sim_latency.copy()
+        got = mc.reported_latency_ms(buffer, out=buffer)
+        assert got is buffer
+        assert got.tobytes() == want.tobytes()
+
     def test_demand_mean_matches_parameter(self, rng):
         ws = websearch()
         demands = ws.sample_demands(rng, 100_000)
