@@ -81,7 +81,7 @@ from repro.workloads import (
     websearch,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "BatchJobSet",

@@ -182,8 +182,7 @@ class FleetOutcome:
 
     Holds only fixed-size reductions -- per-node scalar arrays plus the
     two per-interval fleet series -- never the per-node observation
-    tables; build one with :class:`FleetAccumulator` (or
-    :meth:`from_node_outcomes` when the outcomes are already in hand).
+    tables; build one with :class:`FleetAccumulator`.
     """
 
     spec: FleetSpec
@@ -218,16 +217,6 @@ class FleetOutcome:
             self.node_peak_ratios,
         ):
             arr.flags.writeable = False
-
-    @classmethod
-    def from_node_outcomes(
-        cls, spec: FleetSpec, outcomes: "tuple[ScenarioOutcome, ...] | list"
-    ) -> "FleetOutcome":
-        """Aggregate already-materialized node outcomes, in node order."""
-        accumulator = FleetAccumulator(spec)
-        for index, outcome in enumerate(outcomes):
-            accumulator.add(index, outcome)
-        return accumulator.finish()
 
     # ------------------------------------------------------------------
     # per-node views

@@ -46,6 +46,19 @@ class LoadTrace(abc.ABC):
             raise ValueError("interval_s must be positive")
         return int(self.duration_s / interval_s)
 
+    def interval_loads(self, n: int, interval_s: float = 1.0) -> np.ndarray:
+        """The offered load at the midpoint of each of ``n`` monitoring
+        intervals: what the engine plays, and what the batch scheduler's
+        cost model averages.
+
+        ``i * interval_s + interval_s / 2.0`` per element is bitwise the
+        scalar expression (``arange`` holds exact integers), and
+        :meth:`load_at_many` is pinned bit-identical to per-call
+        :meth:`load_at`.
+        """
+        mids = np.arange(n, dtype=np.float64) * interval_s + interval_s / 2.0
+        return self.load_at_many(mids)
+
     def _check(self, t: float) -> float:
         if t < 0:
             raise ValueError("time must be non-negative")

@@ -262,78 +262,6 @@ class TraceSpec:
 
         return factories.build_trace(self)
 
-    # -- cost hints for the batch scheduler -----------------------------
-
-    def duration_s(self) -> float:
-        """Trace length in seconds, straight from the parameters where
-        possible (no trace construction for the common kinds)."""
-        params = dict(self.params)
-        try:
-            if self.kind == "concat":
-                return sum(part.duration_s() for part in self.parts)
-            if self.kind in ("diurnal", "constant", "spike", "mmpp"):
-                return float(params["duration_s"])
-            if self.kind == "replay":
-                if "duration_s" in params:
-                    return float(params["duration_s"])
-                last = float(params["times_s"][-1])
-                if last > 0:  # else the builder applies its 1 s floor
-                    return last
-            if self.kind == "ramp":
-                return (
-                    float(params.get("lead_s", 0.0))
-                    + float(params["ramp_s"])
-                    + float(params.get("hold_s", 0.0))
-                )
-            if self.kind == "sampled":
-                return len(params["levels"]) * float(params.get("interval_s", 1.0))
-            if self.kind == "step":
-                return sum(float(d) for d, _ in params["steps"])
-        except KeyError:
-            pass  # parameter left to the builder's default
-        return float(self.build().duration_s)
-
-    def mean_level(self) -> float:
-        """Mean offered-load fraction over the trace -- a *scheduling
-        hint* (arrivals scale execution cost), not a simulation input."""
-        params = dict(self.params)
-        try:
-            if self.kind == "concat":
-                total = self.duration_s()
-                if total <= 0:
-                    return 0.0
-                return (
-                    sum(p.mean_level() * p.duration_s() for p in self.parts)
-                    / total
-                )
-            if self.kind == "constant":
-                return float(params["level"])
-            if self.kind == "sampled":
-                levels = params["levels"]
-                return float(sum(levels) / len(levels))
-            if self.kind == "ramp":
-                lead = float(params.get("lead_s", 0.0))
-                hold = float(params.get("hold_s", 0.0))
-                ramp = float(params["ramp_s"])
-                start = float(params["start_level"])
-                end = float(params["end_level"])
-                area = start * lead + 0.5 * (start + end) * ramp + end * hold
-                return area / (lead + ramp + hold)
-            if self.kind == "step":
-                steps = params["steps"]
-                total = sum(float(d) for d, _ in steps)
-                return sum(float(d) * float(level) for d, level in steps) / total
-        except KeyError:
-            pass  # parameter left to the builder's default
-        # Diurnal, default-parameter and exotic kinds: sample the built
-        # trace coarsely.
-        trace = self.build()
-        duration = trace.duration_s
-        n = 32
-        return float(
-            sum(trace.load_at((i + 0.5) * duration / n) for i in range(n)) / n
-        )
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:

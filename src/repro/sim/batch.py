@@ -73,7 +73,11 @@ surfaced as a structured :class:`~repro.errors.WorkerCrashError` while
 its chunk-mates' results are recovered; a hung chunk trips a watchdog
 deadline derived from :func:`estimate_cost` and ends in
 :class:`~repro.errors.SpecTimeoutError` instead of blocking forever;
-and a pool that keeps dying degrades to in-process serial execution.
+and a pool that keeps dying marks the runner degraded, after which the
+runner's one serial loop finishes that batch and runs every later one.
+The bounds on all of this are one
+:class:`~repro.sim.supervise.RetryPolicy`, the runner's
+``retry_policy`` argument.
 A corrupt pack record (CRC mismatch or failed decode) has its bytes
 copied to ``<cache-dir>/quarantine/`` (with a one-line stderr warning)
 and is served as a miss, so a bad disk or a chaos run leaves evidence
@@ -212,20 +216,24 @@ def estimate_cost(spec: "ScenarioSpec") -> float:
     Modelled as ``intervals x (1 + arrivals_per_interval / half)``,
     times the collocation factor for specs with a batch job, using the
     fixed :data:`ARRIVALS_COST_HALF` and :data:`COLLOCATION_COST_FACTOR`.
-    Only the *ordering* matters -- longest-job-first dispatch and chunk
-    sizing -- so a rough estimate is fine and the fallback for exotic
-    traces is deliberately simple.
+    Both inputs are read off the run the engine will execute: the
+    interval count is the spec's ``n_intervals`` or else the built
+    trace's whole intervals, and the arrivals follow the mean of the
+    loads the trace offers at those intervals' midpoints
+    (:meth:`~repro.loadgen.traces.LoadTrace.interval_loads`).  Only the
+    *ordering* matters -- longest-job-first dispatch and chunk sizing.
     """
-    interval_s = float(dict(spec.engine).get("interval_s", 1.0))
-    duration = spec.trace.duration_s()
-    intervals = int(duration / interval_s) if interval_s > 0 else 0
-    if spec.n_intervals is not None:
-        intervals = min(intervals, spec.n_intervals) if intervals else spec.n_intervals
-    arrivals = (
-        spec.trace.mean_level()
-        * _workload_max_rps(spec.workload, spec.workload_params)
-        * interval_s
-    )
+    try:
+        interval_s = float(dict(spec.engine).get("interval_s", 1.0))
+        trace = spec.trace.build()
+        intervals = spec.n_intervals or trace.n_intervals(interval_s)
+        mean_load = float(trace.interval_loads(max(intervals, 1), interval_s).mean())
+        max_rps = _workload_max_rps(spec.workload, spec.workload_params)
+    except Exception:
+        # A spec that cannot be built fails in its own run, which
+        # reports it per spec (as the serial path does); plan it cheap.
+        return 1.0
+    arrivals = mean_load * max_rps * interval_s
     cost = max(intervals, 1) * (1.0 + arrivals / ARRIVALS_COST_HALF)
     if spec.batch_jobs is not None:
         cost *= COLLOCATION_COST_FACTOR
@@ -734,9 +742,8 @@ class BatchRunner:
         ``<cache_dir>/quarantine/`` on detection.
     retry_policy:
         Bounds on the fault-tolerance layer (crash retries, watchdog
-        deadlines, serial degradation); ``None`` takes the defaults
-        with ``REPRO_*`` environment overrides
-        (:meth:`~repro.sim.supervise.RetryPolicy.from_env`).
+        deadlines, serial degradation); ``None`` means the defaults,
+        ``RetryPolicy()``.  This is the one place the policy is set.
     """
 
     jobs: int = 1
@@ -763,7 +770,7 @@ class BatchRunner:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.retry_policy is None:
-            self.retry_policy = RetryPolicy.from_env()
+            self.retry_policy = RetryPolicy()
         self._disk: DiskCache | None = None
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
@@ -928,15 +935,32 @@ class BatchRunner:
 
         Yields the spec's :class:`~repro.errors.ExecutionError` in place
         of its outcome when it definitively failed (never cached).
+        Pool batches run under a :class:`~repro.sim.supervise.
+        PoolSupervisor`; everything else runs in the serial loop below:
+        a serial runner's batches, a degraded runner's batches, and what
+        the supervisor leaves when the pool degrades mid-batch.
         """
         if not pending:
             return
         self.specs_dispatched += len(pending)
         # A single spec is cheaper in-process unless warm workers are
         # already standing by.
-        if self.jobs > 1 and (self._pool is not None or len(pending) > 1):
-            yield from self._execute_pool(pending)
-            return
+        if (
+            self.jobs > 1
+            and not self.degraded
+            and (self._pool is not None or len(pending) > 1)
+        ):
+            chunks = plan_chunks(pending, self.jobs)
+            self.chunks_dispatched += len(chunks)
+            supervisor = PoolSupervisor(self, chunks, self.retry_policy)
+            for key, result in supervisor.events():
+                if not isinstance(result, ExecutionError):
+                    self._cache_store_many([(key, result)])
+                yield key, result
+            if not self.degraded:
+                return
+            pending = supervisor.remaining()
+        mode = " (degraded serial mode)" if self.degraded else ""
         for position, (key, spec) in enumerate(pending):
             if self.stop_requested:
                 raise RunInterruptedError.pending(
@@ -947,23 +971,11 @@ class BatchRunner:
             except Exception as exc:
                 self.specs_failed += 1
                 yield key, SpecFailedError.raised(
-                    key, spec, type(exc).__name__, str(exc)
+                    key, spec, type(exc).__name__, str(exc), mode
                 )
                 continue
             self._cache_store_many([(key, outcome)])
             yield key, outcome
-
-    def _execute_pool(
-        self, pending: Sequence[tuple[str, "ScenarioSpec"]]
-    ) -> Iterable[tuple[str, "ScenarioOutcome | ExecutionError"]]:
-        chunks = plan_chunks(pending, self.jobs)
-        self.chunks_dispatched += len(chunks)
-        assert self.retry_policy is not None  # __post_init__ resolves it
-        supervisor = PoolSupervisor(self, chunks, self.retry_policy)
-        for key, result in supervisor.events():
-            if not isinstance(result, ExecutionError):
-                self._cache_store_many([(key, result)])
-            yield key, result
 
     # ------------------------------------------------------------------
     # cache

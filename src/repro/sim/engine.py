@@ -335,14 +335,10 @@ class IntervalSimulator:
             )
         )
 
-        # The whole run's interval-midpoint offered loads, computed once.
-        # ``i * dt + dt / 2.0`` per element is bitwise the scalar
-        # expression (arange holds exact integers), and load_at_many is
-        # pinned bit-identical to per-call load_at, so both paths read
-        # the identical floats.
+        # The whole run's interval-midpoint offered loads, computed once,
+        # so the epoch and scalar paths read the identical floats.
         dt = self._dt
-        mids = np.arange(total, dtype=np.float64) * dt + dt / 2.0
-        self._loads = self.trace.load_at_many(mids)
+        self._loads = self.trace.interval_loads(total, dt)
         self._loads_list = self._loads.tolist()
 
         manager = self.manager

@@ -356,8 +356,7 @@ class ObservationTable:
         """The column for one scalar field (read-only once frozen).
 
         For the pooled fields this is the int32 *code* column; use
-        :meth:`decision_at` / :meth:`label_at` (or :meth:`row`) for the
-        decoded values.
+        :meth:`decision_values` (or :meth:`row`) for the decoded values.
         """
         block, row = _COLUMN_SLOTS[field]
         return self._blocks[block][row]
@@ -371,14 +370,6 @@ class ObservationTable:
     def label_pool(self) -> tuple[str, ...]:
         """Unique configuration labels, in first-appearance order."""
         return tuple(self._label_pool)
-
-    def decision_at(self, i: int) -> "Decision":
-        """The decoded decision of row ``i``."""
-        return self._decision_pool[self.column("decision")[i]]
-
-    def label_at(self, i: int) -> str:
-        """The decoded configuration label of row ``i``."""
-        return self._label_pool[self.column("config_label")[i]]
 
     def decision_values(self, fn: Callable[["Decision"], object]) -> np.ndarray:
         """``fn(decision)`` per row, evaluated once per pooled decision."""

@@ -18,10 +18,14 @@ and turns the three ways a batch used to die into recoverable events:
   is retried like a crash, ending in :class:`~repro.errors.
   SpecTimeoutError` instead of blocking forever.
 * **Pool death spirals**: after ``max_pool_rebuilds`` breakages the
-  supervisor stops trusting process isolation and **degrades to
-  in-process serial** execution of the remaining work (trapping
-  per-spec Python exceptions), so a hostile environment slows the batch
-  down instead of killing it.
+  supervisor stops trusting process isolation: it marks the runner
+  ``degraded`` and stops, and the runner finishes the work it leaves
+  (:meth:`PoolSupervisor.remaining`) in its own in-process serial loop
+  (trapping per-spec Python exceptions), as it does every later batch,
+  so a hostile environment slows the run down instead of killing it.
+
+The bounds on all of this are one :class:`RetryPolicy`, handed to the
+runner's constructor (the defaults when none is given).
 
 Retried specs are pure functions of their spec (the repo's standing
 determinism contract), so no crash/retry/bisection history can change
@@ -36,13 +40,11 @@ harness (:mod:`repro.sim.chaos`) its injection point.
 from __future__ import annotations
 
 import math
-import os
-import sys
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.errors import (
@@ -67,62 +69,10 @@ _POLL_S = 0.5
 # ----------------------------------------------------------------------
 
 
-#: ``REPRO_*`` names already warned about this process (warn once).
-_warned_env: set[str] = set()
-
-
-def _warn_unknown_env(known: set[str]) -> None:
-    """Flag ``REPRO_*`` variables that match no known knob.
-
-    A typo'd override (``REPRO_TIMEOUT_FLOOR=0`` for
-    ``REPRO_TIMEOUT_FLOOR_S``) would otherwise silently fall back to
-    the default -- the worst failure mode for an operator tightening
-    deadlines.  Warns once per name per process, with a did-you-mean.
-    """
-    from repro.errors import suggest
-
-    for name in sorted(os.environ):
-        if not name.startswith("REPRO_") or name in known:
-            continue
-        if name in _warned_env:
-            continue
-        _warned_env.add(name)
-        hint = suggest(name, sorted(known))
-        hint_text = f" -- did you mean {hint!r}?" if hint else ""
-        print(
-            f"[env] unrecognized {name} (ignored){hint_text} "
-            f"known: {', '.join(sorted(known))}",
-            file=sys.stderr,
-        )
-
-
-def _env_number(name: str, default: float, parse: type) -> float:
-    """``parse`` of the ``name`` override, or ``default`` when it is
-    unset or malformed (flagged on stderr once per name per process)."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return parse(raw)
-    except ValueError:
-        if name not in _warned_env:
-            _warned_env.add(name)
-            print(
-                f"[env] malformed {name}={raw!r} (ignored) -- "
-                f"using the default {default}",
-                file=sys.stderr,
-            )
-        return default
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounds on the supervisor's recovery behaviour.
-
-    Every knob has an environment override (``REPRO_<FIELD>``, upper
-    case) so operators and the chaos harness can tighten deadlines
-    without threading parameters through the CLI.
-    """
+    """Bounds on the supervisor's recovery behaviour, set where the
+    runner is built (``BatchRunner(retry_policy=...)``)."""
 
     #: Dispatch attempts per chunk before it is bisected (multi-spec)
     #: or sent to solo confirmation (single-spec).
@@ -139,24 +89,6 @@ class RetryPolicy:
     #: watchdog timeouts entirely.
     timeout_floor_s: float = 60.0
     timeout_per_cost_s: float = 0.05
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """The default policy with ``REPRO_*`` environment overrides.
-
-        Unrecognized ``REPRO_*`` variables (with a did-you-mean) and
-        malformed values are flagged on stderr, once per process,
-        instead of silently using the defaults.
-        """
-        values = {}
-        known = {"REPRO_CHAOS"}  # the chaos harness's own knob
-        for spec in fields(cls):
-            env = f"REPRO_{spec.name.upper()}"
-            known.add(env)
-            parse = int if spec.type in ("int", int) else float
-            values[spec.name] = _env_number(env, spec.default, parse)
-        _warn_unknown_env(known)
-        return cls(**values)
 
     def backoff_s(self, failures: int) -> float:
         """Sleep before the ``failures``-th pool rebuild (0-based)."""
@@ -233,10 +165,10 @@ class _Work:
 class PoolSupervisor:
     """Drive chunks through the runner's pool, surviving crashes/hangs.
 
-    One supervisor instance serves one ``_execute_pool`` call; it owns
-    the retry queues but borrows the pool (and all fault counters) from
-    the runner, so pool reuse across ``run()`` calls and the runner's
-    ``[fault]`` statistics keep working.
+    One supervisor instance serves one pool batch of the runner's
+    ``_execute``; it owns the retry queues but borrows the pool (and all
+    fault counters) from the runner, so pool reuse across ``run()``
+    calls and the runner's ``[fault]`` statistics keep working.
     """
 
     def __init__(
@@ -265,17 +197,18 @@ class PoolSupervisor:
 
         Raises :class:`RunInterruptedError` after a clean drain when the
         runner's stop flag is set (a signal handler requested shutdown).
+        Returns early once the runner is degraded, leaving
+        :meth:`remaining` to the runner's serial loop.
         """
         while self._pending or self._suspects or self._inflight or self._ready:
             while self._ready:
                 yield self._ready.popleft()
-            if not (self._pending or self._suspects or self._inflight):
-                break
+            if self.runner.degraded or not (
+                self._pending or self._suspects or self._inflight
+            ):
+                return
             if self._stopping() and not self._inflight:
                 self._interrupt()
-            if self.runner.degraded:
-                self._drain_serial()
-                continue
             self._dispatch()
             if self._inflight:
                 self._reap()
@@ -284,6 +217,13 @@ class PoolSupervisor:
                 # refusing work (e.g. submit itself broke it) -- the
                 # failure handler has already updated the queues, loop.
                 continue
+
+    def remaining(self) -> list[tuple[str, "ScenarioSpec"]]:
+        """The ``(key, spec)`` items :meth:`events` left unresolved, in
+        the order a serial finish runs them: pending chunks, suspects,
+        then chunks that were in flight when the pool was killed."""
+        works = [*self._pending, *self._suspects, *self._inflight.values()]
+        return [item for work in works for item in work.items]
 
     # -- stop handling --------------------------------------------------
 
@@ -315,7 +255,11 @@ class PoolSupervisor:
             work.solo = True
             self._submit(work)
             return
-        while self._pending and len(self._inflight) < self._max_inflight:
+        while (
+            self._pending
+            and len(self._inflight) < self._max_inflight
+            and not self.runner.degraded
+        ):
             self._submit(self._pending.popleft())
 
     def _submit(self, work: _Work) -> None:
@@ -471,45 +415,6 @@ class PoolSupervisor:
                 spec_description=spec.describe(),
             )
         self._ready.append((key, error))
-
-    # -- degraded serial path ------------------------------------------
-
-    def _drain_serial(self) -> None:
-        """The pool kept dying: finish everything in-process, serially.
-
-        Per-spec Python exceptions are trapped; a spec that kills the
-        *main* process at this point was going to kill the run anyway.
-        """
-        while self._pending or self._suspects:
-            work = (
-                self._pending.popleft()
-                if self._pending
-                else self._suspects.popleft()
-            )
-            while work.items:
-                if self._stopping():
-                    # Put the rest back so the interrupt counts it.
-                    self._pending.appendleft(work)
-                    self._interrupt()
-                key, spec = work.items.pop(0)
-                try:
-                    outcome = spec.run()
-                except Exception as exc:
-                    self.runner.specs_failed += 1
-                    self._ready.append(
-                        (
-                            key,
-                            SpecFailedError.raised(
-                                key,
-                                spec,
-                                type(exc).__name__,
-                                str(exc),
-                                " (degraded serial mode)",
-                            ),
-                        )
-                    )
-                else:
-                    self._ready.append((key, outcome))
 
 
 __all__ = [

@@ -10,6 +10,7 @@ import zlib
 
 import pytest
 
+from repro.errors import SpecFailedError
 from repro.scenarios import ScenarioSpec, TraceSpec
 from repro.sim import batch
 from repro.sim.batch import (
@@ -786,7 +787,88 @@ class TestConcurrentRunners:
         assert_same_results(results["a"], replay)
 
 
+#: One small spec per trace kind, then an ``n_intervals`` cap below the
+#: trace length, a collocated run and a 2 s monitoring interval.
+COST_MODEL_SPECS = {
+    "constant": {"trace": TraceSpec.constant(0.4, 8.5)},
+    "diurnal": {"trace": TraceSpec.diurnal(12.0, seed=3)},
+    "ramp": {"trace": TraceSpec.ramp(0.2, 0.8, 6.0, lead_s=2.0, hold_s=1.5)},
+    "step": {"trace": TraceSpec("step", {"steps": ((3.0, 0.2), (4.5, 0.7))})},
+    "sampled": {
+        "trace": TraceSpec.sampled([0.1, 0.5, 0.9, 0.3, 0.6], interval_s=1.5)
+    },
+    "concat": {
+        "trace": TraceSpec.concat(
+            TraceSpec.constant(0.3, 4.5), TraceSpec.ramp(0.3, 0.9, 5.0)
+        )
+    },
+    "mmpp": {"trace": TraceSpec.mmpp([0.2, 0.8], [2.0, 1.0], 10.0, seed=4)},
+    "replay": {
+        "trace": TraceSpec.replay(
+            [0.0, 2.5, 6.0], [0.3, 0.7, 0.4], interp="linear"
+        )
+    },
+    "spike": {
+        "trace": TraceSpec(
+            "spike",
+            {
+                "base_level": 0.3,
+                "spike_level": 0.9,
+                "spike_start_s": 3.0,
+                "spike_duration_s": 2.5,
+                "duration_s": 9.0,
+            },
+        )
+    },
+    "capped": {"trace": TraceSpec.diurnal(30.0), "n_intervals": 7},
+    "collocated": {
+        "trace": TraceSpec.constant(0.5, 6.0),
+        "batch_jobs": "spec:calculix",
+    },
+    "interval-2s": {
+        "trace": TraceSpec.ramp(0.2, 0.8, 9.0),
+        "engine": {"interval_s": 2.0},
+    },
+}
+
+
 class TestScheduling:
+    @pytest.mark.parametrize("name", sorted(COST_MODEL_SPECS))
+    def test_cost_model_reads_the_run_the_engine_executes(self, name):
+        """The cost is ``n x (1 + mean load x max_rps x dt / half)``,
+        with ``n`` and the load read off the run itself: its row count
+        and the offered loads it recorded."""
+        from repro.scenarios import factories
+
+        spec = ScenarioSpec(
+            workload="memcached", manager="static-big", **COST_MODEL_SPECS[name]
+        )
+        result = spec.run().result
+        dt = float(dict(spec.engine).get("interval_s", 1.0))
+        max_rps = factories.build_workload("memcached").max_load_rps
+        arrivals = float(result.loads.mean()) * max_rps * dt
+        expected = len(result) * (1.0 + arrivals / batch.ARRIVALS_COST_HALF)
+        if spec.batch_jobs is not None:
+            expected *= batch.COLLOCATION_COST_FACTOR
+        assert estimate_cost(spec) == pytest.approx(expected, rel=1e-12)
+
+    def test_unbuildable_spec_is_planned_and_fails_alone(self):
+        """A spec whose trace cannot be built costs the planner nothing
+        special: it is planned like any other and fails in its own run,
+        as it does serially, while its batch-mates complete."""
+        bad = ScenarioSpec(
+            workload="memcached",
+            trace=TraceSpec.constant(2.0, 10.0),  # level out of range
+            manager="static-big",
+        )
+        assert estimate_cost(bad) == 1.0
+        specs = tiny_specs()[:2] + [bad]
+        with BatchRunner(jobs=2) as runner:
+            results = dict(runner.iter_run(specs, on_failure="yield"))
+        assert isinstance(results[2], SpecFailedError)
+        assert results[2].exception_type == "ValueError"
+        assert [results[0].spec, results[1].spec] == specs[:2]
+
     def cheap_and_expensive(self):
         base = ScenarioSpec(
             workload="memcached",

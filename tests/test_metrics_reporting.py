@@ -7,7 +7,7 @@ import pytest
 
 from repro.experiments.reporting import ascii_table, series_block, sparkline
 from repro.experiments.table3_summary import summarize
-from repro.fleet.aggregate import FleetOutcome, NodeReduction
+from repro.fleet.aggregate import FleetAccumulator, NodeReduction
 from repro.fleet.spec import FleetSpec
 from repro.loadgen.traces import ConstantTrace
 from repro.policies.static import static_all_big, static_all_small
@@ -123,7 +123,10 @@ class TestRawReductions:
         assert node.peak_tail_ratio == float(
             np.max(small.tails_ms) / small.target_latency_ms
         )
-        fleet_outcome = FleetOutcome.from_node_outcomes(fleet, outcomes)
+        accumulator = FleetAccumulator(fleet)
+        for index, outcome in enumerate(outcomes):
+            accumulator.add(index, outcome)
+        fleet_outcome = accumulator.finish()
         assert fleet_outcome.fleet_qos_guarantee() == float(
             np.mean(fleet_outcome.fleet_tails <= fleet_outcome.target_latency_ms)
         )

@@ -195,8 +195,8 @@ class TestCompilation:
         full = compile_pack(pack_doc)
         quick = compile_pack(pack_doc, quick=True)
         assert (
-            quick.items[0].spec.trace.duration_s()
-            < full.items[0].spec.trace.duration_s()
+            quick.items[0].spec.trace.build().duration_s
+            < full.items[0].spec.trace.build().duration_s
         )
         # The inline entry spells its duration out; --quick leaves it.
         assert (

@@ -11,8 +11,7 @@ Three concerns, in one suite:
   schedules on every call, stay isolated under the fixed-draw-order
   discipline (hypothesis fuzz over seeds and clause mixes), and a
   resilient fleet renders byte-identically serial vs ``--jobs 4``.
-* **The robustness satellites** -- bounded quarantine and unknown
-  ``REPRO_*`` warnings.
+* **The robustness satellite** -- bounded quarantine.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.fleet.balancer import build_balancer
 from repro.scenarios.spec import TraceSpec
 from repro.sim import batch
 from repro.sim.batch import BatchRunner, DiskCache
-from repro.sim.supervise import RetryPolicy
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -1041,35 +1039,3 @@ class TestQuarantineBound:
         fault_lines = [line for line in lines if line.startswith("[fault]")]
         assert fault_lines and "4 quarantine eviction(s)" in fault_lines[0]
 
-
-class TestEnvWarnings:
-    def test_unknown_repro_var_warns_with_suggestion(
-        self, monkeypatch, capsys
-    ):
-        import repro.sim.supervise as supervise
-
-        monkeypatch.setattr(supervise, "_warned_env", set())
-        monkeypatch.setenv("REPRO_MAX_DISPATCH", "9")
-        RetryPolicy.from_env()
-        err = capsys.readouterr().err
-        assert "unrecognized REPRO_MAX_DISPATCH" in err
-        assert "did you mean 'REPRO_MAX_DISPATCHES'" in err
-
-    def test_known_vars_do_not_warn(self, monkeypatch, capsys):
-        import repro.sim.supervise as supervise
-
-        monkeypatch.setattr(supervise, "_warned_env", set())
-        monkeypatch.setenv("REPRO_MAX_DISPATCHES", "7")
-        monkeypatch.setenv("REPRO_CHAOS", "crash:0.1")
-        policy = RetryPolicy.from_env()
-        assert policy.max_dispatches == 7
-        assert "unrecognized" not in capsys.readouterr().err
-
-    def test_warns_once_per_process(self, monkeypatch, capsys):
-        import repro.sim.supervise as supervise
-
-        monkeypatch.setattr(supervise, "_warned_env", set())
-        monkeypatch.setenv("REPRO_BOGUS", "1")
-        RetryPolicy.from_env()
-        RetryPolicy.from_env()
-        assert capsys.readouterr().err.count("REPRO_BOGUS") == 1

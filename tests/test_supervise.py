@@ -60,26 +60,12 @@ def _collect(runner: BatchRunner, specs):
     return outcomes, errors
 
 
+def _malformed_chunk(specs):
+    """A pool work item that returns no results (a malformed chunk)."""
+    return []
+
+
 class TestRetryPolicy:
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_DISPATCHES", "7")
-        monkeypatch.setenv("REPRO_TIMEOUT_FLOOR_S", "12.5")
-        policy = RetryPolicy.from_env()
-        assert policy.max_dispatches == 7
-        assert policy.timeout_floor_s == 12.5
-        assert policy.max_pool_rebuilds == 5  # untouched default
-
-    def test_malformed_env_falls_back_to_default(self, monkeypatch, capsys):
-        import repro.sim.supervise as supervise
-
-        monkeypatch.setattr(supervise, "_warned_env", set())
-        monkeypatch.setenv("REPRO_MAX_DISPATCHES", "not-a-number")
-        assert RetryPolicy.from_env().max_dispatches == 3
-        assert RetryPolicy.from_env().max_dispatches == 3
-        err = capsys.readouterr().err
-        assert err.count("[env] malformed REPRO_MAX_DISPATCHES") == 1
-        assert "'not-a-number' (ignored) -- using the default 3" in err
-
     def test_backoff_is_exponential_and_capped(self):
         policy = RetryPolicy(backoff_base_s=0.1, backoff_cap_s=0.5)
         assert policy.backoff_s(0) == pytest.approx(0.1)
@@ -237,6 +223,86 @@ class TestSupervisedPool:
             f"spec {specs[3].describe()} ({bad}) raised ValueError: boom "
             "(degraded serial mode)"
         )
+
+    def test_degraded_runner_runs_later_batches_serially(self, golden):
+        """Once degraded, a runner stops trusting its pool for good: the
+        next batch completes in-process without spawning a pool."""
+        specs = tiny_specs()
+        config = chaos.ChaosConfig(
+            seed=0,
+            poison_fingerprints=tuple(s.fingerprint() for s in specs),
+        )
+        policy = RetryPolicy(max_pool_rebuilds=1, backoff_base_s=0.01)
+        with chaos.active_config(config):
+            with BatchRunner(jobs=2, retry_policy=policy) as runner:
+                first = runner.run(specs[:2])
+                assert runner.degraded
+                spawns = runner.pool_spawns
+                chunks = runner.chunks_dispatched
+                second = runner.run(specs[2:])
+        assert runner.pool_spawns == spawns
+        assert runner.chunks_dispatched == chunks
+        assert runner.specs_dispatched == len(specs)
+        assert_same_results(golden, first + second)
+
+    def test_pool_refusing_submissions_degrades_at_the_bound(
+        self, monkeypatch, golden
+    ):
+        """A pool that breaks on every submission degrades after exactly
+        ``max_pool_rebuilds + 1`` breakages: once degraded, nothing more
+        is submitted, and the batch finishes serially."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        def refuse(self):
+            raise BrokenProcessPool("refused")
+
+        monkeypatch.setattr(BatchRunner, "_ensure_pool", refuse)
+        policy = RetryPolicy(max_pool_rebuilds=1, backoff_base_s=0.01)
+        with BatchRunner(jobs=2, retry_policy=policy) as runner:
+            outcomes = runner.run(tiny_specs())
+        assert runner.degraded
+        assert runner.pool_rebuilds == 2
+        assert_same_results(golden, outcomes)
+
+    def test_degrade_with_chunks_in_flight_finishes_them_serially(
+        self, monkeypatch, golden
+    ):
+        """A malformed chunk result kills the pool while its batch-mates
+        are still in flight; when that breakage is the one that degrades
+        the runner, the lost in-flight chunks finish serially too."""
+        from repro.sim import supervise
+
+        monkeypatch.setattr(supervise, "run_chunk", _malformed_chunk)
+        policy = RetryPolicy(max_pool_rebuilds=0, backoff_base_s=0.01)
+        with BatchRunner(jobs=2, retry_policy=policy) as runner:
+            outcomes = runner.run(tiny_specs())
+        assert runner.degraded
+        assert_same_results(golden, outcomes)
+
+    def test_stop_during_degraded_drain_counts_unrun_specs(self):
+        """A stop requested while a degraded runner finishes serially
+        raises after the spec in hand, counting exactly the specs that
+        never ran."""
+        specs = list(
+            tiny_specs()[0].sweep(
+                manager=["static-big", "octopus-man"], seed=[1, 2, 3]
+            )
+        )
+        config = chaos.ChaosConfig(
+            seed=0,
+            poison_fingerprints=tuple(s.fingerprint() for s in specs),
+        )
+        policy = RetryPolicy(max_pool_rebuilds=1, backoff_base_s=0.01)
+        with chaos.active_config(config):
+            with BatchRunner(jobs=2, retry_policy=policy) as runner:
+                events = runner.iter_run(specs)
+                delivered = [next(events), next(events)]
+                assert runner.degraded
+                runner.request_stop()
+                with pytest.raises(RunInterruptedError) as exc_info:
+                    delivered.extend(events)
+        assert len(delivered) == 2
+        assert exc_info.value.remaining == len(specs) - 2
 
 
 class TestSpecExceptions:

@@ -7,8 +7,11 @@ Seven in-process invocations of the acceptance command
 1. **golden** -- fault-free, serial: the reference stdout bytes.
 2. **crash/hang chaos** -- parallel, with deterministic worker crashes
    (and a sprinkle of hangs kept short by a tightened watchdog) injected
-   by :mod:`repro.sim.chaos`.  Must exit 0 with stdout byte-identical
-   to the golden run.
+   by :mod:`repro.sim.chaos`.  The tightened retry policy is handed to
+   the CLI's runner.  Must exit 0 with stdout byte-identical to the
+   golden run, and must not degrade to serial: the policy's rebuild
+   headroom keeps the pool alive, so a degraded run means the policy
+   never reached the runner.
 3. **cache populate** -- fault-free, parallel, against a fresh on-disk
    cache (the corruption victim).
 4. **corrupted cache** -- a manifest pack record is scribbled and the
@@ -29,7 +32,8 @@ Seven in-process invocations of the acceptance command
    leave only the pack (and no quarantine) in the cache directory.
 
 A JSON summary (the CI artifact) records per-run exit codes, wall
-times, fault markers and the byte-identity verdicts.  Exits non-zero
+times, fault markers, the chaos run's retry policy and the
+byte-identity verdicts.  Exits non-zero
 on any violation.
 
 Standalone (no install needed)::
@@ -40,9 +44,9 @@ Standalone (no install needed)::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
-import os
 import re
 import signal
 import sys
@@ -54,16 +58,16 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-#: Supervisor overrides for the chaos runs: plenty of rebuild headroom
+#: Retry-policy fields for the chaos run: plenty of rebuild headroom
 #: (rate-based crashes can strike many chunks) and a watchdog tight
 #: enough that an injected hang costs seconds, not an hour.  Legit
 #: chunks in ``all --quick`` finish in well under a second, so a 15 s
 #: deadline has an order of magnitude of CI-jitter margin.
-_CHAOS_ENV = {
-    "REPRO_MAX_POOL_REBUILDS": "10000",
-    "REPRO_TIMEOUT_FLOOR_S": "15",
-    "REPRO_TIMEOUT_PER_COST_S": "0",
-    "REPRO_BACKOFF_CAP_S": "0.2",
+_CHAOS_POLICY = {
+    "max_pool_rebuilds": 10000,
+    "timeout_floor_s": 15.0,
+    "timeout_per_cost_s": 0.0,
+    "backoff_cap_s": 0.2,
 }
 
 
@@ -79,23 +83,24 @@ def _cli_run(argv: list[str]) -> tuple[int, bytes, str, float]:
     return code, out.getvalue().encode(), err.getvalue(), wall
 
 
-def _with_env(env: dict[str, str]):
-    """Context manager: apply env overrides, restore on exit."""
+@contextmanager
+def _runner_policy(policy):
+    """Hand ``policy`` to every runner built without one (the CLI's),
+    restoring the runner's own default on exit."""
+    from repro.sim.batch import BatchRunner
 
-    @contextmanager
-    def _ctx():
-        saved = {k: os.environ.get(k) for k in env}
-        os.environ.update(env)
-        try:
-            yield
-        finally:
-            for k, v in saved.items():
-                if v is None:
-                    os.environ.pop(k, None)
-                else:
-                    os.environ[k] = v
+    real = BatchRunner.__post_init__
 
-    return _ctx()
+    def post_init(self):
+        if self.retry_policy is None:
+            self.retry_policy = policy
+        real(self)
+
+    BatchRunner.__post_init__ = post_init
+    try:
+        yield
+    finally:
+        BatchRunner.__post_init__ = real
 
 
 @contextmanager
@@ -130,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.cli import EXIT_INTERRUPTED
     from repro.sim import chaos
+    from repro.sim.supervise import RetryPolicy
 
     base_cmd = ["all", "--quick", "--seed", str(args.seed)]
     summary: dict = {"seed": args.seed, "jobs": args.jobs, "runs": []}
@@ -173,11 +179,23 @@ def main(argv: list[str] | None = None) -> int:
             hang_rate=150,   # and (usually) one or two watchdog trips
             hang_s=120.0,    # far past the 15 s deadline, cut by SIGKILL
         )
-        with _with_env(_CHAOS_ENV), chaos.active_config(config):
+        policy = RetryPolicy(**_CHAOS_POLICY)
+        summary["chaos_retry_policy"] = dataclasses.asdict(policy)
+        with _runner_policy(policy), chaos.active_config(config):
             code, out, err, wall = _cli_run(
                 base_cmd + ["--jobs", str(args.jobs)]
             )
         record("crash-hang-chaos", code, out, err, wall, golden)
+        degraded = [
+            line
+            for line in err.splitlines()
+            if line.startswith("[fault]") and "degraded to serial" in line
+        ]
+        if degraded:
+            failures.append(
+                "crash-hang-chaos: the pool degraded to serial, so the "
+                f"run's retry policy did not reach its runner: {degraded}"
+            )
         markers = chaos.fired_markers(state_dir)
         summary["fired_faults"] = markers
         if not markers:
